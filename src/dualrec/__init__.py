@@ -28,7 +28,6 @@ from .estimators import (
     DeltaPolicy,
     EstimateReport,
     EstimatorSpec,
-    GridSpec,
     bias_dse_under_mtb,
     dse,
     mle_adpl_mt,
@@ -118,7 +117,6 @@ __all__ = [
     # estimators
     "EstimateReport",
     "DeltaPolicy",
-    "GridSpec",
     "EstimatorSpec",
     "BootstrapResult",
     "dse",

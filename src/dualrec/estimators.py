@@ -2,10 +2,11 @@
 
 Each estimator takes an observed :class:`~dualrec.tables.DualRecordTable` and
 returns an :class:`EstimateReport`. Likelihood-based estimators return the
-exact integer argmax of their kernel, found on a window that doubles whenever
-the maximizer hits the window edge, up to a hard ceiling beyond which "no
-finite maximum" is reported; the dual-system estimator and the behavioral
-boundary estimate are closed-form.
+exact integer argmax of their kernel: the first N at which the step
+l(N+1) - l(N) stops being positive, found by bisection on the exact step
+signs of :func:`dualrec.kernels.step_sign` up to a hard ceiling beyond which
+"no finite maximum" is reported; the dual-system estimator and the
+behavioral boundary estimate are closed-form.
 
 Estimator catalogue (descriptor strings in parentheses):
     dse                 x1.*x.1/x11, the classical dual-system / independence
@@ -51,7 +52,6 @@ from .tables import (
 __all__ = [
     "EstimateReport",
     "DeltaPolicy",
-    "GridSpec",
     "EstimatorSpec",
     "BootstrapResult",
     "HARD_CEILING",
@@ -70,7 +70,6 @@ __all__ = [
 ]
 
 HARD_CEILING = 10**8
-_CHUNK = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -190,79 +189,33 @@ class DeltaPolicy:
         return 1.0 - self.value * (1.0 - c_hat) / n
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Integer search window for grid maximization.
+def _argmax(step, lower: int, what: str) -> int:
+    """Smallest integer N in [lower, HARD_CEILING] with step(N) <= 0.
 
-    Attributes:
-        lower: domain lower bound (first candidate).
-        cap: initial upper bound; when the maximizer lands on the cap the
-            window is extended per ``growth``.
-        growth: extension policy; "double" doubles the cap, up to the module
-            hard ceiling.
-    """
-
-    lower: int
-    cap: int
-    growth: str = "double"
-
-    def __post_init__(self) -> None:
-        if self.lower >= self.cap:
-            raise ValidationError(f"grid lower {self.lower} must be below cap {self.cap}")
-        if self.growth != "double":
-            raise ValidationError(f"unknown grid growth policy {self.growth!r}")
-
-
-def default_grid(table: DualRecordTable, lower: int | None = None) -> GridSpec:
-    """Default search window: cap at max(10 * DSE, x0 + 1000).
-
-    The dual-system estimate anchors the scale of any plausible maximizer;
-    when it is undefined (x11 = 0) the flat x0 + 1000 floor applies.
-    """
-    if lower is None:
-        lower = table.x0 + 1
-    cap = table.x0 + 1000
-    if table.x11 > 0:
-        cap = max(cap, math.ceil(10.0 * table.x1_dot * table.x_dot1 / table.x11))
-    return GridSpec(lower=lower, cap=int(cap))
-
-
-def _argmax_range(objective, lo: int, hi: int) -> tuple[int, float]:
-    """Integer argmax of objective over [lo, hi], evaluated in chunks."""
-    best_n, best_v = lo, -math.inf
-    start = lo
-    while start <= hi:
-        end = min(start + _CHUNK - 1, hi)
-        ns = np.arange(start, end + 1, dtype=float)
-        vals = np.asarray(objective(ns))
-        j = int(np.argmax(vals))
-        if vals[j] > best_v:
-            best_v = float(vals[j])
-            best_n = start + j
-        start = end + 1
-    return best_n, best_v
-
-
-def _argmax_windowed(objective, grid: GridSpec, what: str) -> int:
-    """Grid argmax with doubling extension and a hard ceiling.
+    With step(N) the sign of l(N+1) - l(N) of a kernel whose step changes
+    sign at most once (positive, then non-positive), that N is the kernel's
+    exact integer argmax (its first maximizer on a tie). Doubling the
+    distance from ``lower`` brackets it; bisection then finds it in
+    O(log N) step evaluations.
 
     Raises:
-        NoFiniteMaximumError: if the maximizer still sits on the window edge
-            at the hard ceiling (the objective keeps increasing).
+        NoFiniteMaximumError: if the step is still positive at HARD_CEILING
+            (the kernel keeps increasing).
     """
-    cap = grid.cap
-    best_n, best_v = _argmax_range(objective, grid.lower, cap)
-    while best_n == cap:
-        if cap >= HARD_CEILING:
+    lo, hi = lower - 1, max(lower, min(2 * lower, HARD_CEILING))
+    while step(hi) > 0:
+        if hi >= HARD_CEILING:
             raise NoFiniteMaximumError(
                 f"{what}: no finite maximum detected up to N = {HARD_CEILING:.0e}"
             )
-        new_cap = min(2 * cap, HARD_CEILING)
-        n2, v2 = _argmax_range(objective, cap + 1, new_cap)
-        if v2 > best_v:
-            best_n, best_v = n2, v2
-        cap = new_cap
-    return best_n
+        lo, hi = hi, min(lower + 2 * (hi - lower), HARD_CEILING)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if step(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def recover_nuisance(
@@ -419,23 +372,10 @@ def _attach_nuisance(report: EstimateReport, table: DualRecordTable) -> Estimate
     return replace(report, p1_hat=p1_hat, p_hat=p_hat, c_hat=c_hat, phi_hat=phi_hat)
 
 
-def _mt_search_grid(table: DualRecordTable, lower: int) -> GridSpec:
-    """Initial search window for the independence-model maximizers.
-
-    The continuous score of the profile kernel crosses zero at
-    r = x1.*x.1/x11 minus a correction of order x0*N / (2*x11*(N - x0)),
-    so the integer maximizer sits at or below roughly floor(r) + 1; a cap a
-    few units past floor(r) brackets it, and the windowed search doubles the
-    cap whenever the argmax lands on the edge.
-    """
-    cap = (table.x1_dot * table.x_dot1) // table.x11 + 8
-    return GridSpec(lower=lower, cap=int(max(cap, lower + 16)))
-
-
 def mle_profile_mt(table: DualRecordTable) -> EstimateReport:
     """Integer maximizer of the independence-model profile likelihood.
 
-    The maximizer is located by exact grid search over the kernel. It lies
+    The maximizer is located by bisection on the exact kernel steps. It lies
     near the dual-system ratio r = x1.*x.1/x11 (exactly r - 1 when r is an
     integer and the overlap correction is negligible) but can drift several
     units below floor(r) - 1 on tables with small x11 and large overlap x0,
@@ -444,11 +384,11 @@ def mle_profile_mt(table: DualRecordTable) -> EstimateReport:
 
     Raises:
         UndefinedEstimateError: when x11 = 0 (no finite maximizer exists).
+        NoFiniteMaximumError: when the maximizer lies beyond HARD_CEILING.
     """
     if table.x11 == 0:
         raise UndefinedEstimateError("profile likelihood has no finite maximizer: x11 = 0")
-    grid = _mt_search_grid(table, lower=table.x0)
-    n = _argmax_windowed(lambda ns: kernels.log_profile_mt(ns, table), grid, "pl-mt")
+    n = _argmax(lambda m: kernels.step_sign("pl-mt", m, table), table.x0, "pl-mt")
     report = EstimateReport(method="pl-mt", n_hat=float(n), n_hat_integer=int(n))
     return _attach_nuisance(report, table)
 
@@ -456,7 +396,7 @@ def mle_profile_mt(table: DualRecordTable) -> EstimateReport:
 def mle_mpl_mt(table: DualRecordTable) -> EstimateReport:
     """Integer maximizer of the independence-model modified profile likelihood.
 
-    The maximizer is located by exact grid search over the kernel. The
+    The maximizer is located by bisection on the exact kernel steps. The
     half-log correction terms are strictly increasing in N, so this estimate
     is never below the plain profile maximizer; in practice it lands within
     a unit of round(x1.*x.1/x11). When x10*x01 = 0 the correction is -inf at
@@ -464,11 +404,11 @@ def mle_mpl_mt(table: DualRecordTable) -> EstimateReport:
 
     Raises:
         UndefinedEstimateError: when x11 = 0.
+        NoFiniteMaximumError: when the maximizer lies beyond HARD_CEILING.
     """
     if table.x11 == 0:
         raise UndefinedEstimateError("modified profile likelihood has no finite maximizer: x11 = 0")
-    grid = _mt_search_grid(table, lower=table.x0)
-    n = _argmax_windowed(lambda ns: kernels.log_mpl_mt(ns, table), grid, "mpl-mt")
+    n = _argmax(lambda m: kernels.step_sign("mpl-mt", m, table), table.x0, "mpl-mt")
     report = EstimateReport(method="mpl-mt", n_hat=float(n), n_hat_integer=int(n))
     return _attach_nuisance(report, table)
 
@@ -505,31 +445,30 @@ def _delta_or_reject(
 def _adpl_point(
     table: DualRecordTable,
     policy: DeltaPolicy,
-    grid: GridSpec | None,
     delta_mode: str,
     true_n: float | None,
-    objective,
+    method: str,
     lower: int,
     require_delta_below_one: bool,
-    method: str,
 ) -> EstimateReport:
-    """Shared solver for the adjusted-profile estimators."""
+    """Shared solver for the adjusted-profile estimators; ``method`` names the kernel."""
     if table.x1_dot == 0:
         raise UndefinedEstimateError("adjusted profile estimation requires x1. >= 1")
     if delta_mode not in ("candidate", "oracle"):
         raise ValidationError(f"delta_mode must be 'candidate' or 'oracle', got {delta_mode!r}")
-    if grid is None:
-        grid = default_grid(table, lower=lower)
+
+    def solve(delta: float) -> int:
+        return _argmax(lambda m: kernels.step_sign(method, m, table, delta), lower, method)
 
     note = None
     if not policy.requires_n():
         delta_used = _delta_or_reject(policy, 1.0, table, require_delta_below_one)
-        n_hat = _argmax_windowed(lambda ns: objective(ns, delta_used), grid, method)
+        n_hat = solve(delta_used)
     elif delta_mode == "oracle":
         if true_n is None:
             raise ValidationError("oracle delta mode requires true_n")
         delta_used = _delta_or_reject(policy, float(true_n), table, require_delta_below_one)
-        n_hat = _argmax_windowed(lambda ns: objective(ns, delta_used), grid, method)
+        n_hat = solve(delta_used)
     else:
         # Self-consistent fixed point: iterate N -> argmax at delta(N) from
         # the dual-system anchor; on a cycle return its smallest member.
@@ -537,11 +476,10 @@ def _adpl_point(
             anchor = round(table.x1_dot * table.x_dot1 / table.x11)
         else:
             anchor = 2 * table.x0
-        path = [min(max(int(anchor), grid.lower + 1), grid.cap)]
+        path = [min(max(int(anchor), lower + 1), HARD_CEILING)]
         n_hat = path[0]
         for _ in range(60):
-            d = _delta_or_reject(policy, float(path[-1]), table, require_delta_below_one)
-            nxt = _argmax_windowed(lambda ns: objective(ns, d), grid, method)
+            nxt = solve(_delta_or_reject(policy, float(path[-1]), table, require_delta_below_one))
             if nxt == path[-1]:
                 n_hat = nxt
                 break
@@ -561,7 +499,7 @@ def _adpl_point(
         n_hat=float(n_hat),
         n_hat_integer=int(n_hat),
         delta_used=delta_used,
-        degenerate=(n_hat == grid.lower),
+        degenerate=(n_hat == lower),
         note=note,
     )
     return _attach_nuisance(report, table)
@@ -570,7 +508,6 @@ def _adpl_point(
 def mle_adpl_mtb(
     table: DualRecordTable,
     policy: DeltaPolicy,
-    grid: GridSpec | None = None,
     *,
     delta_mode: str = "candidate",
     true_n: float | None = None,
@@ -587,7 +524,6 @@ def mle_adpl_mtb(
     Args:
         table: observed table with x1. >= 1.
         policy: adjustment policy.
-        grid: optional search window override.
         delta_mode: "candidate" (self-consistent fixed point, default) or
             "oracle" (delta evaluated at ``true_n``).
         true_n: generating population size, required in oracle mode.
@@ -595,20 +531,17 @@ def mle_adpl_mtb(
     return _adpl_point(
         table,
         policy,
-        grid,
         delta_mode,
         true_n,
-        lambda ns, d: kernels.log_adpl_mtb(ns, table, d),
+        "adpl-mtb",
         lower=table.x0 + 1,
         require_delta_below_one=True,
-        method="adpl-mtb",
     )
 
 
 def mle_adpl_mt(
     table: DualRecordTable,
     policy: DeltaPolicy,
-    grid: GridSpec | None = None,
     *,
     delta_mode: str = "candidate",
     true_n: float | None = None,
@@ -619,9 +552,10 @@ def mle_adpl_mt(
     model, values above 1 can still leave a finite maximizer here: the kernel
     behaves like (2*(delta - 1) - x11) * ln N for large N, so it diverges
     exactly when 2*(delta - 1) >= x11. Fixed policies in that regime are
-    rejected up front (a grid search cannot resolve the slow logarithmic
-    growth against lgamma rounding at astronomical N); the N-scaled policies
-    always produce delta < 1 and never diverge.
+    rejected up front, where the closed form settles divergence without a
+    search to the ceiling. The N-dependent policies produce delta <= 1;
+    with x11 = 0 the kernel can still rise past HARD_CEILING, which is
+    reported as no finite maximum.
     """
     if not policy.requires_n() and 2.0 * (policy.delta(1.0, table) - 1.0) >= table.x11:
         d = policy.delta(1.0, table)
@@ -633,13 +567,11 @@ def mle_adpl_mt(
     return _adpl_point(
         table,
         policy,
-        grid,
         delta_mode,
         true_n,
-        lambda ns, d: kernels.log_adpl_mt(ns, table, d),
+        "adpl-mt",
         lower=table.x0,
         require_delta_below_one=False,
-        method="adpl-mt",
     )
 
 
@@ -689,7 +621,6 @@ class EstimatorSpec:
         *,
         delta_mode: str = "candidate",
         true_n: float | None = None,
-        grid: GridSpec | None = None,
     ) -> EstimateReport:
         """Apply this estimator to a table."""
         mode = "oracle" if self.oracle else delta_mode
@@ -702,8 +633,8 @@ class EstimatorSpec:
         if self.method == "pl-mtb":
             return mle_profile_mtb(table)
         if self.method == "adpl-mtb":
-            return mle_adpl_mtb(table, self.policy, grid, delta_mode=mode, true_n=true_n)
-        return mle_adpl_mt(table, self.policy, grid, delta_mode=mode, true_n=true_n)
+            return mle_adpl_mtb(table, self.policy, delta_mode=mode, true_n=true_n)
+        return mle_adpl_mt(table, self.policy, delta_mode=mode, true_n=true_n)
 
 
 def parse_estimator(descriptor: str) -> EstimatorSpec:

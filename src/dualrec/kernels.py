@@ -25,13 +25,30 @@ Kernel catalogue (T is the observed table):
     loglik_mtb_full          full log-likelihood in (N, p1., p, c) or
                              (N, p1., p, phi)
 
-The *_step helpers return the exact first difference l(N+1) - l(N) in a
-cancellation-free closed form; direct subtraction of kernel values loses all
-significance for N beyond ~1e4 because the true differences are O(N^-3) while
-the kernel magnitude grows like N*log(N).
+Step catalogue: each *_step form returns the first difference l(N+1) - l(N)
+of its kernel in a cancellation-free closed form; direct subtraction of
+kernel values loses all significance for N beyond ~1e4 because the true
+differences are O(N^-3) while the kernel magnitude grows like N*log(N).
+    log_profile_mt_step(N, T)       log_profile_mt
+    log_mpl_mt_step(N, T)           log_mpl_mt
+    log_adpl_mt_step(N, T, d)       log_adpl_mt
+    log_profile_mtb_step(N, x0)     log_profile_mtb
+    log_mpl_mtb_step(N, x0)         log_mpl_mtb
+    log_adpl_mtb_step(N, T, d)      log_adpl_mtb
+    step_sign(kind, N, T, d)        exact sign of the step at integer N, for
+                                    the kernels the estimators maximize
+
+The estimators report the smallest integer N at which the step stops being
+positive. The kernels they maximize are unimodal (the step changes sign at
+most once, from positive to non-positive; the tests check the result against
+a dense grid), so that N is the exact integer argmax.
 """
 
 from __future__ import annotations
+
+import functools
+import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 from scipy.special import digamma, gammaln, xlogy
@@ -47,10 +64,23 @@ __all__ = [
     "log_adpl_mtb",
     "loglik_mt_full",
     "loglik_mtb_full",
+    "log_profile_mt_step",
+    "log_mpl_mt_step",
+    "log_adpl_mt_step",
     "log_profile_mtb_step",
     "log_mpl_mtb_step",
+    "log_adpl_mtb_step",
+    "step_sign",
     "adpl_mtb_derivative",
 ]
+
+# Steps of the double-precision forms closer to zero than this have their
+# sign decided again in decimal arithmetic at _DIGITS significant digits. The
+# double forms are sums of a handful of O(1) terms, each within a few ulps;
+# against the decimal form their error was at most 4e-15 up to N = 1e8. The
+# margin is generous because the re-check costs only time, near the maximizer.
+_STEP_TOL = 1e-10
+_DIGITS = 60
 
 
 def _as_array(n) -> tuple[np.ndarray, bool]:
@@ -232,13 +262,78 @@ def loglik_mtb_full(
     return _ret(v, scalar)
 
 
+def _step_arg(n, bound: float, strict: bool, what: str):
+    """N for a step form, domain-checked: a float for scalar N, else an array.
+
+    Scalars stay out of numpy because the argmax search evaluates one N at a
+    time, where a numpy expression costs about 40 times its ``math`` form.
+    """
+    if np.isscalar(n):
+        n = float(n)
+        if n > bound if strict else n >= bound:
+            return n
+    arr = np.asarray(n, dtype=float)
+    _check_domain(arr, bound, strict, what)
+    return arr if arr.ndim else float(arr)
+
+
+def _dlog(m):
+    """ln(m+1) - ln(m) = log1p(1/m), with the limit +inf at m = 0."""
+    if isinstance(m, float):
+        return math.log1p(1.0 / m) if m > 0 else math.inf
+    with np.errstate(divide="ignore"):
+        return np.log1p(1.0 / m)
+
+
 def _g(m):
     """m * log1p(1/m) with the continuous extension g(0) = 0."""
+    if isinstance(m, float):
+        return m * math.log1p(1.0 / m) if m > 0 else 0.0
     m = np.asarray(m, dtype=float)
     out = np.zeros_like(m)
     pos = m > 0
     out[pos] = m[pos] * np.log1p(1.0 / m[pos])
     return out
+
+
+def log_profile_mt_step(n, table: DualRecordTable):
+    """Exact first difference log_profile_mt(N+1) - log_profile_mt(N), N >= x0.
+
+    Reduces to log1p((x1.*x.1 - (N+1)*x11) / ((N+1)(N+1-x0)))
+    + g(N-x1.) + g(N-x.1) - 2g(N) with g(m) = m*log1p(1/m): the lgamma step
+    and the ln(N+1) parts of the v*ln(v) steps combine into one ratio whose
+    numerator is exact in integers.
+    """
+    n = _step_arg(n, table.x0, strict=False, what="log_profile_mt_step")
+    n1 = n + 1.0
+    # (N+1-x1.)(N+1-x.1) - (N+1)(N+1-x0) = x1.*x.1 - (N+1)*x11
+    ratio = (table.x1_dot * table.x_dot1 - n1 * table.x11) / (n1 * (n1 - table.x0))
+    log1p = math.log1p if isinstance(ratio, float) else np.log1p
+    return log1p(ratio) + _g(n - table.x1_dot) + _g(n - table.x_dot1) - 2.0 * _g(n)
+
+
+def log_mpl_mt_step(n, table: DualRecordTable):
+    """Exact first difference log_mpl_mt(N+1) - log_mpl_mt(N), N >= x0.
+
+    Equals log_profile_mt_step + (1/2)log1p(1/(N-x1.)) + (1/2)log1p(1/(N-x.1))
+    - log1p(1/N); +inf where N equals a margin (the hard zero at N).
+    """
+    n = _step_arg(n, table.x0, strict=False, what="log_mpl_mt_step")
+    return (
+        log_profile_mt_step(n, table)
+        + 0.5 * _dlog(n - table.x1_dot)
+        + 0.5 * _dlog(n - table.x_dot1)
+        - _dlog(n)
+    )
+
+
+def log_adpl_mt_step(n, table: DualRecordTable, delta: float):
+    """Exact first difference log_adpl_mt(N+1) - log_adpl_mt(N), N >= x0.
+
+    Equals log_mpl_mt_step + 2(delta-1)log1p(1/N).
+    """
+    n = _step_arg(n, table.x0, strict=False, what="log_adpl_mt_step")
+    return log_mpl_mt_step(n, table) + 2.0 * (float(delta) - 1.0) * _dlog(n)
 
 
 def log_profile_mtb_step(n, x0: int):
@@ -250,10 +345,8 @@ def log_profile_mtb_step(n, x0: int):
     decreases). This form stays accurate where direct subtraction of kernel
     values underflows to rounding noise.
     """
-    arr, scalar = _as_array(n)
-    _check_domain(arr, x0, strict=True, what="log_profile_mtb_step")
-    v = _g(arr - x0) - _g(arr)
-    return _ret(v, scalar)
+    n = _step_arg(n, x0, strict=True, what="log_profile_mtb_step")
+    return _g(n - x0) - _g(n)
 
 
 def log_mpl_mtb_step(n, x0: int):
@@ -263,11 +356,84 @@ def log_mpl_mtb_step(n, x0: int):
     decreasing in m, so the step is strictly positive for all N > x0 (the
     modified profile kernel increases; no finite maximizer exists).
     """
-    arr, scalar = _as_array(n)
-    _check_domain(arr, x0, strict=True, what="log_mpl_mtb_step")
-    m = arr - x0
-    v = (m + 0.5) * np.log1p(1.0 / m) - (arr + 0.5) * np.log1p(1.0 / arr)
-    return _ret(v, scalar)
+    n = _step_arg(n, x0, strict=True, what="log_mpl_mtb_step")
+    m = n - x0
+    return (m + 0.5) * _dlog(m) - (n + 0.5) * _dlog(n)
+
+
+def log_adpl_mtb_step(n, table: DualRecordTable, delta: float):
+    """Exact first difference log_adpl_mtb(N+1) - log_adpl_mtb(N), N > x0.
+
+    Equals log_mpl_mtb_step + (delta-1)[log1p(1/N) + log1p(1/(N-x1.))].
+    """
+    n = _step_arg(n, table.x0, strict=True, what="log_adpl_mtb_step")
+    return log_mpl_mtb_step(n, table.x0) + (float(delta) - 1.0) * (
+        _dlog(n) + _dlog(n - table.x1_dot)
+    )
+
+
+def step_sign(kind: str, n: int, table: DualRecordTable, delta: float = 1.0) -> int:
+    """Exact sign (-1, 0 or 1) of the kernel step l(N+1) - l(N) at integer N.
+
+    ``kind`` names the kernel by the estimator that maximizes it: "pl-mt",
+    "mpl-mt", "adpl-mt" or "adpl-mtb" (``delta`` applies to the last two).
+    The double-precision step form decides wherever it lies at least
+    _STEP_TOL from zero. Closer to zero the sign is decided again from the
+    step's closed form in decimal arithmetic: near the maximizer of a large
+    table the true steps (about 1e-17 at N = 8e5) fall below the rounding
+    error of the double form.
+    """
+    if kind == "pl-mt":
+        s = log_profile_mt_step(n, table)
+    elif kind == "mpl-mt":
+        s = log_mpl_mt_step(n, table)
+    elif kind == "adpl-mt":
+        s = log_adpl_mt_step(n, table, delta)
+    elif kind == "adpl-mtb":
+        s = log_adpl_mtb_step(n, table, delta)
+    else:
+        raise ValueError(f"unknown kernel kind {kind!r}")
+    if abs(s) >= _STEP_TOL:
+        return 1 if s > 0 else -1
+    exact = _decimal_step(kind, int(n), table, delta)
+    return (exact > 0) - (exact < 0)
+
+
+def _decimal_step(kind: str, n: int, table: DualRecordTable, delta: float) -> Decimal:
+    """l(N+1) - l(N) from the kernel's closed form, in _DIGITS-digit decimal.
+
+    Only logs of integers appear, so the result is exact to well below 1e-40
+    for N up to 1e8; delta enters as the exact value of its double.
+    """
+    a, b, x0 = table.x1_dot, table.x_dot1, table.x0
+    with localcontext() as ctx:
+        ctx.prec = _DIGITS
+        half = Decimal("0.5")
+        d1 = Decimal(delta) - 1
+
+        @functools.cache
+        def ln(k):
+            return Decimal(k).ln()
+
+        def xlnx(k):
+            return k * ln(k) if k else Decimal(0)
+
+        def diff(f):
+            return f(n + 1) - f(n)
+
+        lgamma_step = ln(n + 1) - ln(n + 1 - x0)  # lgamma(N+1) - lgamma(N-x0+1)
+        if kind == "adpl-mtb":
+            return lgamma_step + diff(
+                lambda m: (d1 - m - half) * ln(m)  # (delta - N - 3/2) ln N
+                + d1 * ln(m - a)
+                + (m - x0 + half) * ln(m - x0)
+            )
+        s = lgamma_step + diff(lambda m: xlnx(m - a) + xlnx(m - b) - 2 * xlnx(m))
+        if kind != "pl-mt":
+            s += diff(lambda m: (ln(m - a) + ln(m - b)) / 2 - ln(m))
+        if kind == "adpl-mt":
+            s += 2 * d1 * diff(ln)
+        return s
 
 
 def adpl_mtb_derivative(n, table: DualRecordTable, delta: float):
@@ -275,7 +441,7 @@ def adpl_mtb_derivative(n, table: DualRecordTable, delta: float):
 
     Uses the digamma function for the lgamma terms. Intended for analysis
     (bracketing stationary points, inspecting boundary behavior); estimation
-    itself uses exact integer grid search.
+    itself uses the exact integer steps of :func:`step_sign`.
     """
     arr, scalar = _as_array(n)
     _check_domain(arr, table.x0, strict=True, what="adpl_mtb_derivative")

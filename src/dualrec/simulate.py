@@ -304,18 +304,15 @@ def _apply_estimator(
     tables: list[DualRecordTable | None],
     mode: str,
     true_n: int,
-    memo: dict,
     workers: int,
 ) -> list:
     """Estimate every table; returns (n_hat, delta_used) rows or _FAILED.
 
     ``None`` entries (replicates in which no individual was captured) fail
-    unconditionally. Results are memoized by (estimator, mode, table) —
-    replicate tables repeat constantly at study scales — and chunked across
-    workers in contiguous replicate ranges, so the merged output is
-    independent of the worker count.
+    unconditionally. Tables are chunked across workers in contiguous
+    replicate ranges, so the merged output is independent of the worker
+    count.
     """
-    memo_true_n = true_n if mode == "oracle" else None
 
     def run_slice(chunk: list[DualRecordTable | None]) -> list:
         rows = []
@@ -323,16 +320,11 @@ def _apply_estimator(
             if t is None:
                 rows.append(_FAILED)
                 continue
-            key = (est.label, mode, memo_true_n, t.x11, t.x10, t.x01)
-            hit = memo.get(key)
-            if hit is None:
-                try:
-                    rep = est.estimate(t, delta_mode=mode, true_n=true_n)
-                    hit = (rep.n_hat, rep.delta_used)
-                except EstimationError:
-                    hit = _FAILED
-                memo[key] = hit
-            rows.append(hit)
+            try:
+                rep = est.estimate(t, delta_mode=mode, true_n=true_n)
+                rows.append((rep.n_hat, rep.delta_used))
+            except EstimationError:
+                rows.append(_FAILED)
         return rows
 
     if workers <= 1 or len(tables) < 2 * workers:
@@ -357,7 +349,6 @@ def run_study(
     how replicate chunks are scheduled, never any value.
     """
     specs = [parse_estimator(e) for e in config.estimators]
-    memo: dict = {}
     out: list[StudySummary] = []
     for pi, pop in enumerate(config.populations):
         x11, x10, x01 = sample_tables(pop, config.seed, purpose, pi, config.replicates)
@@ -368,7 +359,7 @@ def run_study(
         ]
         for est in specs:
             mode = "oracle" if (est.oracle or config.delta_mode == "oracle") else "candidate"
-            rows = _apply_estimator(est, tables, mode, pop.n, memo, workers)
+            rows = _apply_estimator(est, tables, mode, pop.n, workers)
             estimates = np.array([r[0] for r in rows if r is not _FAILED])
             deltas = [r[1] for r in rows if r is not _FAILED and r[1] is not None]
             failures = sum(1 for r in rows if r is _FAILED)

@@ -10,8 +10,8 @@ from dualrec.estimators import (
     BootstrapResult,
     DeltaPolicy,
     EstimatorSpec,
-    GridSpec,
-    _argmax_windowed,
+    HARD_CEILING,
+    _argmax,
     _var_dse_first_order,
     bias_dse_under_mtb,
     dse,
@@ -26,7 +26,13 @@ from dualrec.estimators import (
     recover_nuisance,
     var_dse_under_mtb,
 )
-from dualrec.kernels import log_adpl_mtb, log_mpl_mt, log_profile_mt, log_profile_mtb
+from dualrec.kernels import (
+    log_adpl_mt,
+    log_adpl_mtb,
+    log_mpl_mt,
+    log_profile_mt,
+    log_profile_mtb,
+)
 from dualrec.simulate import TABLE2_POPULATIONS
 from dualrec.tables import (
     DualRecordTable,
@@ -115,6 +121,14 @@ class TestIndependenceMaximizers:
             assert mle_mpl_mt(t).n_hat_integer == grid_argmax(
                 lambda ns: log_mpl_mt(ns, t), t.x0, hi
             )
+            # The adjusted kernels at a fixed delta; an estimate short of the
+            # window edge shows the window holds the maximizer.
+            for d in (0.5, 0.95):
+                n_mtb = mle_adpl_mtb(t, DeltaPolicy.fixed(d)).n_hat_integer
+                n_mt = mle_adpl_mt(t, DeltaPolicy.fixed(d)).n_hat_integer
+                assert n_mtb < 2 * hi and n_mt < 2 * hi
+                assert n_mtb == grid_argmax(lambda ns: log_adpl_mtb(ns, t, d), t.x0 + 1, 2 * hi)
+                assert n_mt == grid_argmax(lambda ns: log_adpl_mt(ns, t, d), t.x0, 2 * hi)
 
     def test_modified_profile_never_below_plain_profile(self, random_tables):
         for t in random_tables(300):
@@ -169,10 +183,6 @@ class TestAdjustedBehavioral:
             ]
             assert all(a >= b for a, b in zip(values, values[1:]))
 
-    def test_window_doubles_past_a_small_initial_cap(self):
-        rep = mle_adpl_mtb(T, DeltaPolicy.fixed(0.99), GridSpec(lower=101, cap=105))
-        assert rep.n_hat_integer == 115
-
     def test_recapture_policy_with_full_recapture_is_rejected(self):
         with pytest.raises(NoFiniteMaximumError):
             mle_adpl_mtb(DualRecordTable(50, 0, 30), DeltaPolicy.recapture_scaled(4.0))
@@ -201,6 +211,18 @@ class TestAdjustedIndependence:
         with pytest.raises(NoFiniteMaximumError):
             mle_adpl_mt(t, DeltaPolicy.fixed(2.0))
         assert mle_adpl_mt(t, DeltaPolicy.fixed(1.9)).n_hat_integer > t.x0
+
+    def test_no_overlap_tables(self):
+        # With x11 = 0 the step is about (x1.*x.1 + 2(delta - 1)N)/N^2: under
+        # the scaled policy, delta - 1 = -k/N, it is still positive at the
+        # ceiling; a fixed delta < 1 puts the maximizer near
+        # x1.*x.1/(2(1 - delta)).
+        for cells in ((0, 1808, 2090), (0, 402, 502)):
+            with pytest.raises(NoFiniteMaximumError):
+                mle_adpl_mt(DualRecordTable(*cells), DeltaPolicy.scaled(1.25))
+        half = DeltaPolicy.fixed(0.5)
+        assert mle_adpl_mt(DualRecordTable(0, 1808, 2090), half).n_hat_integer == 3782617
+        assert mle_adpl_mt(DualRecordTable(0, 402, 502), half).n_hat_integer == 202707
 
     def test_full_recapture_yields_unit_delta_and_still_converges(self):
         # Contrast with the behavioral model, where delta = 1 is rejected.
@@ -397,18 +419,48 @@ class TestDescriptors:
         assert DeltaPolicy.parse("recapture:4.0").delta(112.0, T) == 1.0 - 1.5 / 112.0
 
 
-class TestGridMachinery:
-    def test_grid_spec_validation(self):
-        with pytest.raises(ValidationError):
-            GridSpec(lower=100, cap=100)
-        with pytest.raises(ValidationError):
-            GridSpec(lower=100, cap=200, growth="triple")
-
-    def test_windowed_search_reports_unbounded_growth(self, monkeypatch):
+class TestArgmax:
+    def test_reports_unbounded_growth_at_the_ceiling(self, monkeypatch):
         monkeypatch.setattr(est_module, "HARD_CEILING", 10**4)
         with pytest.raises(NoFiniteMaximumError):
-            _argmax_windowed(lambda ns: 1e-3 * ns, GridSpec(lower=10, cap=20), "test")
+            _argmax(lambda n: 1e-3, 10, "test")
 
-    def test_windowed_search_doubles_to_an_interior_maximum(self):
-        objective = lambda ns: -((ns - 5000.0) ** 2)
-        assert _argmax_windowed(objective, GridSpec(lower=10, cap=20), "test") == 5000
+    def test_finds_an_interior_maximum_of_a_step_function(self):
+        calls = []
+
+        def step(n):
+            calls.append(n)
+            return 4999.5 - n
+
+        assert _argmax(step, 10, "test") == 5000
+        assert len(calls) <= 2 * math.log2(HARD_CEILING)
+        assert _argmax(lambda n: 77 - n, 10, "test") == 77  # first of a tie
+        assert _argmax(lambda n: -1.0, 10, "test") == 10
+        assert _argmax(lambda n: HARD_CEILING - n, 10, "test") == HARD_CEILING
+
+    def test_maximizer_beyond_the_ceiling_fails_at_once(self):
+        # The dual-system estimate is 100001**2 = 1.00002e10.
+        t = DualRecordTable(1, 100000, 100000)
+        for estimator in (mle_profile_mt, mle_mpl_mt):
+            with pytest.raises(NoFiniteMaximumError):
+                estimator(t)
+
+    @pytest.mark.parametrize(
+        "cells, descriptor, exact",
+        [
+            ((15000, 9000, 6000), "adpl-mtb:scaled:1.25", 34200),
+            ((15000, 9000, 6000), "adpl-mtb:recapture:1.25", 38184),
+            ((25000, 15000, 20000), "adpl-mtb:scaled:1.25", 69751),
+            ((25000, 15000, 20000), "adpl-mtb:recapture:1.25", 78434),
+            ((25000, 15000, 20000), "mpl-mt", 72000),
+            ((250000, 150000, 200000), "adpl-mtb:scaled:1.25", 697511),
+            ((250000, 150000, 200000), "adpl-mtb:recapture:1.25", 784337),
+            ((250000, 150000, 200000), "mpl-mt", 720000),
+        ],
+    )
+    def test_exact_where_kernel_values_drown_in_rounding(self, cells, descriptor, exact):
+        # Near these maximizers the true steps are below the rounding of
+        # kernel values (and, at N = 7e5, of the double step forms).
+        rep = parse_estimator(descriptor).estimate(DualRecordTable(*cells))
+        assert rep.n_hat_integer == exact
+        assert rep.note is None

@@ -5,19 +5,27 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dualrec import kernels
 from dualrec.kernels import (
     adpl_mtb_derivative,
     log_adpl_mt,
+    log_adpl_mt_step,
     log_adpl_mtb,
+    log_adpl_mtb_step,
     log_mpl_mt,
+    log_mpl_mt_step,
     log_mpl_mtb,
     log_mpl_mtb_step,
     log_profile_mt,
+    log_profile_mt_step,
     log_profile_mtb,
     log_profile_mtb_step,
     loglik_mt_full,
     loglik_mtb_full,
+    step_sign,
 )
 from dualrec.tables import DomainError, DualRecordTable, MtParams
 
@@ -145,7 +153,7 @@ class TestFullLikelihoodConsistency:
 
 
 class TestStableSteps:
-    """Cancellation-free first differences of the behavioral kernels.
+    """Cancellation-free first differences of the kernels.
 
     Direct subtraction of kernel values drowns in float noise for large N
     (true differences are O(N^-3) against kernel magnitudes of ~1e7); the
@@ -153,10 +161,51 @@ class TestStableSteps:
 
     def test_steps_match_direct_differences_at_moderate_n(self):
         ns = np.arange(101.0, 2001.0)
-        direct_mpl = log_mpl_mtb(ns + 1.0, T) - log_mpl_mtb(ns, T)
-        assert np.max(np.abs(log_mpl_mtb_step(ns, T.x0) - direct_mpl)) < 1e-8
-        direct_p = log_profile_mtb(ns + 1.0, T) - log_profile_mtb(ns, T)
-        assert np.max(np.abs(log_profile_mtb_step(ns, T.x0) - direct_p)) < 1e-8
+        pairs = [
+            (lambda n: log_mpl_mtb(n, T), lambda n: log_mpl_mtb_step(n, T.x0)),
+            (lambda n: log_profile_mtb(n, T), lambda n: log_profile_mtb_step(n, T.x0)),
+            (lambda n: log_profile_mt(n, T), lambda n: log_profile_mt_step(n, T)),
+            (lambda n: log_mpl_mt(n, T), lambda n: log_mpl_mt_step(n, T)),
+        ]
+        for d in (0.3, 0.99, 1.7):
+            pairs.append((lambda n, d=d: log_adpl_mt(n, T, d), lambda n, d=d: log_adpl_mt_step(n, T, d)))
+            pairs.append((lambda n, d=d: log_adpl_mtb(n, T, d), lambda n, d=d: log_adpl_mtb_step(n, T, d)))
+        for kernel, step in pairs:
+            direct = kernel(ns + 1.0) - kernel(ns)
+            steps = step(ns)
+            assert np.max(np.abs(steps - direct)) < 1e-8
+            # Scalar N is evaluated with math, arrays with numpy.
+            for i in range(0, ns.size, 97):
+                assert step(int(ns[i])) == pytest.approx(steps[i], abs=1e-15)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        cells=st.tuples(*[st.integers(0, 10**6)] * 3).filter(lambda c: sum(c) > 0),
+        offset=st.integers(0, 7 * 10**6),
+        delta=st.floats(-1.0, 3.0),
+        kind=st.sampled_from(["pl-mt", "mpl-mt", "adpl-mt", "adpl-mtb"]),
+    )
+    def test_double_steps_agree_with_the_decimal_closed_form(self, cells, offset, delta, kind):
+        t = DualRecordTable(*cells)
+        n = t.x0 + offset + (kind == "adpl-mtb")
+        double = {
+            "pl-mt": lambda: log_profile_mt_step(n, t),
+            "mpl-mt": lambda: log_mpl_mt_step(n, t),
+            "adpl-mt": lambda: log_adpl_mt_step(n, t, delta),
+            "adpl-mtb": lambda: log_adpl_mtb_step(n, t, delta),
+        }[kind]()
+        exact = kernels._decimal_step(kind, n, t, delta)
+        if math.isinf(double):  # N on a margin: the kernel is -inf at N
+            assert double > 0 and exact == double
+            return
+        assert abs(double - float(exact)) < kernels._STEP_TOL
+        if abs(double) >= kernels._STEP_TOL:
+            assert (double > 0) == (exact > 0)
+        assert step_sign(kind, n, t, delta) == (exact > 0) - (exact < 0)
+
+    def test_step_sign_rejects_unknown_kernels(self):
+        with pytest.raises(ValueError):
+            step_sign("pl-mtb", 150, T)
 
     def test_modified_profile_strictly_increasing_to_1e5(self):
         ns = np.arange(101.0, 100001.0)
