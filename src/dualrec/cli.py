@@ -28,6 +28,7 @@ from importlib import resources
 from pathlib import Path
 
 from .estimators import (
+    _METHODS,
     EstimateReport,
     parametric_bootstrap,
     parse_estimator,
@@ -54,7 +55,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_ESTIMATION = 2
 
-_METHOD_CHOICES = ("dse", "pl-mt", "mpl-mt", "pl-mtb", "adpl-mtb", "adpl-mt")
 _TARGET_CHOICES = ("table2", "table3", "table4", "fig1", "fig2", "fig3", "fig4")
 
 _ESTIMATE_EPILOG = """\
@@ -374,7 +374,7 @@ def build_parser() -> _Parser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     p_est.add_argument("--table", required=True, help="table file (JSON or CSV)")
-    p_est.add_argument("--method", required=True, choices=_METHOD_CHOICES)
+    p_est.add_argument("--method", required=True, choices=_METHODS)
     p_est.add_argument("--delta", help="delta policy for the adjusted-profile methods")
     p_est.add_argument("--bootstrap", type=int, metavar="B",
                        help="parametric bootstrap with B replicates for se and CI")

@@ -17,10 +17,19 @@ Incomplete 2x2 tables are drawn from the four cell probabilities by a chain
 of conditional binomials (x11, then x10, then x01), each inverted through its
 exact CDF. Inversion makes the draw a pure function of the uniforms, so
 results do not depend on execution order, worker count, or library version
-of a rejection sampler.
+of a rejection sampler. Each CDF is built only over the window of about
+38.6 sd either side of the mode outside which it is exactly 0.0 or 1.0 in
+double, so a draw at n = 1e9 holds about a million doubles, not a billion,
+and the draws equal inversion of the full n + 1 point CDF bit for bit.
+Nothing is cached: the replicate tables of a study rarely repeat an (n, p)
+pair (none of 382 builds repeat in the ``table3`` study, about 15% in the
+small-N figure studies, none at n = 1e6), so a kept window would seldom be
+looked up again.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from numpy.random import Philox
@@ -82,42 +91,101 @@ def uniforms(seed: int, purpose: int, unit: int, count: int, start: int = 0) -> 
     return (raw >> _U64(11)).astype(float) * _INV_2_53
 
 
-_cdf_cache: dict[tuple[int, float], np.ndarray] = {}
-_CDF_CACHE_LIMIT = 1 << 16
+# exp(x) is exactly 0.0 in double for x < ln(2**-1075), about -745.13. The
+# window search stops where a term lies this far below the mode, a margin
+# that no rounding of the log-pmf can cross.
+_UNDERFLOW_LOG = 746.0
 
 
-def binomial_cdf(n: int, p: float) -> np.ndarray:
-    """Exact Binomial(n, p) CDF over k = 0..n, with F[n] pinned to 1.
-
-    Computed from log probabilities (stable for large n) and memoized: study
-    sampling re-visits the same (n, p) pairs constantly.
-    """
-    key = (n, p)
-    cached = _cdf_cache.get(key)
-    if cached is not None:
-        return cached
-    k = np.arange(n + 1, dtype=float)
-    logpmf = (
+def _logpmf(n: int, p: float, k: np.ndarray) -> np.ndarray:
+    """Binomial(n, p) log-pmf, element-wise over an array of k."""
+    return (
         gammaln(n + 1.0)
         - gammaln(k + 1.0)
         - gammaln(n - k + 1.0)
         + k * np.log(p)
         + (n - k) * np.log1p(-p)
     )
-    f = np.cumsum(np.exp(logpmf - logpmf.max()))
+
+
+def _logpmf_at(n: int, p: float, k: int) -> float:
+    """Scalar ``_logpmf`` for the window search, within rounding of the array form."""
+    return (
+        math.lgamma(n + 1.0)
+        - math.lgamma(k + 1.0)
+        - math.lgamma(n - k + 1.0)
+        + k * math.log(p)
+        + (n - k) * math.log1p(-p)
+    )
+
+
+def _edge(n: int, p: float, mode: int, bound: int, floor: float) -> int:
+    """The k nearest ``mode`` towards ``bound`` whose log-pmf is below ``floor``.
+
+    Returns ``bound`` when no k up to it qualifies. Bisection is valid because
+    the binomial log-pmf is concave, so it falls monotonically away from the
+    mode.
+    """
+    if _logpmf_at(n, p, bound) >= floor:
+        return bound
+    near, far = mode, bound
+    while abs(far - near) > 1:
+        mid = (near + far) // 2
+        if _logpmf_at(n, p, mid) >= floor:
+            near = mid
+        else:
+            far = mid
+    return far
+
+
+def binomial_cdf(n: int, p: float) -> tuple[int, np.ndarray]:
+    """Exact Binomial(n, p) CDF over the window of k where it is not 0 or 1.
+
+    Returns ``(lo, f)`` with ``f[j]`` the CDF at ``k = lo + j`` for
+    ``lo <= k <= hi``. The window holds every k whose term
+    exp(logpmf(k) - max) is non-zero in double, about 38.6 sd either side
+    of the mode, so it costs O(sqrt(n p (1 - p))) memory, not O(n). Outside
+    it every term underflows to exactly 0.0, which makes ``f`` bit for bit
+    the slice [lo, hi] of the full n + 1 point CDF built the same way (log
+    probabilities, one cumulative sum, division by the total, last value
+    pinned to 1): the full CDF is exactly 0.0 below ``lo`` and 1.0 from
+    ``hi`` on. Each edge term is checked to be 0.0 (unless the edge is 0 or
+    n) and the window widened until it is.
+
+    Raises:
+        ValueError: unless 0 < p < 1 (``draw_binomial`` handles the ends).
+    """
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"p must lie in (0, 1), got {p!r}")
+    mode = min(int((n + 1) * p), n)
+    floor = _logpmf_at(n, p, mode) - _UNDERFLOW_LOG
+    lo = _edge(n, p, mode, 0, floor)
+    hi = _edge(n, p, mode, n, floor)
+    while True:
+        logpmf = _logpmf(n, p, np.arange(lo, hi + 1, dtype=float))
+        terms = np.exp(logpmf - logpmf.max())
+        low_ok = lo == 0 or terms[0] == 0.0
+        high_ok = hi == n or terms[-1] == 0.0
+        if low_ok and high_ok:
+            break
+        if not low_ok:
+            lo = max(0, 2 * lo - mode)
+        if not high_ok:
+            hi = min(n, 2 * hi - mode)
+    f = np.cumsum(terms)
     f /= f[-1]
     f[-1] = 1.0
-    if len(_cdf_cache) >= _CDF_CACHE_LIMIT:
-        _cdf_cache.clear()
-    _cdf_cache[key] = f
-    return f
+    return lo, f
 
 
 def draw_binomial(n: np.ndarray, p: float, u: np.ndarray) -> np.ndarray:
-    """Invert Binomial(n_i, p) at uniform u_i for each i.
+    """Invert Binomial(n_i, p) at uniform u_i in [0, 1) for each i.
 
-    The trial counts may differ across entries; draws are grouped by unique
-    count so each distinct CDF is built once.
+    Each draw is the smallest k with F(k) >= u_i on the full CDF, found in
+    the window of :func:`binomial_cdf`; u_i == 0.0 gives 0, as it does on
+    the full CDF's leading zeros. The trial counts may differ across
+    entries; draws are grouped by unique count so each distinct window is
+    built once per call.
     """
     n = np.asarray(n)
     u = np.asarray(u)
@@ -130,8 +198,9 @@ def draw_binomial(n: np.ndarray, p: float, u: np.ndarray) -> np.ndarray:
         idx = np.nonzero(n == n_val)[0]
         if n_val == 0:
             continue
-        f = binomial_cdf(int(n_val), p)
-        out[idx] = np.searchsorted(f, u[idx], side="left")
+        lo, f = binomial_cdf(int(n_val), p)
+        out[idx] = lo + np.searchsorted(f, u[idx], side="left")
+    out[u == 0.0] = 0
     return out
 
 

@@ -1,7 +1,44 @@
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from dualrec.tables import DualRecordTable
+
+
+def full_binomial_cdf(n: int, p: float) -> np.ndarray:
+    """Reference Binomial(n, p) CDF over all of k = 0..n, with F[n] pinned to 1.
+
+    The full-length builder that the windowed ``randomness.binomial_cdf``
+    must reproduce bit for bit on its window (0.0 below it, 1.0 above it).
+    """
+    k = np.arange(n + 1, dtype=float)
+    logpmf = (
+        gammaln(n + 1.0)
+        - gammaln(k + 1.0)
+        - gammaln(n - k + 1.0)
+        + k * np.log(p)
+        + (n - k) * np.log1p(-p)
+    )
+    f = np.cumsum(np.exp(logpmf - logpmf.max()))
+    f /= f[-1]
+    f[-1] = 1.0
+    return f
+
+
+def reference_draw_binomial(n: np.ndarray, p: float, u: np.ndarray) -> np.ndarray:
+    """Inversion of ``full_binomial_cdf``: the smallest k with F(k) >= u_i."""
+    n = np.asarray(n)
+    u = np.asarray(u)
+    out = np.zeros(n.shape, dtype=np.int64)
+    if p <= 0.0:
+        return out
+    if p >= 1.0:
+        return n.astype(np.int64)
+    for n_val in np.unique(n):
+        if n_val:
+            idx = n == n_val
+            out[idx] = np.searchsorted(full_binomial_cdf(int(n_val), p), u[idx], side="left")
+    return out
 
 
 @pytest.fixture

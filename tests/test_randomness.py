@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from conftest import full_binomial_cdf, reference_draw_binomial
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from dualrec import randomness
 from dualrec.randomness import (
     DEFAULT_SEED,
     PURPOSE_BOOTSTRAP,
@@ -15,6 +19,10 @@ from dualrec.randomness import (
     raw_blocks,
     uniforms,
 )
+from dualrec.simulate import PopulationSpec
+
+# Uniforms at the ends of the 53-bit grid that ``uniforms`` can produce.
+_EDGE_UNIFORMS = (0.0, 2.0**-53, 1.0 - 2.0**-53)
 
 
 class TestStreamAddressing:
@@ -56,11 +64,54 @@ class TestStreamAddressing:
 
 class TestBinomialInversion:
     def test_cdf_matches_reference_implementation(self):
-        for n, p in [(10, 0.3), (500, 0.65), (2000, 0.02), (50, 0.97)]:
-            ours = binomial_cdf(n, p)
+        for n, p in [(10, 0.3), (500, 0.65), (2000, 0.02), (50, 0.97), (20_000, 0.4)]:
+            lo, ours = binomial_cdf(n, p)
+            hi = lo + len(ours) - 1
             ref = stats.binom.cdf(np.arange(n + 1), n, p)
-            assert np.max(np.abs(ours - ref)) < 1e-12
+            assert np.max(np.abs(ours - ref[lo : hi + 1])) < 1e-12
             assert ours[-1] == 1.0
+            assert np.max(ref[:lo], initial=0.0) < 1e-12
+            assert np.min(ref[hi:]) > 1.0 - 1e-12
+            full = full_binomial_cdf(n, p)
+            assert np.array_equal(ours, full[lo : hi + 1])
+            assert np.all(full[:lo] == 0.0) and np.all(full[hi:] == 1.0)
+        assert 0 < lo and hi < 20_000  # the last case has a proper window
+
+    def test_narrow_first_window_is_widened_to_the_exact_cdf(self, monkeypatch):
+        monkeypatch.setattr(randomness, "_UNDERFLOW_LOG", 5.0)
+        for n, p in [(3000, 0.3), (100_000, 0.9), (5000, 1e-3)]:
+            lo, f = binomial_cdf(n, p)
+            full = full_binomial_cdf(n, p)
+            hi = lo + len(f) - 1
+            assert np.array_equal(f, full[lo : hi + 1])
+            assert np.all(full[:lo] == 0.0) and np.all(full[hi:] == 1.0)
+
+    def test_probability_outside_the_open_interval_is_rejected(self):
+        for p in (0.0, 1.0, -0.1, 1.5):
+            with pytest.raises(ValueError):
+                binomial_cdf(10, p)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 2_000_000),
+        p=st.one_of(
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+            st.floats(0.0, 1e-6, exclude_min=True),
+            st.floats(1.0 - 1e-6, 1.0, exclude_max=True),
+        ),
+        u=st.lists(
+            st.one_of(
+                st.sampled_from(_EDGE_UNIFORMS),
+                st.floats(0.0, 1.0, exclude_max=True),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    def test_draws_equal_full_cdf_inversion_bit_for_bit(self, n, p, u):
+        u = np.array(u + list(_EDGE_UNIFORMS))
+        counts = np.full(u.shape, n)
+        assert np.array_equal(draw_binomial(counts, p, u), reference_draw_binomial(counts, p, u))
 
     def test_edge_probabilities(self):
         n = np.array([5, 9, 0])
@@ -76,12 +127,13 @@ class TestBinomialInversion:
         assert abs(z) < 4.0
 
     def test_inversion_hits_exact_quantiles(self):
-        f = binomial_cdf(4, 0.5)
+        lo, f = binomial_cdf(4, 0.5)
         # A uniform exactly at a CDF step resolves to the next outcome
         # (side="left"), so u -> smallest k with F(k) >= u ... in particular
         # u just below a step keeps the lower k.
-        assert draw_binomial(np.array([4]), 0.5, np.array([f[1] - 1e-12]))[0] == 1
-        assert draw_binomial(np.array([4]), 0.5, np.array([f[1] + 1e-12]))[0] == 2
+        assert draw_binomial(np.array([4]), 0.5, np.array([f[1 - lo] - 1e-12]))[0] == 1
+        assert draw_binomial(np.array([4]), 0.5, np.array([f[1 - lo] + 1e-12]))[0] == 2
+        assert draw_binomial(np.array([4]), 0.5, np.array([f[1 - lo]]))[0] == 1
 
 
 class TestTableDraws:
@@ -89,10 +141,11 @@ class TestTableDraws:
 
     def test_batch_rows_equal_isolated_draws(self):
         u = uniforms(DEFAULT_SEED, PURPOSE_STUDY, 2, 8)
-        x11, x10, x01 = draw_tables(500, self.CELLS, u)
-        for i in range(8):
-            a, b, c = draw_tables(500, self.CELLS, u[i : i + 1])
-            assert (x11[i], x10[i], x01[i]) == (a[0], b[0], c[0])
+        for n in (500, 1_000_000):
+            x11, x10, x01 = draw_tables(n, self.CELLS, u)
+            for i in range(8):
+                a, b, c = draw_tables(n, self.CELLS, u[i : i + 1])
+                assert (x11[i], x10[i], x01[i]) == (a[0], b[0], c[0])
 
     def test_cell_totals_within_population(self):
         u = uniforms(DEFAULT_SEED, PURPOSE_STUDY, 2, 2000)
@@ -116,3 +169,17 @@ class TestTableDraws:
         assert np.all(x11 == 0) and np.all(x10 == 0) and np.all(x01 == 0)
         x11, _, _ = draw_tables(100, (1.0, 0.0, 0.0, 0.0), u)
         assert np.all(x11 == 100)
+
+    def test_large_population_replicates_equal_full_cdf_inversion(self):
+        # The 50 replicate tables of a study at N = 1e6 (p1. = 0.6,
+        # p.1 = 0.7, phi = 1.25) at the default seed, stage by stage.
+        spec = PopulationSpec("L1", 1_000_000, 0.60, 0.70, 1.25)
+        p11, p10, p01, _ = spec.cells()
+        u = uniforms(DEFAULT_SEED, PURPOSE_STUDY, 0, 50)
+        x11, x10, x01 = draw_tables(spec.n, spec.cells(), u)
+        r11 = reference_draw_binomial(np.full(50, spec.n), p11, u[:, 0])
+        r10 = reference_draw_binomial(spec.n - r11, p10 / (1.0 - p11), u[:, 1])
+        r01 = reference_draw_binomial(spec.n - r11 - r10, p01 / (1.0 - p11 - p10), u[:, 2])
+        assert np.array_equal(x11, r11)
+        assert np.array_equal(x10, r10)
+        assert np.array_equal(x01, r01)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -183,6 +184,20 @@ class TestRunStudy:
         assert s.replicate_count < 2
         assert s.invalid
         assert math.isnan(s.mean) and math.isnan(s.rmse)
+
+    def test_study_at_a_billion_runs_in_bounded_memory(self):
+        # Sampling holds a window of about 77 sd per CDF, never n + 1 points.
+        huge = PopulationSpec("G", 10**9, 0.60, 0.70, 1.25)
+        config = _config([huge], ["dse", "pl-mtb"], replicates=20)
+        tracemalloc.start()
+        try:
+            summaries = run_study(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert [s.replicate_count for s in summaries] == [20, 20]
+        assert all(0.8 * 10**9 < s.mean < 10**9 for s in summaries)  # both biased low at phi > 1
 
     def test_csv_rendering(self):
         config = _config([P1], ["dse", "adpl-mtb:fixed:0.99"], replicates=20)
