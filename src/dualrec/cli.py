@@ -143,7 +143,7 @@ def _report_text(report: EstimateReport, bootstrap=None) -> str:
 
 def cmd_estimate(args) -> int:
     table = _read_table(args.table)
-    if args.method in ("adpl-mtb", "adpl-mt"):
+    if _METHODS[args.method].needs_policy:
         if args.delta is None:
             raise ValidationError(
                 f"method {args.method} requires --delta (e.g. --delta scaled:1.25)"
@@ -168,7 +168,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_simulate(args) -> int:
     config = StudyConfig.from_json(Path(args.config).read_text())
-    summaries = run_study(config, workers=args.workers)
+    summaries = run_study(config)
     _write_out(summaries_to_csv(summaries, include_delta=True), args.out)
     return EXIT_OK
 
@@ -192,7 +192,7 @@ def _reproduce_table2() -> str:
     return "\n".join(lines) + "\n"
 
 
-def _reproduce_study_table(populations, seed: int, replicates: int, workers: int) -> str:
+def _reproduce_study_table(populations, seed: int, replicates: int) -> str:
     """Study CSV for a population block: computed rows plus reference rows.
 
     Per population: the dual-system estimator, the three adjusted-profile
@@ -212,7 +212,7 @@ def _reproduce_study_table(populations, seed: int, replicates: int, workers: int
         seed=seed,
         delta_mode="candidate",
     )
-    summaries = run_study(config, workers=workers)
+    summaries = run_study(config)
     reference = load_published_reference()["study_summaries"]
     lines = [CSV_HEADER + ",delta_used"]
     per_pop = len(estimators)
@@ -231,8 +231,8 @@ def _reproduce_study_table(populations, seed: int, replicates: int, workers: int
     return "\n".join(lines) + "\n"
 
 
-def _reproduce_fig1(seed: int, replicates: int, workers: int):
-    result = se_scaling_study(replicates=replicates, seed=seed, workers=workers)
+def _reproduce_fig1(seed: int, replicates: int):
+    result = se_scaling_study(replicates=replicates, seed=seed)
     lines = ["situation,estimator,n,mean,sd,slope"]
     series = {}
     for p in result.points:
@@ -247,10 +247,8 @@ def _reproduce_fig1(seed: int, replicates: int, workers: int):
     return "\n".join(lines) + "\n", series, ("ln N", "ln sd")
 
 
-def _reproduce_bands(populations, seed: int, replicates: int, workers: int):
-    points = coverage_bands(
-        populations=populations, replicates=replicates, seed=seed, workers=workers
-    )
+def _reproduce_bands(populations, seed: int, replicates: int):
+    points = coverage_bands(populations=populations, replicates=replicates, seed=seed)
     lines = ["population,estimator,n,mean,sd,rel_lcl,rel_ucl"]
     series = {}
     for p in points:
@@ -263,8 +261,8 @@ def _reproduce_bands(populations, seed: int, replicates: int, workers: int):
     return "\n".join(lines) + "\n", series, ("N", "relative band")
 
 
-def _reproduce_fig4(seed: int, replicates: int, workers: int):
-    result = robustness_sweep(replicates=replicates, seed=seed, workers=workers)
+def _reproduce_fig4(seed: int, replicates: int):
+    result = robustness_sweep(replicates=replicates, seed=seed)
     lines = ["situation,phi,estimator,rel_mean,rel_lcl,rel_ucl,mean,sd,note"]
     series = {}
     for p in result.points:
@@ -340,16 +338,16 @@ def cmd_reproduce(args) -> int:
         text = _reproduce_table2()
     elif target in ("table3", "table4"):
         block = TABLE2_POPULATIONS[:4] if target == "table3" else TABLE2_POPULATIONS[4:]
-        text = _reproduce_study_table(block, args.seed, args.replicates, args.workers)
+        text = _reproduce_study_table(block, args.seed, args.replicates)
     elif target == "fig1":
-        text, series, axes = _reproduce_fig1(args.seed, args.replicates, args.workers)
+        text, series, axes = _reproduce_fig1(args.seed, args.replicates)
         svg_payload = (series, axes)
     elif target in ("fig2", "fig3"):
         block = TABLE2_POPULATIONS[:4] if target == "fig2" else TABLE2_POPULATIONS[4:]
-        text, series, axes = _reproduce_bands(block, args.seed, args.replicates, args.workers)
+        text, series, axes = _reproduce_bands(block, args.seed, args.replicates)
         svg_payload = (series, axes)
     else:
-        text, series, axes = _reproduce_fig4(args.seed, args.replicates, args.workers)
+        text, series, axes = _reproduce_fig4(args.seed, args.replicates)
         svg_payload = (series, axes)
     if args.svg is not None:
         if svg_payload is None:
@@ -386,14 +384,12 @@ def build_parser() -> _Parser:
     p_sim = sub.add_parser("simulate", help="run a JSON-configured study, emit CSV")
     p_sim.add_argument("--config", required=True, help="StudyConfig JSON file")
     p_sim.add_argument("--out", help="write CSV to this file instead of stdout")
-    p_sim.add_argument("--workers", type=int, default=1)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_rep = sub.add_parser("reproduce", help="emit bundled study tables / figure datasets")
     p_rep.add_argument("--target", required=True, choices=_TARGET_CHOICES)
     p_rep.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_rep.add_argument("--replicates", type=int, default=200)
-    p_rep.add_argument("--workers", type=int, default=1)
     p_rep.add_argument("--out", help="write CSV to this file instead of stdout")
     p_rep.add_argument("--svg", help="also write a minimal SVG plot (figure targets only)")
     p_rep.set_defaults(func=cmd_reproduce)

@@ -37,6 +37,11 @@ differences are O(N^-3) while the kernel magnitude grows like N*log(N).
     log_adpl_mtb_step(N, T, d)      log_adpl_mtb
     step_sign(kind, N, T, d)        exact sign of the step at integer N, for
                                     the kernels the estimators maximize
+    step_signs(kind, N, Ts, d)      step_sign row by row over replicate tables
+                                    (a TableArrays) with arrays of N and d
+
+The step forms take N, and d, as scalars or as arrays; T is a table, or a
+TableArrays whose rows match an array N element by element.
 
 The estimators report the smallest integer N at which the step stops being
 positive. The kernels they maximize are unimodal (the step changes sign at
@@ -53,7 +58,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 from scipy.special import digamma, gammaln, xlogy
 
-from .tables import DomainError, DualRecordTable, MtParams
+from .tables import DomainError, DualRecordTable, MtParams, TableArrays
 
 __all__ = [
     "log_profile_mt",
@@ -71,6 +76,7 @@ __all__ = [
     "log_mpl_mtb_step",
     "log_adpl_mtb_step",
     "step_sign",
+    "step_signs",
     "adpl_mtb_derivative",
 ]
 
@@ -327,13 +333,13 @@ def log_mpl_mt_step(n, table: DualRecordTable):
     )
 
 
-def log_adpl_mt_step(n, table: DualRecordTable, delta: float):
+def log_adpl_mt_step(n, table: DualRecordTable, delta):
     """Exact first difference log_adpl_mt(N+1) - log_adpl_mt(N), N >= x0.
 
     Equals log_mpl_mt_step + 2(delta-1)log1p(1/N).
     """
     n = _step_arg(n, table.x0, strict=False, what="log_adpl_mt_step")
-    return log_mpl_mt_step(n, table) + 2.0 * (float(delta) - 1.0) * _dlog(n)
+    return log_mpl_mt_step(n, table) + 2.0 * (delta - 1.0) * _dlog(n)
 
 
 def log_profile_mtb_step(n, x0: int):
@@ -361,15 +367,28 @@ def log_mpl_mtb_step(n, x0: int):
     return (m + 0.5) * _dlog(m) - (n + 0.5) * _dlog(n)
 
 
-def log_adpl_mtb_step(n, table: DualRecordTable, delta: float):
+def log_adpl_mtb_step(n, table: DualRecordTable, delta):
     """Exact first difference log_adpl_mtb(N+1) - log_adpl_mtb(N), N > x0.
 
     Equals log_mpl_mtb_step + (delta-1)[log1p(1/N) + log1p(1/(N-x1.))].
     """
     n = _step_arg(n, table.x0, strict=True, what="log_adpl_mtb_step")
-    return log_mpl_mtb_step(n, table.x0) + (float(delta) - 1.0) * (
+    return log_mpl_mtb_step(n, table.x0) + (delta - 1.0) * (
         _dlog(n) + _dlog(n - table.x1_dot)
     )
+
+
+def _step(kind: str, n, table, delta):
+    """The double step form of the kernel that estimator ``kind`` maximizes."""
+    if kind == "pl-mt":
+        return log_profile_mt_step(n, table)
+    if kind == "mpl-mt":
+        return log_mpl_mt_step(n, table)
+    if kind == "adpl-mt":
+        return log_adpl_mt_step(n, table, delta)
+    if kind == "adpl-mtb":
+        return log_adpl_mtb_step(n, table, delta)
+    raise ValueError(f"unknown kernel kind {kind!r}")
 
 
 def step_sign(kind: str, n: int, table: DualRecordTable, delta: float = 1.0) -> int:
@@ -383,20 +402,29 @@ def step_sign(kind: str, n: int, table: DualRecordTable, delta: float = 1.0) -> 
     table the true steps (about 1e-17 at N = 8e5) fall below the rounding
     error of the double form.
     """
-    if kind == "pl-mt":
-        s = log_profile_mt_step(n, table)
-    elif kind == "mpl-mt":
-        s = log_mpl_mt_step(n, table)
-    elif kind == "adpl-mt":
-        s = log_adpl_mt_step(n, table, delta)
-    elif kind == "adpl-mtb":
-        s = log_adpl_mtb_step(n, table, delta)
-    else:
-        raise ValueError(f"unknown kernel kind {kind!r}")
+    s = _step(kind, n, table, delta)
     if abs(s) >= _STEP_TOL:
         return 1 if s > 0 else -1
     exact = _decimal_step(kind, int(n), table, delta)
     return (exact > 0) - (exact < 0)
+
+
+def step_signs(kind: str, n, tables: TableArrays, delta=1.0) -> np.ndarray:
+    """:func:`step_sign` of every row: N[i] on table i at delta[i].
+
+    One array evaluation of the double step form decides every element at
+    least _STEP_TOL from zero; each of the others is decided again in
+    decimal, one at a time. Since both forms give the exact sign, the result
+    equals step_sign row by row.
+    """
+    n = np.asarray(n, dtype=float)
+    s = _step(kind, n, tables, delta)
+    signs = np.where(s > 0, 1, -1)
+    deltas = np.broadcast_to(delta, n.shape)
+    for i in np.flatnonzero(np.abs(s) < _STEP_TOL):
+        exact = _decimal_step(kind, int(n[i]), tables.row(i), float(deltas[i]))
+        signs[i] = (exact > 0) - (exact < 0)
+    return signs
 
 
 def _decimal_step(kind: str, n: int, table: DualRecordTable, delta: float) -> Decimal:

@@ -8,16 +8,17 @@ streams so that every random quantity has a stable address:
 
 One 256-bit block per replicate supplies the (at most four) uniforms a
 replicate consumes. Because blocks are addressed by counter, replicate r can
-be regenerated in isolation — or a contiguous range of replicates generated
-by a worker — and the results are bit-identical to a single sequential pass.
+be regenerated in isolation — or any contiguous range of replicates — and the
+results are bit-identical to a single sequential pass.
 ``purpose`` namespaces independent uses (studies, bootstrap, ...) and
 ``unit`` separates populations or grid points within a use.
 
 Incomplete 2x2 tables are drawn from the four cell probabilities by a chain
 of conditional binomials (x11, then x10, then x01), each inverted through its
-exact CDF. Inversion makes the draw a pure function of the uniforms, so
-results do not depend on execution order, worker count, or library version
-of a rejection sampler. Each CDF is built only over the window of about
+CDF in double precision (within about 4e-12 of the exact CDF at n = 2e5; see
+:func:`binomial_cdf`). Inversion makes the draw a pure function of the
+uniforms, so results do not depend on execution order or on the library
+version of a rejection sampler. Each CDF is built only over the window of about
 38.6 sd either side of the mode outside which it is exactly 0.0 or 1.0 in
 double, so a draw at n = 1e9 holds about a million doubles, not a billion,
 and the draws equal inversion of the full n + 1 point CDF bit for bit.
@@ -139,7 +140,15 @@ def _edge(n: int, p: float, mode: int, bound: int, floor: float) -> int:
 
 
 def binomial_cdf(n: int, p: float) -> tuple[int, np.ndarray]:
-    """Exact Binomial(n, p) CDF over the window of k where it is not 0 or 1.
+    """Binomial(n, p) CDF in double precision over the window where it is not 0 or 1.
+
+    The values are those of the full-length builder described below, not
+    the exact CDF: the log-pmf sums ``gammaln`` terms of size n log n, whose
+    rounding grows with n. Against ``scipy.stats.binom.cdf`` the largest
+    difference over the window measured 1.0e-12 at (n, p) = (20000, 0.05),
+    2.5e-12 at (50000, 0.3), 2.1e-12 at (100000, 0.5) and 4.3e-12 at
+    (200000, 0.4). A uniform that close to a CDF step inverts to a
+    neighbour of the exact quantile.
 
     Returns ``(lo, f)`` with ``f[j]`` the CDF at ``k = lo + j`` for
     ``lo <= k <= hi``. The window holds every k whose term

@@ -15,7 +15,10 @@ three derived experiments:
 
 Everything is deterministic given the seed: replicate r of population i
 reads counter block r of the Philox stream keyed by (seed, purpose, i), so
-results are bit-identical across reruns and across any worker count.
+results are bit-identical across reruns. Each estimator solves all
+replicates of a population together (:meth:`EstimatorSpec.estimate_batch`),
+with row-by-row the same estimate as on that table alone, so a study's
+output does not depend on which replicates share a batch.
 Replicates on which an estimator fails (e.g. x11 = 0 making the dual-system
 estimate infinite) are excluded and counted; a cell losing more than 10% of
 its replicates is flagged invalid.
@@ -26,13 +29,12 @@ from __future__ import annotations
 import json
 import math
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .estimators import EstimatorSpec, parse_estimator
+from .estimators import BatchEstimate, parse_estimator
 from .randomness import (
     DEFAULT_SEED,
     PURPOSE_BANDS,
@@ -44,7 +46,6 @@ from .randomness import (
 )
 from .tables import (
     DualRecordTable,
-    EstimationError,
     FeasibilityError,
     MtbParams,
     ValidationError,
@@ -296,109 +297,62 @@ def sample_table(spec: PopulationSpec, stream: Substream) -> DualRecordTable:
     return DualRecordTable(int(x11[0]), int(x10[0]), int(x01[0]))
 
 
-_FAILED = object()
+def _summarize(
+    population: str, estimator: str, batch: BatchEstimate, replicates: int, true_n: int
+) -> StudySummary:
+    """Summary of one estimator's replicate estimates; failed rows are counted."""
+    ok = batch.ok
+    estimates = batch.n_hat[ok]
+    failures = replicates - estimates.size
+    if estimates.size < 2:
+        return StudySummary(
+            population=population,
+            estimator=estimator,
+            mean=math.nan,
+            se=math.nan,
+            rmse=math.nan,
+            ci_low=math.nan,
+            ci_high=math.nan,
+            replicate_count=estimates.size,
+            failures=failures,
+            invalid=True,
+            true_n=true_n,
+        )
+    deltas = [] if batch.delta_used is None else batch.delta_used[ok].tolist()
+    ci_low, ci_high = np.percentile(estimates, [2.5, 97.5])
+    return StudySummary(
+        population=population,
+        estimator=estimator,
+        mean=float(np.mean(estimates)),
+        se=float(np.std(estimates, ddof=1)),
+        rmse=float(np.sqrt(np.mean((estimates - true_n) ** 2))),
+        ci_low=float(ci_low),
+        ci_high=float(ci_high),
+        replicate_count=estimates.size,
+        failures=failures,
+        invalid=failures > 0.1 * replicates,
+        true_n=true_n,
+        # Exact rational mean: a constant adjustment averages to
+        # itself with no accumulation error in the reports.
+        delta_used=float(statistics.mean(deltas)) if deltas else None,
+    )
 
 
-def _apply_estimator(
-    est: EstimatorSpec,
-    tables: list[DualRecordTable | None],
-    mode: str,
-    true_n: int,
-    workers: int,
-) -> list:
-    """Estimate every table; returns (n_hat, delta_used) rows or _FAILED.
-
-    ``None`` entries (replicates in which no individual was captured) fail
-    unconditionally. Tables are chunked across workers in contiguous
-    replicate ranges, so the merged output is independent of the worker
-    count.
-    """
-
-    def run_slice(chunk: list[DualRecordTable | None]) -> list:
-        rows = []
-        for t in chunk:
-            if t is None:
-                rows.append(_FAILED)
-                continue
-            try:
-                rep = est.estimate(t, delta_mode=mode, true_n=true_n)
-                rows.append((rep.n_hat, rep.delta_used))
-            except EstimationError:
-                rows.append(_FAILED)
-        return rows
-
-    if workers <= 1 or len(tables) < 2 * workers:
-        return run_slice(tables)
-    bounds = np.linspace(0, len(tables), workers + 1).astype(int)
-    chunks = [tables[bounds[i]:bounds[i + 1]] for i in range(workers)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(run_slice, chunks))
-    return [row for part in parts for row in part]
-
-
-def run_study(
-    config: StudyConfig,
-    *,
-    workers: int = 1,
-    purpose: int = PURPOSE_STUDY,
-) -> list[StudySummary]:
+def run_study(config: StudyConfig, *, purpose: int = PURPOSE_STUDY) -> list[StudySummary]:
     """Run the configured study; one summary per population x estimator.
 
     Summaries are emitted in population-major, estimator-minor order.
-    Deterministic given (config.seed, purpose): worker count only changes
-    how replicate chunks are scheduled, never any value.
+    Deterministic given (config.seed, purpose). Each estimator solves the
+    population's replicate arrays in one batch.
     """
     specs = [parse_estimator(e) for e in config.estimators]
     out: list[StudySummary] = []
     for pi, pop in enumerate(config.populations):
         x11, x10, x01 = sample_tables(pop, config.seed, purpose, pi, config.replicates)
-        x0 = x11 + x10 + x01
-        tables = [
-            DualRecordTable(int(x11[i]), int(x10[i]), int(x01[i])) if x0[i] else None
-            for i in range(config.replicates)
-        ]
         for est in specs:
             mode = "oracle" if (est.oracle or config.delta_mode == "oracle") else "candidate"
-            rows = _apply_estimator(est, tables, mode, pop.n, workers)
-            estimates = np.array([r[0] for r in rows if r is not _FAILED])
-            deltas = [r[1] for r in rows if r is not _FAILED and r[1] is not None]
-            failures = sum(1 for r in rows if r is _FAILED)
-            if len(estimates) < 2:
-                out.append(
-                    StudySummary(
-                        population=pop.label,
-                        estimator=est.label,
-                        mean=math.nan,
-                        se=math.nan,
-                        rmse=math.nan,
-                        ci_low=math.nan,
-                        ci_high=math.nan,
-                        replicate_count=len(estimates),
-                        failures=failures,
-                        invalid=True,
-                        true_n=pop.n,
-                    )
-                )
-                continue
-            ci_low, ci_high = np.percentile(estimates, [2.5, 97.5])
-            out.append(
-                StudySummary(
-                    population=pop.label,
-                    estimator=est.label,
-                    mean=float(np.mean(estimates)),
-                    se=float(np.std(estimates, ddof=1)),
-                    rmse=float(np.sqrt(np.mean((estimates - pop.n) ** 2))),
-                    ci_low=float(ci_low),
-                    ci_high=float(ci_high),
-                    replicate_count=len(estimates),
-                    failures=failures,
-                    invalid=failures > 0.1 * config.replicates,
-                    true_n=pop.n,
-                    # Exact rational mean: a constant adjustment averages to
-                    # itself with no accumulation error in the reports.
-                    delta_used=float(statistics.mean(deltas)) if deltas else None,
-                )
-            )
+            batch = est.estimate_batch(x11, x10, x01, delta_mode=mode, true_n=pop.n)
+            out.append(_summarize(pop.label, est.label, batch, config.replicates, pop.n))
     return out
 
 
@@ -467,7 +421,6 @@ def _flat_grid_study(
     seed: int,
     estimators,
     delta_mode: str,
-    workers: int,
     purpose: int,
 ) -> tuple[list[StudySummary], list[tuple[str, int]]]:
     """Run one study over the flattened (situation, N) grid.
@@ -488,7 +441,7 @@ def _flat_grid_study(
         seed=seed,
         delta_mode=delta_mode,
     )
-    return run_study(config, workers=workers, purpose=purpose), meta
+    return run_study(config, purpose=purpose), meta
 
 
 def se_scaling_study(
@@ -499,7 +452,6 @@ def se_scaling_study(
     estimators=("dse", "adpl-mtb:scaled:1.25"),
     *,
     delta_mode: str = "candidate",
-    workers: int = 1,
 ) -> ScalingResult:
     """Sampling s.d. versus population size, with log-log growth exponents.
 
@@ -511,7 +463,7 @@ def se_scaling_study(
         raise ValidationError("scaling N grid must be strictly increasing")
     summaries, meta = _flat_grid_study(
         situations, n_grid, replicates, seed, estimators,
-        delta_mode, workers, PURPOSE_SCALING,
+        delta_mode, PURPOSE_SCALING,
     )
     n_est = len(estimators)
     points = []
@@ -558,7 +510,6 @@ def coverage_bands(
     estimators=("dse", "adpl-mtb:scaled:1.25"),
     *,
     delta_mode: str = "candidate",
-    workers: int = 1,
 ) -> list[BandPoint]:
     """Relative confidence bands across a size grid.
 
@@ -568,7 +519,7 @@ def coverage_bands(
     """
     summaries, meta = _flat_grid_study(
         populations, n_grid, replicates, seed, estimators,
-        delta_mode, workers, PURPOSE_BANDS,
+        delta_mode, PURPOSE_BANDS,
     )
     n_est = len(estimators)
     out = []
@@ -618,7 +569,6 @@ def robustness_sweep(
     estimators=("dse", "adpl-mtb:scaled:1.25"),
     *,
     delta_mode: str = "candidate",
-    workers: int = 1,
 ) -> SweepResult:
     """Estimator behavior across a grid of behavioral-effect values.
 
@@ -646,7 +596,7 @@ def robustness_sweep(
         seed=seed,
         delta_mode=delta_mode,
     )
-    summaries = run_study(config, workers=workers, purpose=PURPOSE_SWEEP)
+    summaries = run_study(config, purpose=PURPOSE_SWEEP)
     n_est = len(estimators)
     points = []
     for i, s in enumerate(summaries):

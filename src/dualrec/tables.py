@@ -29,6 +29,9 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 __all__ = [
     "DrsError",
@@ -39,6 +42,7 @@ __all__ = [
     "UndefinedEstimateError",
     "NoFiniteMaximumError",
     "DualRecordTable",
+    "TableArrays",
     "MtParams",
     "MtbParams",
     "CellProbabilities",
@@ -163,6 +167,46 @@ class DualRecordTable:
             raise
         except (IndexError, ValueError) as exc:
             raise ValidationError(f"cannot parse table CSV: {exc}") from exc
+
+
+class TableArrays(NamedTuple):
+    """Replicate tables as parallel float arrays: row i is one table.
+
+    The fields mirror the :class:`DualRecordTable` attributes that the kernel
+    step forms read, so their array branches accept either. Counts are held
+    as doubles, which is exact up to 2**53, and sums and products of them
+    round exactly as the same Python integer expressions do when converted.
+    """
+
+    x11: np.ndarray
+    x1_dot: np.ndarray
+    x_dot1: np.ndarray
+    x0: np.ndarray
+
+    @classmethod
+    def from_cells(cls, x11, x10, x01) -> "TableArrays":
+        """Rows from equal-length cell arrays of non-negative integers.
+
+        All-zero rows are kept (the estimators fail them); a negative or
+        non-integer count raises :class:`ValidationError`.
+        """
+        cells = [np.asarray(v, dtype=float).reshape(-1) for v in (x11, x10, x01)]
+        if len({c.size for c in cells}) != 1:
+            raise ValidationError("cell arrays must have equal lengths")
+        for name, c in zip(("x11", "x10", "x01"), cells):
+            if np.any(c < 0) or np.any(c != np.floor(c)) or np.any(c >= 2.0**53):
+                raise ValidationError(f"{name} must hold non-negative integers below 2**53")
+        a, b, d = cells
+        return cls(a, a + b, a + d, a + b + d)
+
+    def take(self, rows) -> "TableArrays":
+        """The tables at the given row indices (or boolean mask)."""
+        return TableArrays(*(field[rows] for field in self))
+
+    def row(self, i: int) -> DualRecordTable:
+        """Row ``i`` as a :class:`DualRecordTable`."""
+        x11 = int(self.x11[i])
+        return DualRecordTable(x11, int(self.x1_dot[i]) - x11, int(self.x_dot1[i]) - x11)
 
 
 @dataclass(frozen=True)

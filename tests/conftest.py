@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from dualrec.tables import DualRecordTable
+from dualrec.estimators import BatchEstimate
+from dualrec.tables import DualRecordTable, EstimationError
 
 
 def full_binomial_cdf(n: int, p: float) -> np.ndarray:
@@ -39,6 +42,30 @@ def reference_draw_binomial(n: np.ndarray, p: float, u: np.ndarray) -> np.ndarra
             idx = n == n_val
             out[idx] = np.searchsorted(full_binomial_cdf(int(n_val), p), u[idx], side="left")
     return out
+
+
+def scalar_estimate_batch(spec, x11, x10, x01, *, delta_mode="candidate", true_n=None):
+    """Reference for ``EstimatorSpec.estimate_batch``: ``estimate`` on each row alone.
+
+    A row fails (NaN) where ``estimate`` raises EstimationError or the table
+    is all-zero; delta_used is None when no row reports an adjustment.
+    """
+    n_hat, deltas = [], []
+    for cells in zip(x11, x10, x01):
+        try:
+            if not sum(cells):
+                raise EstimationError("all-zero table")
+            rep = spec.estimate(
+                DualRecordTable(*map(int, cells)), delta_mode=delta_mode, true_n=true_n
+            )
+        except EstimationError:
+            n_hat.append(math.nan)
+            deltas.append(math.nan)
+            continue
+        n_hat.append(rep.n_hat)
+        deltas.append(math.nan if rep.delta_used is None else rep.delta_used)
+    adjusted = spec.policy is not None
+    return BatchEstimate(np.array(n_hat), np.array(deltas) if adjusted else None)
 
 
 @pytest.fixture

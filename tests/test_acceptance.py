@@ -28,6 +28,7 @@ import pytest
 from dualrec import kernels
 from dualrec.cli import load_published_reference
 from dualrec.estimators import (
+    EstimatorSpec,
     _var_dse_first_order,
     bias_dse_under_mtb,
     parse_estimator,
@@ -46,7 +47,7 @@ from dualrec.simulate import (
 )
 from dualrec.tables import DualRecordTable, NoFiniteMaximumError
 
-WORKERS = 4
+from conftest import scalar_estimate_batch
 
 ADPL = "adpl-mtb:scaled:1.25"
 
@@ -192,7 +193,7 @@ def test_desk_scale_study_reproduces_published_cells():
         replicates=200,
         seed=DEFAULT_SEED,
     )
-    summaries = {(s.population, s.estimator): s for s in run_study(config, workers=WORKERS)}
+    summaries = {(s.population, s.estimator): s for s in run_study(config)}
     published = load_published_reference()["study_summaries"]
     failures = []
     for pop in TABLE2_POPULATIONS:
@@ -272,7 +273,7 @@ def test_spread_growth_exponents_and_dominance():
     sqrt(N) (Cramer-Rao). The pointwise ln(sd)/ln(N) = 0.5 + ln(a)/ln(N) at
     the smallest N is printed for reference; it is not a growth exponent.
     """
-    result = se_scaling_study(replicates=2000, workers=WORKERS)
+    result = se_scaling_study(replicates=2000)
     situations = sorted({p.situation for p in result.points})
     failures = []
     for sit in situations:
@@ -303,7 +304,7 @@ def test_spread_growth_exponents_and_dominance():
 def test_relative_bands_and_effect_sweep_dominance():
     """Adjusted bands never wider than dual-system bands; sweep centered and dominated."""
     failures = []
-    points = coverage_bands(replicates=2000, workers=WORKERS)
+    points = coverage_bands(replicates=2000)
     by_cell = {(p.population, p.estimator, p.n): p for p in points}
     band_checks = 0
     for pop in TABLE2_POPULATIONS:
@@ -318,7 +319,7 @@ def test_relative_bands_and_effect_sweep_dominance():
                     f"band width {pop.label} N={n}: {adpl_w:.4f} > {dse_w:.4f}"
                 )
     print(f"  band-width dominance: {band_checks} grid cells compared")
-    sweep = robustness_sweep(replicates=2000, workers=WORKERS)
+    sweep = robustness_sweep(replicates=2000)
     for label, phi, reason in sweep.skipped:
         print(f"  skipped infeasible sweep point {label} phi={phi:g}: {reason}")
     if {(label, phi) for label, phi, _ in sweep.skipped} != {("p60-70", 0.5), ("p80-70", 0.5)}:
@@ -349,22 +350,35 @@ def test_relative_bands_and_effect_sweep_dominance():
     _verdict("relative bands and effect sweep", failures)
 
 
-def test_studies_byte_identical_across_workers_and_reruns():
-    """Identical seed gives byte-identical study CSV for any worker count."""
+def test_studies_byte_identical_across_reruns_and_batch_composition(monkeypatch):
+    """Identical seed gives byte-identical study CSV, whatever rows share a batch.
+
+    A rerun reproduces the CSV; so does the study with every replicate
+    estimated on its own by the scalar search, and so do batches of
+    replicate halves.
+    """
     config = StudyConfig(
         populations=(TABLE2_POPULATIONS[0], TABLE2_POPULATIONS[4]),
         estimators=("dse", ADPL, ADPL + "@oracle", "pl-mtb"),
         replicates=80,
         seed=DEFAULT_SEED,
     )
-    baseline = summaries_to_csv(run_study(config, workers=1), include_delta=True)
+    baseline = summaries_to_csv(run_study(config), include_delta=True)
     failures = []
-    for workers in (2, 5):
-        text = summaries_to_csv(run_study(config, workers=workers), include_delta=True)
-        if text != baseline:
-            failures.append(f"workers={workers} output differs from workers=1")
-    rerun = summaries_to_csv(run_study(config, workers=3), include_delta=True)
-    if rerun != baseline:
-        failures.append("rerun with workers=3 differs from first run")
-    print(f"  {len(baseline.splitlines())} CSV lines compared across 4 runs")
+    if summaries_to_csv(run_study(config), include_delta=True) != baseline:
+        failures.append("rerun differs from first run")
+    cells = sample_tables(TABLE2_POPULATIONS[0], DEFAULT_SEED, PURPOSE_STUDY, 0, 80)
+    for descriptor in config.estimators:
+        spec = parse_estimator(descriptor)
+        whole = spec.estimate_batch(*cells, true_n=500).n_hat
+        halves = np.concatenate(
+            [spec.estimate_batch(*(c[part] for c in cells), true_n=500).n_hat
+             for part in (slice(0, 37), slice(37, None))]
+        )
+        if not np.array_equal(whole, halves, equal_nan=True):
+            failures.append(f"{descriptor}: halves estimated apart differ from one batch")
+    monkeypatch.setattr(EstimatorSpec, "estimate_batch", scalar_estimate_batch)
+    if summaries_to_csv(run_study(config), include_delta=True) != baseline:
+        failures.append("per-replicate scalar estimates give a different CSV")
+    print(f"  {len(baseline.splitlines())} CSV lines compared across 3 runs")
     _verdict("byte-identical determinism", failures)

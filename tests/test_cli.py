@@ -81,6 +81,15 @@ class TestEstimateCommand:
         _, second, _ = run_cli(args, capsys)
         assert second == first
 
+    @pytest.mark.parametrize("b", ["-3", "0", "1"])
+    def test_bootstrap_needs_two_replicates(self, table_file, capsys, b):
+        code, out, err = run_cli(
+            ["estimate", "--table", table_file, "--method", "dse", "--bootstrap", b], capsys
+        )
+        assert code == 1 and out == ""
+        assert f"bootstrap needs at least 2 replicates, got {b}" in err
+        assert "Traceback" not in err
+
     def test_writes_to_file(self, table_file, tmp_path, capsys):
         out_path = tmp_path / "report.txt"
         code, out, _ = run_cli(
@@ -157,7 +166,7 @@ class TestSimulateCommand:
         path.write_text(config.to_json())
         return str(path)
 
-    def test_study_csv_and_worker_invariance(self, tmp_path, capsys):
+    def test_study_csv_and_rerun_invariance(self, tmp_path, capsys):
         config = self._config_path(tmp_path)
         out_path = tmp_path / "study.csv"
         code, _, _ = run_cli(
@@ -169,11 +178,13 @@ class TestSimulateCommand:
         assert lines[0] == CSV_HEADER + ",delta_used"
         assert len(lines) == 3
         assert lines[1].startswith("P1,dse,")
-        code, stdout, _ = run_cli(
-            ["simulate", "--config", config, "--workers", "3"], capsys
-        )
+        code, stdout, _ = run_cli(["simulate", "--config", config], capsys)
         assert code == 0
         assert stdout == text
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--config", config, "--workers", "3"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --workers 3" in capsys.readouterr().err
 
     def test_malformed_config_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dualrec.estimators as est_module
+from dualrec import kernels
 from dualrec.estimators import (
     BootstrapResult,
     DeltaPolicy,
@@ -36,6 +39,7 @@ from dualrec.kernels import (
 from dualrec.simulate import TABLE2_POPULATIONS
 from dualrec.tables import (
     DualRecordTable,
+    TableArrays,
     EstimationError,
     MtbParams,
     NoFiniteMaximumError,
@@ -44,6 +48,8 @@ from dualrec.tables import (
     cell_probs_mtb,
     p_from_marginals,
 )
+
+from conftest import scalar_estimate_batch
 
 T = DualRecordTable(50, 30, 20)
 SMALL = DualRecordTable(7, 5, 3)
@@ -361,6 +367,19 @@ class TestBootstrap:
         assert 0.6 * 5.18 < boot.se < 1.6 * 5.18
         assert boot.ci_low < 112.0 < boot.ci_high
 
+    @pytest.mark.parametrize("descriptor", ["dse", "adpl-mtb:recapture:4.0"])
+    def test_equals_per_replicate_scalar_estimates(self, monkeypatch, descriptor):
+        sparse = DualRecordTable(3, 3, 8)
+        batched = parametric_bootstrap(sparse, descriptor, b=80, seed=3)
+        monkeypatch.setattr(EstimatorSpec, "estimate_batch", scalar_estimate_batch)
+        assert parametric_bootstrap(sparse, descriptor, b=80, seed=3) == batched
+        assert batched.failures > 0  # x11 = 0 or x10 = 0 on some resampled tables
+
+    @pytest.mark.parametrize("b", [-3, 0, 1])
+    def test_needs_two_replicates(self, b):
+        with pytest.raises(ValidationError, match="at least 2 replicates"):
+            parametric_bootstrap(T, "dse", b=b)
+
     def test_degenerate_fit_cannot_seed_a_generating_model(self):
         with pytest.raises(EstimationError):
             parametric_bootstrap(DualRecordTable(50, 30, 0), "dse", b=20)
@@ -464,3 +483,114 @@ class TestArgmax:
         rep = parse_estimator(descriptor).estimate(DualRecordTable(*cells))
         assert rep.n_hat_integer == exact
         assert rep.note is None
+
+
+# The benchmark's descriptors: every method, and every policy of the
+# adjusted methods.
+DESCRIPTORS = (
+    "dse", "pl-mt", "mpl-mt", "pl-mtb",
+    "adpl-mtb:fixed:0.5", "adpl-mtb:scaled:1.25", "adpl-mtb:recapture:1.25",
+    "adpl-mt:fixed:0.5", "adpl-mt:scaled:1.25", "adpl-mt:recapture:1.25",
+)
+# x1.*x.1 > 2**53 and DSE = x0 + 2.5: the double quotient rounds to x0 + 3
+# where the exact one rounds half-even to x0 + 2, which moves the anchor
+# of the candidate fixed point.
+ANCHOR_ROW = (94987230, 15405, 15415)
+EDGE_ROWS = (
+    (0, 30, 20),  # x11 = 0
+    (50, 0, 20),  # x10 = 0
+    (0, 0, 7),  # x1. = 0
+    (0, 0, 0),  # all-zero
+    (2, 500, 400),  # M_t steps decided in decimal
+    (15000, 9000, 6000),  # M_tb steps decided in decimal, here and below
+    (250000, 150000, 200000),
+    ANCHOR_ROW,
+    (7, 3 * 10**9, 5 * 10**9),  # x1.*x.1 beyond 64-bit integers
+)
+
+
+class TestBatchEstimates:
+    """``estimate_batch`` equals ``estimate`` row by row."""
+
+    _cell = st.integers(0, 60) | st.integers(0, 10**4)
+
+    @pytest.mark.parametrize("descriptor", [d + m for d in DESCRIPTORS for m in ("", "@oracle")])
+    @settings(max_examples=12, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(_cell, _cell, _cell) | st.sampled_from(EDGE_ROWS), min_size=1, max_size=6),
+        true_n=st.integers(1, 10**6),
+    )
+    def test_rows_equal_scalar_estimates(self, descriptor, rows, true_n):
+        spec = parse_estimator(descriptor)
+        cells = np.array(rows, dtype=np.int64).T
+        got = spec.estimate_batch(*cells, true_n=true_n)
+        want = scalar_estimate_batch(spec, *cells, true_n=true_n)
+        np.testing.assert_array_equal(got.n_hat, want.n_hat)  # NaN where estimate raises
+        if spec.policy is None:
+            assert got.delta_used is None
+        else:
+            np.testing.assert_array_equal(got.delta_used, want.delta_used)
+
+    def test_edge_rows_take_the_decimal_recheck_and_the_exact_quotient(self, monkeypatch):
+        kinds = set()
+        decimal_step = kernels._decimal_step
+
+        def counted(kind, *args):
+            kinds.add(kind)
+            return decimal_step(kind, *args)
+
+        monkeypatch.setattr(kernels, "_decimal_step", counted)
+        cells = np.array(EDGE_ROWS).T
+        for descriptor in DESCRIPTORS:
+            parse_estimator(descriptor).estimate_batch(*cells)
+        assert kinds == {"pl-mt", "mpl-mt", "adpl-mt", "adpl-mtb"}
+        x11, x10, x01 = ANCHOR_ROW
+        a, b = x11 + x10, x11 + x01
+        assert round(float(a) * float(b) / x11) == sum(ANCHOR_ROW) + 3
+        assert round(a * b / x11) == sum(ANCHOR_ROW) + 2
+        batch = parse_estimator("dse").estimate_batch([x11], [x10], [x01])
+        assert batch.n_hat[0] == a * b / x11 != float(a) * float(b) / x11
+
+    def test_one_pass_advances_every_row_along_its_scalar_path(self, monkeypatch):
+        passes = []
+        step_signs = kernels.step_signs
+        monkeypatch.setattr(
+            kernels, "step_signs", lambda *args: passes.append(1) or step_signs(*args)
+        )
+        x11, x10, x01 = np.array([(50, 30, 20)] * 40 + [(25000, 15000, 20000)] * 40).T
+        spec = parse_estimator("pl-mt")
+        n_hat = spec.estimate_batch(x11, x10, x01).n_hat
+        assert list(n_hat) == [111.0] * 40 + [spec.estimate(DualRecordTable(25000, 15000, 20000)).n_hat] * 40
+        assert len(passes) <= 2 * math.log2(HARD_CEILING)
+
+    def test_fixed_point_rules_per_row(self):
+        # Fixed point, two-cycle (smallest member), failed solve, iteration
+        # cap (last of 60 solves); each row as if solved alone.
+        moves = {10: 12, 12: 12, 20: 25, 25: 21, 21: 25, 5: -1}
+
+        def solve(rows, n):
+            return np.array([moves.get(int(v), int(v) + 1) for v in n], dtype=np.int64)
+
+        start = np.array([10, 20, 5, 100])
+        want = [12, 21, -1, 160]
+        assert list(est_module._fixed_point_batch(solve, start)) == want
+        for row, value in zip(start, want):
+            assert list(est_module._fixed_point_batch(solve, np.array([row]))) == [value]
+
+    def test_rejects_invalid_cells(self):
+        spec = parse_estimator("dse")
+        with pytest.raises(ValidationError):
+            spec.estimate_batch([1, -1], [2, 2], [3, 3])
+        with pytest.raises(ValidationError):
+            spec.estimate_batch([1.5], [2], [3])
+        with pytest.raises(ValidationError):
+            spec.estimate_batch([1, 2], [2], [3])
+        with pytest.raises(ValidationError):
+            TableArrays.from_cells([2.0**53], [0], [0])
+
+    def test_oracle_mode_requires_the_generating_size(self):
+        spec = parse_estimator("adpl-mtb:scaled:1.25")
+        with pytest.raises(ValidationError):
+            spec.estimate_batch([50], [30], [20], delta_mode="oracle")
+        with pytest.raises(ValidationError):
+            spec.estimate_batch([50], [30], [20], delta_mode="sideways")

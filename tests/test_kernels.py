@@ -26,8 +26,9 @@ from dualrec.kernels import (
     loglik_mt_full,
     loglik_mtb_full,
     step_sign,
+    step_signs,
 )
-from dualrec.tables import DomainError, DualRecordTable, MtParams
+from dualrec.tables import DomainError, DualRecordTable, MtParams, TableArrays
 
 T = DualRecordTable(50, 30, 20)  # x1. = 80, x.1 = 70, x0 = 100
 SMALL = DualRecordTable(7, 5, 3)  # x0 = 15
@@ -188,13 +189,24 @@ class TestStableSteps:
     def test_double_steps_agree_with_the_decimal_closed_form(self, cells, offset, delta, kind):
         t = DualRecordTable(*cells)
         n = t.x0 + offset + (kind == "adpl-mtb")
-        double = {
-            "pl-mt": lambda: log_profile_mt_step(n, t),
-            "mpl-mt": lambda: log_mpl_mt_step(n, t),
-            "adpl-mt": lambda: log_adpl_mt_step(n, t, delta),
-            "adpl-mtb": lambda: log_adpl_mtb_step(n, t, delta),
-        }[kind]()
+        form = {
+            "pl-mt": lambda m, d: log_profile_mt_step(m, t),
+            "mpl-mt": lambda m, d: log_mpl_mt_step(m, t),
+            "adpl-mt": lambda m, d: log_adpl_mt_step(m, t, d),
+            "adpl-mtb": lambda m, d: log_adpl_mtb_step(m, t, d),
+        }[kind]
+        double = form(n, delta)
         exact = kernels._decimal_step(kind, n, t, delta)
+        # Array N with array delta: each element is the scalar form at its
+        # delta, and step_signs is step_sign row by row.
+        deltas = np.array([delta, delta / 2])
+        np.testing.assert_allclose(
+            form(np.array([n, n]), deltas), [form(n, d) for d in deltas], rtol=1e-12, atol=1e-15
+        )
+        rows = TableArrays.from_cells(*([c, c] for c in cells))
+        assert list(step_signs(kind, [n, n], rows, deltas)) == [
+            step_sign(kind, n, t, d) for d in deltas
+        ]
         if math.isinf(double):  # N on a margin: the kernel is -inf at N
             assert double > 0 and exact == double
             return

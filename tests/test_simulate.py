@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dualrec.estimators import EstimatorSpec
 from dualrec.randomness import DEFAULT_SEED, PURPOSE_STUDY
 from dualrec.simulate import (
     CSV_HEADER,
@@ -27,6 +28,8 @@ from dualrec.simulate import (
     summaries_to_csv,
 )
 from dualrec.tables import FeasibilityError, ValidationError
+
+from conftest import scalar_estimate_batch
 
 P1 = TABLE2_POPULATIONS[0]
 
@@ -145,16 +148,17 @@ class TestRunStudy:
             ("P1", "dse"), ("P1", "pl-mtb"), ("P5", "dse"), ("P5", "pl-mtb"),
         ]
 
-    def test_worker_count_never_changes_output(self):
+    def test_study_equals_per_replicate_scalar_estimates(self, monkeypatch):
+        # The sparse design fails rows: x11 = 0, x1. = 0 or x10 = 0.
+        sparse = PopulationSpec("sparse", 30, 0.10, 0.30, 1.0)
         config = _config(
-            [P1], ["dse", "adpl-mtb:recapture:4.0"], replicates=60, seed=99
+            [P1, sparse], ["dse", "adpl-mtb:recapture:4.0", "mpl-mt"], replicates=60, seed=99
         )
-        baseline = summaries_to_csv(run_study(config, workers=1), include_delta=True)
-        for workers in (2, 5):
-            assert summaries_to_csv(
-                run_study(config, workers=workers), include_delta=True
-            ) == baseline
-        assert summaries_to_csv(run_study(config, workers=2), include_delta=True) == baseline
+        baseline = summaries_to_csv(run_study(config), include_delta=True)
+        assert summaries_to_csv(run_study(config), include_delta=True) == baseline
+        assert all(s.failures > 0 for s in run_study(config)[3:])
+        monkeypatch.setattr(EstimatorSpec, "estimate_batch", scalar_estimate_batch)
+        assert summaries_to_csv(run_study(config), include_delta=True) == baseline
 
     def test_candidate_and_oracle_modes_differ_and_suffix_selects_oracle(self):
         candidate = _config([P1], ["adpl-mtb:scaled:1.25"], replicates=40)
