@@ -57,13 +57,11 @@ from .simulate import (
     SCALING_SITUATIONS,
     StudyConfig,
     StudySummary,
-    Substream,
     SWEEP_SITUATIONS,
     TABLE2_POPULATIONS,
     coverage_bands,
     robustness_sweep,
     run_study,
-    sample_table,
     se_scaling_study,
     summaries_to_csv,
 )
@@ -135,11 +133,9 @@ __all__ = [
     "PopulationSpec",
     "StudyConfig",
     "StudySummary",
-    "Substream",
     "TABLE2_POPULATIONS",
     "SCALING_SITUATIONS",
     "SWEEP_SITUATIONS",
-    "sample_table",
     "run_study",
     "summaries_to_csv",
     "se_scaling_study",

@@ -35,9 +35,9 @@ from .estimators import (
 )
 from .randomness import DEFAULT_SEED
 from .simulate import (
-    CSV_HEADER,
     StudyConfig,
     TABLE2_POPULATIONS,
+    _fmt,
     coverage_bands,
     robustness_sweep,
     run_study,
@@ -173,14 +173,6 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _fmt_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _reproduce_table2() -> str:
     lines = ["population,n,p1,p_dot1,phi,expected_distinct,expected_distinct_exact"]
     for pop in TABLE2_POPULATIONS:
@@ -212,17 +204,12 @@ def _reproduce_study_table(populations, seed: int, replicates: int) -> str:
         seed=seed,
         delta_mode="candidate",
     )
-    summaries = run_study(config)
+    rows = summaries_to_csv(run_study(config), include_delta=True).splitlines()
     reference = load_published_reference()["study_summaries"]
-    lines = [CSV_HEADER + ",delta_used"]
+    lines = rows[:1]
     per_pop = len(estimators)
     for pi, pop in enumerate(populations):
-        for s in summaries[pi * per_pop:(pi + 1) * per_pop]:
-            lines.append(
-                f"{s.population},{s.estimator},{_fmt_cell(s.mean)},{_fmt_cell(s.se)},"
-                f"{_fmt_cell(s.rmse)},{_fmt_cell(s.ci_low)},{_fmt_cell(s.ci_high)},"
-                f"{s.failures},{_fmt_cell(s.delta_used)}"
-            )
+        lines += rows[1 + pi * per_pop:1 + (pi + 1) * per_pop]
         lee = reference[pop.label]["lee"]
         lines.append(
             f"{pop.label},lee-published-reference,{lee['mean']},{lee['se']},"
@@ -238,12 +225,13 @@ def _reproduce_fig1(seed: int, replicates: int):
     for p in result.points:
         slope = result.slope(p.situation, p.estimator)
         lines.append(
-            f"{p.situation},{p.estimator},{p.n},{_fmt_cell(p.mean)},"
-            f"{_fmt_cell(p.sd)},{_fmt_cell(slope)}"
+            f"{p.situation},{p.estimator},{p.n},{_fmt(p.mean)},"
+            f"{_fmt(p.sd)},{_fmt(slope)}"
         )
-        series.setdefault(f"{p.situation}/{p.estimator}", []).append(
-            (math.log(p.n), math.log(p.sd))
-        )
+        if p.sd > 0:  # ln sd is undefined at sd = 0, as in the slope fit
+            series.setdefault(f"{p.situation}/{p.estimator}", []).append(
+                (math.log(p.n), math.log(p.sd))
+            )
     return "\n".join(lines) + "\n", series, ("ln N", "ln sd")
 
 
@@ -253,8 +241,8 @@ def _reproduce_bands(populations, seed: int, replicates: int):
     series = {}
     for p in points:
         lines.append(
-            f"{p.population},{p.estimator},{p.n},{_fmt_cell(p.mean)},{_fmt_cell(p.sd)},"
-            f"{_fmt_cell(p.rel_lcl)},{_fmt_cell(p.rel_ucl)}"
+            f"{p.population},{p.estimator},{p.n},{_fmt(p.mean)},{_fmt(p.sd)},"
+            f"{_fmt(p.rel_lcl)},{_fmt(p.rel_ucl)}"
         )
         series.setdefault(f"{p.population}/{p.estimator}/lcl", []).append((p.n, p.rel_lcl))
         series.setdefault(f"{p.population}/{p.estimator}/ucl", []).append((p.n, p.rel_ucl))
@@ -267,9 +255,9 @@ def _reproduce_fig4(seed: int, replicates: int):
     series = {}
     for p in result.points:
         lines.append(
-            f"{p.situation},{p.phi:g},{p.estimator},{_fmt_cell(p.rel_mean)},"
-            f"{_fmt_cell(p.rel_lcl)},{_fmt_cell(p.rel_ucl)},{_fmt_cell(p.mean)},"
-            f"{_fmt_cell(p.sd)},"
+            f"{p.situation},{p.phi:g},{p.estimator},{_fmt(p.rel_mean)},"
+            f"{_fmt(p.rel_lcl)},{_fmt(p.rel_ucl)},{_fmt(p.mean)},"
+            f"{_fmt(p.sd)},"
         )
         series.setdefault(f"{p.situation}/{p.estimator}", []).append((p.phi, p.rel_mean))
     for label, phi, reason in result.skipped:
@@ -333,27 +321,23 @@ def _svg_plot(series: dict, xlabel: str, ylabel: str, title: str) -> str:
 
 def cmd_reproduce(args) -> int:
     target = args.target
-    svg_payload = None
+    if args.svg is not None and not target.startswith("fig"):
+        raise ValidationError(f"--svg applies only to figure targets, not {target}")
+    # table3 and fig2 cover populations P1-P4; table4 and fig3 cover P5-P8.
+    block = TABLE2_POPULATIONS[:4] if target in ("table3", "fig2") else TABLE2_POPULATIONS[4:]
     if target == "table2":
         text = _reproduce_table2()
     elif target in ("table3", "table4"):
-        block = TABLE2_POPULATIONS[:4] if target == "table3" else TABLE2_POPULATIONS[4:]
         text = _reproduce_study_table(block, args.seed, args.replicates)
-    elif target == "fig1":
-        text, series, axes = _reproduce_fig1(args.seed, args.replicates)
-        svg_payload = (series, axes)
-    elif target in ("fig2", "fig3"):
-        block = TABLE2_POPULATIONS[:4] if target == "fig2" else TABLE2_POPULATIONS[4:]
-        text, series, axes = _reproduce_bands(block, args.seed, args.replicates)
-        svg_payload = (series, axes)
     else:
-        text, series, axes = _reproduce_fig4(args.seed, args.replicates)
-        svg_payload = (series, axes)
-    if args.svg is not None:
-        if svg_payload is None:
-            raise ValidationError(f"--svg applies only to figure targets, not {target}")
-        series, (xlabel, ylabel) = svg_payload
-        Path(args.svg).write_text(_svg_plot(series, xlabel, ylabel, target))
+        if target == "fig1":
+            text, series, (xlabel, ylabel) = _reproduce_fig1(args.seed, args.replicates)
+        elif target in ("fig2", "fig3"):
+            text, series, (xlabel, ylabel) = _reproduce_bands(block, args.seed, args.replicates)
+        else:
+            text, series, (xlabel, ylabel) = _reproduce_fig4(args.seed, args.replicates)
+        if args.svg is not None:
+            Path(args.svg).write_text(_svg_plot(series, xlabel, ylabel, target))
     _write_out(text, args.out)
     return EXIT_OK
 

@@ -184,29 +184,26 @@ class DeltaPolicy:
             n: candidate population size (required for scaled/recapture).
             table: observed table (required for recapture, to form c_hat).
         """
-        if self.variant == "fixed":
-            return self.value
-        if n is None or n <= 0:
+        if self.variant != "fixed" and (n is None or n <= 0):
             raise ValidationError(f"{self.variant} policy requires a positive N, got {n}")
-        if self.variant == "scaled":
-            return 1.0 - self.value / n
-        if table is None:
-            raise ValidationError("recapture policy requires the observed table")
-        if table.x1_dot == 0:
-            raise UndefinedEstimateError("recapture policy undefined: x1. = 0")
-        c_hat = table.x11 / table.x1_dot
-        return 1.0 - self.value * (1.0 - c_hat) / n
+        if self.variant == "recapture":
+            if table is None:
+                raise ValidationError("recapture policy requires the observed table")
+            if table.x1_dot == 0:
+                raise UndefinedEstimateError("recapture policy undefined: x1. = 0")
+        return float(self._formula(n, table))
 
     def deltas(self, n: np.ndarray, tables: TableArrays) -> np.ndarray:
-        """:meth:`delta` at N = n[i] on row i, for rows with x1. >= 1.
+        """:meth:`delta` at N = n[i] on row i, for rows with x1. >= 1."""
+        return np.full(np.shape(n), self._formula(n, tables))
 
-        The same double expressions as the scalar form, element by element.
-        """
+    def _formula(self, n, cells):
+        """delta at N = n for the cells of a table, or of TableArrays row by row."""
         if self.variant == "fixed":
-            return np.full(np.shape(n), self.value)
+            return self.value
         if self.variant == "scaled":
             return 1.0 - self.value / n
-        c_hat = tables.x11 / tables.x1_dot
+        c_hat = cells.x11 / cells.x1_dot
         return 1.0 - self.value * (1.0 - c_hat) / n
 
 
@@ -424,6 +421,15 @@ def _attach_nuisance(report: EstimateReport, table: DualRecordTable) -> Estimate
     return replace(report, p1_hat=p1_hat, p_hat=p_hat, c_hat=c_hat, phi_hat=phi_hat)
 
 
+def _mt_point(kind: str, table: DualRecordTable, likelihood: str) -> EstimateReport:
+    """Integer maximizer of the M_t kernel ``kind`` ("pl-mt" or "mpl-mt")."""
+    if table.x11 == 0:
+        raise UndefinedEstimateError(f"{likelihood} has no finite maximizer: x11 = 0")
+    n = _argmax(lambda m: kernels.step_sign(kind, m, table), table.x0, kind)
+    report = EstimateReport(method=kind, n_hat=float(n), n_hat_integer=int(n))
+    return _attach_nuisance(report, table)
+
+
 def mle_profile_mt(table: DualRecordTable) -> EstimateReport:
     """Integer maximizer of the independence-model profile likelihood.
 
@@ -438,11 +444,7 @@ def mle_profile_mt(table: DualRecordTable) -> EstimateReport:
         UndefinedEstimateError: when x11 = 0 (no finite maximizer exists).
         NoFiniteMaximumError: when the maximizer lies beyond HARD_CEILING.
     """
-    if table.x11 == 0:
-        raise UndefinedEstimateError("profile likelihood has no finite maximizer: x11 = 0")
-    n = _argmax(lambda m: kernels.step_sign("pl-mt", m, table), table.x0, "pl-mt")
-    report = EstimateReport(method="pl-mt", n_hat=float(n), n_hat_integer=int(n))
-    return _attach_nuisance(report, table)
+    return _mt_point("pl-mt", table, "profile likelihood")
 
 
 def mle_mpl_mt(table: DualRecordTable) -> EstimateReport:
@@ -458,11 +460,7 @@ def mle_mpl_mt(table: DualRecordTable) -> EstimateReport:
         UndefinedEstimateError: when x11 = 0.
         NoFiniteMaximumError: when the maximizer lies beyond HARD_CEILING.
     """
-    if table.x11 == 0:
-        raise UndefinedEstimateError("modified profile likelihood has no finite maximizer: x11 = 0")
-    n = _argmax(lambda m: kernels.step_sign("mpl-mt", m, table), table.x0, "mpl-mt")
-    report = EstimateReport(method="mpl-mt", n_hat=float(n), n_hat_integer=int(n))
-    return _attach_nuisance(report, table)
+    return _mt_point("mpl-mt", table, "modified profile likelihood")
 
 
 def mle_profile_mtb(table: DualRecordTable) -> EstimateReport:

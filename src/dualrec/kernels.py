@@ -8,8 +8,8 @@ domain boundary.
 
 Factorial ratios N!/(N-x0)! are evaluated as lgamma(N+1) - lgamma(N-x0+1), and
 terms of the form v*ln(v) use the continuous extension 0*ln(0) = 0. N is
-accepted as a real (scalars or numpy arrays) so that derivative diagnostics
-can probe between integers; estimators report integer argmaxes.
+accepted as a real (scalars or numpy arrays); estimators report integer
+argmaxes.
 
 Kernel catalogue (T is the observed table):
     log_profile_mt(N, T)     profile likelihood of N under independence (M_t)
@@ -56,7 +56,7 @@ import math
 from decimal import Decimal, localcontext
 
 import numpy as np
-from scipy.special import digamma, gammaln, xlogy
+from scipy.special import gammaln, xlogy
 
 from .tables import DomainError, DualRecordTable, MtParams, TableArrays
 
@@ -77,7 +77,6 @@ __all__ = [
     "log_adpl_mtb_step",
     "step_sign",
     "step_signs",
-    "adpl_mtb_derivative",
 ]
 
 # Steps of the double-precision forms closer to zero than this have their
@@ -463,24 +462,3 @@ def _decimal_step(kind: str, n: int, table: DualRecordTable, delta: float) -> De
             s += 2 * d1 * diff(ln)
         return s
 
-
-def adpl_mtb_derivative(n, table: DualRecordTable, delta: float):
-    """First derivative in N of log_adpl_mtb, as a continuous diagnostic.
-
-    Uses the digamma function for the lgamma terms. Intended for analysis
-    (bracketing stationary points, inspecting boundary behavior); estimation
-    itself uses the exact integer steps of :func:`step_sign`.
-    """
-    arr, scalar = _as_array(n)
-    _check_domain(arr, table.x0, strict=True, what="adpl_mtb_derivative")
-    delta = float(delta)
-    v = (
-        digamma(arr + 1.0)
-        - digamma(arr - table.x0 + 1.0)
-        + (delta - arr - 1.5) / arr
-        - np.log(arr)
-        + (delta - 1.0) / (arr - table.x1_dot)
-        + np.log(arr - table.x0)
-        + (arr - table.x0 + 0.5) / (arr - table.x0)
-    )
-    return _ret(v, scalar)

@@ -30,7 +30,6 @@ import json
 import math
 import statistics
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -45,7 +44,6 @@ from .randomness import (
     uniforms,
 )
 from .tables import (
-    DualRecordTable,
     FeasibilityError,
     MtbParams,
     ValidationError,
@@ -58,14 +56,12 @@ __all__ = [
     "PopulationSpec",
     "StudyConfig",
     "StudySummary",
-    "Substream",
     "CSV_HEADER",
     "TABLE2_POPULATIONS",
     "SCALING_SITUATIONS",
     "SWEEP_SITUATIONS",
     "DEFAULT_PHI_GRID",
     "DEFAULT_N_GRID",
-    "sample_table",
     "sample_tables",
     "run_study",
     "summaries_to_csv",
@@ -89,7 +85,8 @@ class PopulationSpec:
     The second-list marginal capture probability p.1 is the specification
     input; the first-capture probability p is derived from it, so an
     infeasible combination (derived p outside (0,1), or recapture
-    probability phi*p >= 1) is rejected at construction.
+    probability phi*p >= 1) is rejected at construction. N must lie below
+    2**53, the bound the estimators put on cell counts.
     """
 
     label: str
@@ -99,8 +96,10 @@ class PopulationSpec:
     phi: float
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.n, int) and self.n >= 1):
-            raise ValidationError(f"population size must be a positive integer, got {self.n!r}")
+        if not (isinstance(self.n, int) and 1 <= self.n < 2**53):
+            raise ValidationError(
+                f"population size must be a positive integer below 2**53, got {self.n!r}"
+            )
         # Full feasibility check: raises FeasibilityError on a bad combination.
         self.params()
 
@@ -263,15 +262,6 @@ class StudySummary:
     delta_used: float | None = None
 
 
-class Substream(NamedTuple):
-    """Address of one replicate's randomness: (seed, purpose, unit, replicate)."""
-
-    seed: int
-    purpose: int = PURPOSE_STUDY
-    unit: int = 0
-    replicate: int = 0
-
-
 def sample_tables(
     spec: PopulationSpec,
     seed: int,
@@ -283,18 +273,6 @@ def sample_tables(
     """Draw ``count`` replicate tables for blocks [start, start + count)."""
     u = uniforms(seed, purpose, unit, count, start)
     return draw_tables(spec.n, spec.cells(), u)
-
-
-def sample_table(spec: PopulationSpec, stream: Substream) -> DualRecordTable:
-    """Draw the single replicate table addressed by ``stream``.
-
-    Identical output for identical stream addresses regardless of what else
-    has been sampled: equals row ``stream.replicate`` of a sequential batch.
-    """
-    x11, x10, x01 = sample_tables(
-        spec, stream.seed, stream.purpose, stream.unit, 1, stream.replicate
-    )
-    return DualRecordTable(int(x11[0]), int(x10[0]), int(x01[0]))
 
 
 def _summarize(
@@ -414,34 +392,43 @@ class ScalingResult:
         raise KeyError((situation, estimator, n))
 
 
-def _flat_grid_study(
-    situations,
-    n_grid,
+def _grid_study(
+    grid: list[tuple[object, PopulationSpec]],
     replicates: int,
     seed: int,
     estimators,
     delta_mode: str,
     purpose: int,
-) -> tuple[list[StudySummary], list[tuple[str, int]]]:
-    """Run one study over the flattened (situation, N) grid.
+) -> list[tuple[object, StudySummary]]:
+    """Run one study over the (meta, population) grid; (meta, summary) pairs.
 
-    Flattening gives every grid point a distinct stream unit; the metadata
-    list maps summary blocks back to (situation label, N).
+    Grid point i reads stream unit i, so every point has its own stream;
+    each summary is paired with its point's metadata.
     """
-    populations = []
-    meta = []
-    for spec in situations:
-        for n in n_grid:
-            populations.append(spec.with_n(int(n), label=f"{spec.label}|N={int(n)}"))
-            meta.append((spec.label, int(n)))
     config = StudyConfig(
-        populations=tuple(populations),
+        populations=tuple(pop for _, pop in grid),
         estimators=tuple(estimators),
         replicates=replicates,
         seed=seed,
         delta_mode=delta_mode,
     )
-    return run_study(config, purpose=purpose), meta
+    n_est = len(config.estimators)
+    return [(grid[i // n_est][0], s) for i, s in enumerate(run_study(config, purpose=purpose))]
+
+
+def _size_grid(specs, n_grid) -> list[tuple[tuple[str, int], PopulationSpec]]:
+    """Each population at every N of the grid, with (label, N) as metadata."""
+    return [
+        ((spec.label, int(n)), spec.with_n(int(n), label=f"{spec.label}|N={int(n)}"))
+        for spec in specs
+        for n in n_grid
+    ]
+
+
+def _rel_band(s: StudySummary, n: int) -> tuple[float, float]:
+    """95% relative band endpoints (mean -/+ 1.96 sd)/N."""
+    half = 1.96 * s.se
+    return (s.mean - half) / n, (s.mean + half) / n
 
 
 def se_scaling_study(
@@ -461,15 +448,13 @@ def se_scaling_study(
     """
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ValidationError("scaling N grid must be strictly increasing")
-    summaries, meta = _flat_grid_study(
-        situations, n_grid, replicates, seed, estimators,
-        delta_mode, PURPOSE_SCALING,
-    )
-    n_est = len(estimators)
-    points = []
-    for i, s in enumerate(summaries):
-        sit_label, n = meta[i // n_est]
-        points.append(ScalingPoint(sit_label, s.estimator, n, s.mean, s.se))
+    points = [
+        ScalingPoint(sit_label, s.estimator, n, s.mean, s.se)
+        for (sit_label, n), s in _grid_study(
+            _size_grid(situations, n_grid), replicates, seed, estimators,
+            delta_mode, PURPOSE_SCALING,
+        )
+    ]
     est_labels = [parse_estimator(e).label for e in estimators]
     slopes = []
     for spec in situations:
@@ -478,10 +463,12 @@ def se_scaling_study(
                 p for p in points
                 if p.situation == spec.label and p.estimator == est_label and p.sd > 0
             ]
+            if len(sub) < 2:
+                slopes.append((spec.label, est_label, math.nan))
+                continue
             xs = np.log([p.n for p in sub])
             ys = np.log([p.sd for p in sub])
-            slope = float(np.polyfit(xs, ys, 1)[0])
-            slopes.append((spec.label, est_label, slope))
+            slopes.append((spec.label, est_label, float(np.polyfit(xs, ys, 1)[0])))
     return ScalingResult(points=tuple(points), slopes=tuple(slopes))
 
 
@@ -517,27 +504,13 @@ def coverage_bands(
     its s.e.; endpoints are scaled by the generating N so bands for
     different sizes share an axis and a band containing 1 brackets the truth.
     """
-    summaries, meta = _flat_grid_study(
-        populations, n_grid, replicates, seed, estimators,
-        delta_mode, PURPOSE_BANDS,
-    )
-    n_est = len(estimators)
-    out = []
-    for i, s in enumerate(summaries):
-        pop_label, n = meta[i // n_est]
-        half = 1.96 * s.se
-        out.append(
-            BandPoint(
-                population=pop_label,
-                estimator=s.estimator,
-                n=n,
-                mean=s.mean,
-                sd=s.se,
-                rel_lcl=(s.mean - half) / n,
-                rel_ucl=(s.mean + half) / n,
-            )
+    return [
+        BandPoint(pop_label, s.estimator, n, s.mean, s.se, *_rel_band(s, n))
+        for (pop_label, n), s in _grid_study(
+            _size_grid(populations, n_grid), replicates, seed, estimators,
+            delta_mode, PURPOSE_BANDS,
         )
-    return out
+    ]
 
 
 @dataclass(frozen=True)
@@ -577,41 +550,20 @@ def robustness_sweep(
     infeasible are skipped and reported in ``skipped`` rather than failing
     the sweep.
     """
-    populations = []
-    meta = []
+    grid = []
     skipped = []
     for label, p1_dot, p_dot1 in situations:
         for phi in phi_grid:
             try:
-                populations.append(
-                    PopulationSpec(f"{label}|phi={phi:g}", int(n), p1_dot, p_dot1, float(phi))
-                )
-                meta.append((label, float(phi)))
+                spec = PopulationSpec(f"{label}|phi={phi:g}", int(n), p1_dot, p_dot1, float(phi))
             except FeasibilityError as exc:
                 skipped.append((label, float(phi), str(exc)))
-    config = StudyConfig(
-        populations=tuple(populations),
-        estimators=tuple(estimators),
-        replicates=replicates,
-        seed=seed,
-        delta_mode=delta_mode,
-    )
-    summaries = run_study(config, purpose=PURPOSE_SWEEP)
-    n_est = len(estimators)
-    points = []
-    for i, s in enumerate(summaries):
-        sit_label, phi = meta[i // n_est]
-        half = 1.96 * s.se
-        points.append(
-            SweepPoint(
-                situation=sit_label,
-                phi=phi,
-                estimator=s.estimator,
-                rel_mean=s.mean / n,
-                rel_lcl=(s.mean - half) / n,
-                rel_ucl=(s.mean + half) / n,
-                mean=s.mean,
-                sd=s.se,
-            )
+            else:
+                grid.append(((label, float(phi)), spec))
+    points = [
+        SweepPoint(sit_label, phi, s.estimator, s.mean / n, *_rel_band(s, n), s.mean, s.se)
+        for (sit_label, phi), s in _grid_study(
+            grid, replicates, seed, estimators, delta_mode, PURPOSE_SWEEP
         )
+    ]
     return SweepResult(points=tuple(points), skipped=tuple(skipped))

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -186,6 +187,16 @@ class TestSimulateCommand:
         assert exc.value.code == 1
         assert "unrecognized arguments: --workers 3" in capsys.readouterr().err
 
+    def test_population_beyond_exact_doubles_is_usage_error(self, tmp_path, capsys):
+        config = json.loads(Path(self._config_path(tmp_path)).read_text())
+        for n in (2**53, 10**19):
+            config["populations"][0]["N"] = n
+            path = tmp_path / "huge.json"
+            path.write_text(json.dumps(config))
+            code, out, err = run_cli(["simulate", "--config", str(path)], capsys)
+            assert code == 1 and out == ""
+            assert err.startswith("dualrec: error: population size must be")
+
     def test_malformed_config_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{this is not json")
@@ -252,6 +263,24 @@ class TestReproduceCommand:
         assert all(math.isfinite(s) for s in slopes.values())
         assert 0.0 < slopes[("S1", "dse")] < 1.0
 
+    @pytest.mark.parametrize("svg", [False, True])
+    def test_spread_figure_leaves_zero_spreads_out_of_the_plot(self, tmp_path, capsys, svg):
+        # At two replicates some grid points have equal estimates, so sd = 0
+        # and ln sd is undefined; their CSV rows stay, the plot leaves them out.
+        svg_path = tmp_path / "fig1.svg"
+        args = ["reproduce", "--target", "fig1", "--replicates", "2", "--seed", "1"]
+        code, out, err = run_cli(args + (["--svg", str(svg_path)] if svg else []), capsys)
+        assert code == 0 and err == ""
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert len(rows) == 4 * 10 * 2
+        positive = sum(float(row[4]) > 0 for row in rows)
+        assert 0 < positive < len(rows)
+        if svg:
+            plotted = re.findall(r'<polyline points="([^"]*)"', svg_path.read_text())
+            assert sum(len(points.split()) for points in plotted) == positive
+        else:
+            assert not svg_path.exists()
+
     def test_band_figure_with_svg(self, tmp_path, capsys):
         svg_path = tmp_path / "bands.svg"
         csv_path = tmp_path / "bands.csv"
@@ -282,13 +311,19 @@ class TestReproduceCommand:
         # 4 situations x 11 effect values - 2 skipped, for each of 2 estimators
         assert len(lines) == 1 + 42 * 2 + 2
 
-    def test_svg_rejected_for_table_targets(self, tmp_path, capsys):
-        code, _, err = run_cli(
-            ["reproduce", "--target", "table2", "--svg", str(tmp_path / "x.svg")],
-            capsys,
-        )
-        assert code == 1
-        assert "figure targets" in err
+    def test_svg_rejected_for_table_targets(self, tmp_path, capsys, monkeypatch):
+        def no_study(*args, **kwargs):
+            raise AssertionError("the study ran before --svg was checked")
+
+        monkeypatch.setattr(cli, "run_study", no_study)
+        for target in ("table2", "table3"):
+            code, out, err = run_cli(
+                ["reproduce", "--target", target, "--svg", str(tmp_path / "x.svg")],
+                capsys,
+            )
+            assert code == 1 and out == ""
+            assert "figure targets" in err
+        assert not (tmp_path / "x.svg").exists()
 
 
 class TestEntryPoints:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from dualrec import kernels
 from dualrec.kernels import (
-    adpl_mtb_derivative,
     log_adpl_mt,
     log_adpl_mt_step,
     log_adpl_mtb,
@@ -244,7 +243,3 @@ class TestBoundaryBehavior:
             warnings.simplefilter("error")
             assert log_mpl_mt(8.0, t) == -math.inf
             assert math.isfinite(log_profile_mt(8.0, t))
-
-    def test_continuous_derivative_brackets_the_discrete_argmax(self):
-        assert adpl_mtb_derivative(105.0, T, 0.99) > 0
-        assert adpl_mtb_derivative(130.0, T, 0.99) < 0

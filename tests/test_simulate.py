@@ -18,11 +18,9 @@ from dualrec.simulate import (
     TABLE2_POPULATIONS,
     PopulationSpec,
     StudyConfig,
-    Substream,
     coverage_bands,
     robustness_sweep,
     run_study,
-    sample_table,
     sample_tables,
     se_scaling_study,
     summaries_to_csv,
@@ -59,6 +57,11 @@ class TestPopulationSpec:
             PopulationSpec("bad", 0, 0.5, 0.65, 1.25)
         with pytest.raises(ValidationError):
             PopulationSpec("bad", 500.0, 0.5, 0.65, 1.25)
+        # Cell counts are estimated as doubles, exact only below 2**53.
+        assert PopulationSpec("edge", 2**53 - 1, 0.5, 0.65, 1.25).n == 2**53 - 1
+        for n in (2**53, 10**19):
+            with pytest.raises(ValidationError, match="below 2\\*\\*53"):
+                PopulationSpec("big", n, 0.5, 0.65, 1.25)
 
     def test_resizing_keeps_probabilities(self):
         resized = P1.with_n(800)
@@ -112,12 +115,8 @@ class TestSampling:
     def test_single_draw_equals_batch_row(self):
         x11, x10, x01 = sample_tables(P1, DEFAULT_SEED, PURPOSE_STUDY, 0, 10)
         for r in (0, 4, 9):
-            t = sample_table(P1, Substream(DEFAULT_SEED, PURPOSE_STUDY, 0, r))
-            assert (t.x11, t.x10, t.x01) == (int(x11[r]), int(x10[r]), int(x01[r]))
-
-    def test_substream_defaults(self):
-        s = Substream(7)
-        assert (s.purpose, s.unit, s.replicate) == (PURPOSE_STUDY, 0, 0)
+            one = sample_tables(P1, DEFAULT_SEED, PURPOSE_STUDY, 0, 1, start=r)
+            assert tuple(int(c[0]) for c in one) == (int(x11[r]), int(x10[r]), int(x01[r]))
 
     def test_mean_distinct_count_matches_expectation(self):
         count = 20000
@@ -238,6 +237,13 @@ class TestScalingStudy:
     def test_grid_must_increase(self):
         with pytest.raises(ValidationError):
             se_scaling_study(n_grid=(100, 100), replicates=10)
+
+    def test_slope_needs_two_positive_spreads(self):
+        result = se_scaling_study(
+            situations=SCALING_SITUATIONS[:1], n_grid=(100,), replicates=10
+        )
+        assert result.point("S1", "dse", 100).sd > 0
+        assert math.isnan(result.slope("S1", "dse"))
 
 
 class TestCoverageBands:
