@@ -11,8 +11,8 @@ estimation error (undefined estimate, infeasible adjustment, or no finite
 maximum).
 
 Study CSV output uses the fixed header
-``population,estimator,mean,se,rmse,ci_low,ci_high,failures`` plus a
-``delta_used`` column populated on adjusted-profile rows. Rows labeled
+``population,estimator,mean,se,rmse,ci_low,ci_high,failures,delta_used``;
+``delta_used`` is populated on adjusted-profile rows only. Rows labeled
 ``lee-published-reference`` are transcribed comparison values from the
 bundled reference file, never computed here.
 """
@@ -169,7 +169,7 @@ def cmd_estimate(args) -> int:
 def cmd_simulate(args) -> int:
     config = StudyConfig.from_json(Path(args.config).read_text())
     summaries = run_study(config)
-    _write_out(summaries_to_csv(summaries, include_delta=True), args.out)
+    _write_out(summaries_to_csv(summaries), args.out)
     return EXIT_OK
 
 
@@ -202,9 +202,8 @@ def _reproduce_study_table(populations, seed: int, replicates: int) -> str:
         estimators=estimators,
         replicates=replicates,
         seed=seed,
-        delta_mode="candidate",
     )
-    rows = summaries_to_csv(run_study(config), include_delta=True).splitlines()
+    rows = summaries_to_csv(run_study(config)).splitlines()
     reference = load_published_reference()["study_summaries"]
     lines = rows[:1]
     per_pop = len(estimators)

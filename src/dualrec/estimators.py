@@ -25,9 +25,10 @@ Adjustment policies (textual forms): ``fixed:<v>`` uses the constant v;
 delta = 1 - k*(1-c_hat)/N with c_hat = x11/x1. For the N-dependent policies
 the estimate is the self-consistent fixed point N_hat = argmax_N l(N;
 delta(N_hat)), found by iterating from the dual-system estimate
-("candidate" mode, the default). In simulation settings an "oracle" mode is
-also available in which delta is evaluated once at the known generating N;
-the two modes genuinely differ and study output reports both on request.
+("candidate" mode). In simulation settings the ``@oracle`` descriptor suffix
+selects "oracle" mode, in which delta is evaluated once at the known
+generating N (``oracle_n`` of the adjusted solvers); the two modes genuinely
+differ, and the study tables report both.
 
 Each method has two solvers in one registry (``_METHODS``):
 :meth:`EstimatorSpec.estimate` solves one table, and
@@ -495,8 +496,7 @@ def _delta_or_reject(
 def _adpl_point(
     table: DualRecordTable,
     policy: DeltaPolicy,
-    delta_mode: str,
-    true_n: float | None,
+    oracle_n: float | None,
     method: str,
     lower: int,
     require_delta_below_one: bool,
@@ -504,20 +504,15 @@ def _adpl_point(
     """Shared solver for the adjusted-profile estimators; ``method`` names the kernel."""
     if table.x1_dot == 0:
         raise UndefinedEstimateError("adjusted profile estimation requires x1. >= 1")
-    if delta_mode not in ("candidate", "oracle"):
-        raise ValidationError(f"delta_mode must be 'candidate' or 'oracle', got {delta_mode!r}")
 
     def solve(delta: float) -> int:
         return _argmax(lambda m: kernels.step_sign(method, m, table, delta), lower, method)
 
     note = None
-    if not policy.requires_n():
-        delta_used = _delta_or_reject(policy, 1.0, table, require_delta_below_one)
-        n_hat = solve(delta_used)
-    elif delta_mode == "oracle":
-        if true_n is None:
-            raise ValidationError("oracle delta mode requires true_n")
-        delta_used = _delta_or_reject(policy, float(true_n), table, require_delta_below_one)
+    if oracle_n is not None or not policy.requires_n():
+        # One solve: delta at the given size, or the fixed policy's constant.
+        at = 1.0 if oracle_n is None else float(oracle_n)
+        delta_used = _delta_or_reject(policy, at, table, require_delta_below_one)
         n_hat = solve(delta_used)
     else:
         # Self-consistent fixed point: iterate N -> argmax at delta(N) from
@@ -559,8 +554,7 @@ def mle_adpl_mtb(
     table: DualRecordTable,
     policy: DeltaPolicy,
     *,
-    delta_mode: str = "candidate",
-    true_n: float | None = None,
+    oracle_n: float | None = None,
 ) -> EstimateReport:
     """Integer maximizer of the behavioral-model adjusted profile likelihood.
 
@@ -574,15 +568,14 @@ def mle_adpl_mtb(
     Args:
         table: observed table with x1. >= 1.
         policy: adjustment policy.
-        delta_mode: "candidate" (self-consistent fixed point, default) or
-            "oracle" (delta evaluated at ``true_n``).
-        true_n: generating population size, required in oracle mode.
+        oracle_n: when given, delta is evaluated once at this size (oracle
+            mode); otherwise N-dependent policies use the self-consistent
+            fixed point.
     """
     return _adpl_point(
         table,
         policy,
-        delta_mode,
-        true_n,
+        oracle_n,
         "adpl-mtb",
         lower=table.x0 + 1,
         require_delta_below_one=True,
@@ -593,8 +586,7 @@ def mle_adpl_mt(
     table: DualRecordTable,
     policy: DeltaPolicy,
     *,
-    delta_mode: str = "candidate",
-    true_n: float | None = None,
+    oracle_n: float | None = None,
 ) -> EstimateReport:
     """Integer maximizer of the independence-model adjusted profile likelihood.
 
@@ -605,7 +597,7 @@ def mle_adpl_mt(
     rejected up front, where the closed form settles divergence without a
     search to the ceiling. The N-dependent policies produce delta <= 1;
     with x11 = 0 the kernel can still rise past HARD_CEILING, which is
-    reported as no finite maximum.
+    reported as no finite maximum. ``oracle_n`` is as in :func:`mle_adpl_mtb`.
     """
     if not policy.requires_n() and 2.0 * (policy.delta(1.0, table) - 1.0) >= table.x11:
         d = policy.delta(1.0, table)
@@ -617,8 +609,7 @@ def mle_adpl_mt(
     return _adpl_point(
         table,
         policy,
-        delta_mode,
-        true_n,
+        oracle_n,
         "adpl-mt",
         lower=table.x0,
         require_delta_below_one=False,
@@ -659,14 +650,14 @@ def _dse_values(tables: TableArrays) -> np.ndarray:
     return r
 
 
-def _dse_batch(tables: TableArrays, policy, mode, true_n) -> BatchEstimate:
+def _dse_batch(tables: TableArrays, *_) -> BatchEstimate:
     n_hat = np.full(tables.x11.size, np.nan)
     rows = tables.x11 > 0
     n_hat[rows] = _dse_values(tables.take(rows))
     return BatchEstimate(n_hat)
 
 
-def _pl_mtb_batch(tables: TableArrays, policy, mode, true_n) -> BatchEstimate:
+def _pl_mtb_batch(tables: TableArrays, *_) -> BatchEstimate:
     return BatchEstimate(np.where(tables.x0 > 0, tables.x0 + 1.0, np.nan))
 
 
@@ -716,11 +707,9 @@ def _fixed_point_batch(solve, start: np.ndarray) -> np.ndarray:
 
 
 def _adpl_batch(
-    kind: str, tables: TableArrays, policy: DeltaPolicy, mode: str, true_n: float | None
+    kind: str, tables: TableArrays, policy: DeltaPolicy, oracle_n: float | None
 ) -> BatchEstimate:
     """Row-by-row :func:`mle_adpl_mtb` ("adpl-mtb") or :func:`mle_adpl_mt` ("adpl-mt")."""
-    if mode not in ("candidate", "oracle"):
-        raise ValidationError(f"delta_mode must be 'candidate' or 'oracle', got {mode!r}")
     below_one = kind == "adpl-mtb"
     ok = tables.x1_dot > 0
     if kind == "adpl-mt" and not policy.requires_n():
@@ -736,17 +725,11 @@ def _adpl_batch(
         found[good] = _argmax_batch(kind, t.take(idx[good]), lower[idx[good]], d[good])
         return found
 
-    all_rows = np.arange(rows.size)
-    if not policy.requires_n() or mode == "oracle":
-        if not policy.requires_n():
-            at = np.ones(rows.size)
-        elif true_n is None:
-            raise ValidationError("oracle delta mode requires true_n")
-        elif true_n <= 0:
-            raise ValidationError(f"{policy.variant} policy requires a positive N, got {true_n}")
-        else:
-            at = np.full(rows.size, float(true_n))
-        found = solve(all_rows, at)
+    if oracle_n is not None or not policy.requires_n():
+        if policy.requires_n() and oracle_n <= 0:
+            raise ValidationError(f"{policy.variant} policy requires a positive N, got {oracle_n}")
+        at = np.full(rows.size, 1.0 if oracle_n is None else float(oracle_n))
+        found = solve(np.arange(rows.size), at)
     else:
         anchor = 2.0 * t.x0
         overlap = t.x11 > 0
@@ -765,8 +748,8 @@ def _adpl_batch(
 class _Method(NamedTuple):
     """One estimation method: its single-table and replicate-array solvers.
 
-    Both take (table or TableArrays, policy, delta mode, true_n); the batch
-    solver's rows equal the single-table solver's reports.
+    Both take (table or TableArrays, policy, oracle_n); the batch solver's
+    rows equal the single-table solver's reports.
     """
 
     solve: Callable[..., EstimateReport]
@@ -776,8 +759,8 @@ class _Method(NamedTuple):
 
 def _adpl_method(fn, kind: str) -> _Method:
     return _Method(
-        lambda table, policy, mode, true_n: fn(table, policy, delta_mode=mode, true_n=true_n),
-        lambda tables, policy, mode, true_n: _adpl_batch(kind, tables, policy, mode, true_n),
+        lambda table, policy, oracle_n: fn(table, policy, oracle_n=oracle_n),
+        lambda tables, policy, oracle_n: _adpl_batch(kind, tables, policy, oracle_n),
         needs_policy=True,
     )
 
@@ -809,8 +792,10 @@ class EstimatorSpec:
     Descriptor grammar: ``<method>[:<policy>][@oracle]`` where method is one
     of dse, pl-mt, mpl-mt, pl-mtb, adpl-mtb, adpl-mt and policy is a
     :class:`DeltaPolicy` textual form (required for the adjusted-profile
-    methods, forbidden otherwise). The ``@oracle`` suffix forces oracle delta
-    mode for this estimator regardless of the study-wide setting.
+    methods, forbidden otherwise). The ``@oracle`` suffix, the only switch
+    for oracle delta mode, evaluates an N-dependent policy once at the
+    generating size ``true_n`` instead of at the self-consistent fixed point.
+    Other specs ignore ``true_n``.
     """
 
     method: str
@@ -841,26 +826,19 @@ class EstimatorSpec:
             text += "@oracle"
         return text
 
-    def estimate(
-        self,
-        table: DualRecordTable,
-        *,
-        delta_mode: str = "candidate",
-        true_n: float | None = None,
-    ) -> EstimateReport:
-        """Apply this estimator to a table."""
-        mode = "oracle" if self.oracle else delta_mode
-        return _METHODS[self.method].solve(table, self.policy, mode, true_n)
+    def _oracle_n(self, true_n: float | None) -> float | None:
+        """The size the solver evaluates delta at: ``true_n`` in oracle mode, else None."""
+        if not (self.oracle and self.policy is not None and self.policy.requires_n()):
+            return None
+        if true_n is None:
+            raise ValidationError(f"{self.label}: oracle delta mode needs the generating true_n")
+        return true_n
 
-    def estimate_batch(
-        self,
-        x11,
-        x10,
-        x01,
-        *,
-        delta_mode: str = "candidate",
-        true_n: float | None = None,
-    ) -> BatchEstimate:
+    def estimate(self, table: DualRecordTable, *, true_n: float | None = None) -> EstimateReport:
+        """Apply this estimator to a table."""
+        return _METHODS[self.method].solve(table, self.policy, self._oracle_n(true_n))
+
+    def estimate_batch(self, x11, x10, x01, *, true_n: float | None = None) -> BatchEstimate:
         """Apply this estimator to every replicate table: row i is (x11[i], x10[i], x01[i]).
 
         Row by row the result equals :meth:`estimate` on that table: the same
@@ -871,9 +849,8 @@ class EstimatorSpec:
         ``adpl-mtb:scaled:1.25`` on (50, 30, 20)), so this is the path for
         replicate arrays only.
         """
-        mode = "oracle" if self.oracle else delta_mode
         tables = TableArrays.from_cells(x11, x10, x01)
-        return _METHODS[self.method].solve_batch(tables, self.policy, mode, true_n)
+        return _METHODS[self.method].solve_batch(tables, self.policy, self._oracle_n(true_n))
 
 
 def parse_estimator(descriptor: str) -> EstimatorSpec:
@@ -905,8 +882,6 @@ def parametric_bootstrap(
     estimator: EstimatorSpec | str,
     b: int = 500,
     seed: int = DEFAULT_SEED,
-    *,
-    true_n: float | None = None,
 ) -> BootstrapResult:
     """Parametric bootstrap standard error and 95% percentile interval.
 
@@ -924,7 +899,7 @@ def parametric_bootstrap(
     if b < 2:
         raise ValidationError(f"bootstrap needs at least 2 replicates, got {b}")
     spec = parse_estimator(estimator) if isinstance(estimator, str) else estimator
-    fit = spec.estimate(table, true_n=true_n)
+    fit = spec.estimate(table)
     if fit.p1_hat is None or not 0.0 < fit.p_hat < 1.0 or not 0.0 < fit.c_hat < 1.0:
         raise EstimationError(
             "bootstrap unavailable: fitted nuisance values do not define a valid generating model"
@@ -936,7 +911,7 @@ def parametric_bootstrap(
         raise EstimationError(f"bootstrap unavailable: {exc}") from exc
     cells = cell_probs_mtb(params).as_tuple()
     u = uniforms(seed, PURPOSE_BOOTSTRAP, 0, b)
-    batch = spec.estimate_batch(*draw_tables(n0, cells, u), true_n=true_n)
+    batch = spec.estimate_batch(*draw_tables(n0, cells, u))
     arr = batch.n_hat[batch.ok]
     failures = b - arr.size
     if arr.size < 2:

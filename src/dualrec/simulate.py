@@ -75,7 +75,23 @@ __all__ = [
     "SweepResult",
 ]
 
-CSV_HEADER = "population,estimator,mean,se,rmse,ci_low,ci_high,failures"
+CSV_HEADER = "population,estimator,mean,se,rmse,ci_low,ci_high,failures,delta_used"
+
+
+def _integer(value, what: str) -> int:
+    """A JSON count: an integer, or an integral float such as 1e6, never a bool."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _number(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
 
 
 @dataclass(frozen=True)
@@ -85,8 +101,10 @@ class PopulationSpec:
     The second-list marginal capture probability p.1 is the specification
     input; the first-capture probability p is derived from it, so an
     infeasible combination (derived p outside (0,1), or recapture
-    probability phi*p >= 1) is rejected at construction. N must lie below
-    2**53, the bound the estimators put on cell counts.
+    probability phi*p >= 1) is rejected at construction. N is at most
+    10**9: the sampler's CDF window grows as sqrt(N) (a study at 1e9 samples
+    in under 64 MB), and above HARD_CEILING = 1e8 every likelihood estimator
+    already reports no finite maximum.
     """
 
     label: str
@@ -96,9 +114,9 @@ class PopulationSpec:
     phi: float
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.n, int) and 1 <= self.n < 2**53):
+        if not (isinstance(self.n, int) and 1 <= self.n <= 10**9):
             raise ValidationError(
-                f"population size must be a positive integer below 2**53, got {self.n!r}"
+                f"population size must be a positive integer up to 10**9, got {self.n!r}"
             )
         # Full feasibility check: raises FeasibilityError on a bad combination.
         self.params()
@@ -127,13 +145,15 @@ class PopulationSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PopulationSpec":
+        if not isinstance(data, dict):
+            raise ValidationError(f"population entry must be an object, got {data!r}")
         try:
             return cls(
                 label=str(data["label"]),
-                n=int(data["N"]),
-                p1_dot=float(data["p1"]),
-                p_dot1=float(data["p_dot1"]),
-                phi=float(data["phi"]),
+                n=_integer(data["N"], "population size N"),
+                p1_dot=_number(data["p1"], "p1"),
+                p_dot1=_number(data["p_dot1"], "p_dot1"),
+                phi=_number(data["phi"], "phi"),
             )
         except KeyError as exc:
             raise ValidationError(f"population entry missing key {exc}") from exc
@@ -172,31 +192,30 @@ DEFAULT_PHI_GRID: tuple[float, ...] = tuple(0.5 + 0.25 * i for i in range(11))
 DEFAULT_N_GRID: tuple[int, ...] = tuple(range(100, 1001, 100))
 
 
+_CONFIG_KEYS = ("populations", "estimators", "replicates", "seed")
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     """Study description: populations x estimators at a replicate count.
 
     JSON form (exactly these keys):
         {"populations": [{"label", "N", "p1", "p_dot1", "phi"}, ...],
-         "estimators": [str, ...], "replicates": int, "seed": int,
-         "delta_mode": "candidate" | "oracle"}
+         "estimators": [str, ...], "replicates": int, "seed": int}
+    An estimator runs in oracle delta mode when its descriptor ends in
+    ``@oracle``; there is no study-wide mode.
     """
 
     populations: tuple[PopulationSpec, ...]
     estimators: tuple[str, ...]
     replicates: int
     seed: int
-    delta_mode: str = "candidate"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "populations", tuple(self.populations))
         object.__setattr__(self, "estimators", tuple(self.estimators))
         if self.replicates < 2:
             raise ValidationError(f"replicates must be >= 2, got {self.replicates}")
-        if self.delta_mode not in ("candidate", "oracle"):
-            raise ValidationError(
-                f"delta_mode must be 'candidate' or 'oracle', got {self.delta_mode!r}"
-            )
         if not self.populations:
             raise ValidationError("study needs at least one population")
         if not self.estimators:
@@ -211,7 +230,6 @@ class StudyConfig:
                 "estimators": list(self.estimators),
                 "replicates": self.replicates,
                 "seed": self.seed,
-                "delta_mode": self.delta_mode,
             },
             indent=2,
         )
@@ -222,18 +240,24 @@ class StudyConfig:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"config is not valid JSON: {exc}") from exc
-        try:
-            return cls(
-                populations=tuple(
-                    PopulationSpec.from_json_dict(p) for p in data["populations"]
-                ),
-                estimators=tuple(str(e) for e in data["estimators"]),
-                replicates=int(data["replicates"]),
-                seed=int(data["seed"]),
-                delta_mode=str(data.get("delta_mode", "candidate")),
+        if not isinstance(data, dict):
+            raise ValidationError("config must be a JSON object")
+        if set(data) != set(_CONFIG_KEYS):
+            raise ValidationError(
+                f"config keys must be exactly {list(_CONFIG_KEYS)}, got {sorted(data)}; "
+                "oracle delta mode is chosen per estimator by the @oracle suffix"
             )
-        except KeyError as exc:
-            raise ValidationError(f"config missing key {exc}") from exc
+        populations, estimators = data["populations"], data["estimators"]
+        if not isinstance(populations, list):
+            raise ValidationError(f"populations must be a list, got {populations!r}")
+        if not (isinstance(estimators, list) and all(isinstance(e, str) for e in estimators)):
+            raise ValidationError(f"estimators must be a list of strings, got {estimators!r}")
+        return cls(
+            populations=tuple(PopulationSpec.from_json_dict(p) for p in populations),
+            estimators=tuple(estimators),
+            replicates=_integer(data["replicates"], "replicates"),
+            seed=_integer(data["seed"], "seed"),
+        )
 
 
 @dataclass(frozen=True)
@@ -328,8 +352,7 @@ def run_study(config: StudyConfig, *, purpose: int = PURPOSE_STUDY) -> list[Stud
     for pi, pop in enumerate(config.populations):
         x11, x10, x01 = sample_tables(pop, config.seed, purpose, pi, config.replicates)
         for est in specs:
-            mode = "oracle" if (est.oracle or config.delta_mode == "oracle") else "candidate"
-            batch = est.estimate_batch(x11, x10, x01, delta_mode=mode, true_n=pop.n)
+            batch = est.estimate_batch(x11, x10, x01, true_n=pop.n)
             out.append(_summarize(pop.label, est.label, batch, config.replicates, pop.n))
     return out
 
@@ -340,24 +363,18 @@ def _fmt(value: float | None) -> str:
     return repr(float(value))
 
 
-def summaries_to_csv(
-    summaries: list[StudySummary], *, include_delta: bool = False
-) -> str:
-    """Render summaries as CSV text with the fixed eight-column header.
+def summaries_to_csv(summaries: list[StudySummary]) -> str:
+    """Render summaries as CSV text under the fixed nine-column CSV_HEADER.
 
-    With ``include_delta`` a ninth ``delta_used`` column is appended,
-    populated only on rows from adjusted-profile estimators.
+    The last column, ``delta_used``, is populated only on rows from
+    adjusted-profile estimators.
     """
-    header = CSV_HEADER + (",delta_used" if include_delta else "")
-    lines = [header]
+    lines = [CSV_HEADER]
     for s in summaries:
-        row = (
+        lines.append(
             f"{s.population},{s.estimator},{_fmt(s.mean)},{_fmt(s.se)},{_fmt(s.rmse)},"
-            f"{_fmt(s.ci_low)},{_fmt(s.ci_high)},{s.failures}"
+            f"{_fmt(s.ci_low)},{_fmt(s.ci_high)},{s.failures},{_fmt(s.delta_used)}"
         )
-        if include_delta:
-            row += f",{_fmt(s.delta_used)}"
-        lines.append(row)
     return "\n".join(lines) + "\n"
 
 
@@ -397,7 +414,6 @@ def _grid_study(
     replicates: int,
     seed: int,
     estimators,
-    delta_mode: str,
     purpose: int,
 ) -> list[tuple[object, StudySummary]]:
     """Run one study over the (meta, population) grid; (meta, summary) pairs.
@@ -410,7 +426,6 @@ def _grid_study(
         estimators=tuple(estimators),
         replicates=replicates,
         seed=seed,
-        delta_mode=delta_mode,
     )
     n_est = len(config.estimators)
     return [(grid[i // n_est][0], s) for i, s in enumerate(run_study(config, purpose=purpose))]
@@ -437,8 +452,6 @@ def se_scaling_study(
     replicates: int = 200,
     seed: int = DEFAULT_SEED,
     estimators=("dse", "adpl-mtb:scaled:1.25"),
-    *,
-    delta_mode: str = "candidate",
 ) -> ScalingResult:
     """Sampling s.d. versus population size, with log-log growth exponents.
 
@@ -451,8 +464,7 @@ def se_scaling_study(
     points = [
         ScalingPoint(sit_label, s.estimator, n, s.mean, s.se)
         for (sit_label, n), s in _grid_study(
-            _size_grid(situations, n_grid), replicates, seed, estimators,
-            delta_mode, PURPOSE_SCALING,
+            _size_grid(situations, n_grid), replicates, seed, estimators, PURPOSE_SCALING
         )
     ]
     est_labels = [parse_estimator(e).label for e in estimators]
@@ -495,8 +507,6 @@ def coverage_bands(
     replicates: int = 200,
     seed: int = DEFAULT_SEED,
     estimators=("dse", "adpl-mtb:scaled:1.25"),
-    *,
-    delta_mode: str = "candidate",
 ) -> list[BandPoint]:
     """Relative confidence bands across a size grid.
 
@@ -507,8 +517,7 @@ def coverage_bands(
     return [
         BandPoint(pop_label, s.estimator, n, s.mean, s.se, *_rel_band(s, n))
         for (pop_label, n), s in _grid_study(
-            _size_grid(populations, n_grid), replicates, seed, estimators,
-            delta_mode, PURPOSE_BANDS,
+            _size_grid(populations, n_grid), replicates, seed, estimators, PURPOSE_BANDS
         )
     ]
 
@@ -540,8 +549,6 @@ def robustness_sweep(
     replicates: int = 200,
     seed: int = DEFAULT_SEED,
     estimators=("dse", "adpl-mtb:scaled:1.25"),
-    *,
-    delta_mode: str = "candidate",
 ) -> SweepResult:
     """Estimator behavior across a grid of behavioral-effect values.
 
@@ -562,8 +569,6 @@ def robustness_sweep(
                 grid.append(((label, float(phi)), spec))
     points = [
         SweepPoint(sit_label, phi, s.estimator, s.mean / n, *_rel_band(s, n), s.mean, s.se)
-        for (sit_label, phi), s in _grid_study(
-            grid, replicates, seed, estimators, delta_mode, PURPOSE_SWEEP
-        )
+        for (sit_label, phi), s in _grid_study(grid, replicates, seed, estimators, PURPOSE_SWEEP)
     ]
     return SweepResult(points=tuple(points), skipped=tuple(skipped))

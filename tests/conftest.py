@@ -44,7 +44,7 @@ def reference_draw_binomial(n: np.ndarray, p: float, u: np.ndarray) -> np.ndarra
     return out
 
 
-def scalar_estimate_batch(spec, x11, x10, x01, *, delta_mode="candidate", true_n=None):
+def scalar_estimate_batch(spec, x11, x10, x01, *, true_n=None):
     """Reference for ``EstimatorSpec.estimate_batch``: ``estimate`` on each row alone.
 
     A row fails (NaN) where ``estimate`` raises EstimationError or the table
@@ -55,9 +55,7 @@ def scalar_estimate_batch(spec, x11, x10, x01, *, delta_mode="candidate", true_n
         try:
             if not sum(cells):
                 raise EstimationError("all-zero table")
-            rep = spec.estimate(
-                DualRecordTable(*map(int, cells)), delta_mode=delta_mode, true_n=true_n
-            )
+            rep = spec.estimate(DualRecordTable(*map(int, cells)), true_n=true_n)
         except EstimationError:
             n_hat.append(math.nan)
             deltas.append(math.nan)

@@ -363,9 +363,9 @@ def test_studies_byte_identical_across_reruns_and_batch_composition(monkeypatch)
         replicates=80,
         seed=DEFAULT_SEED,
     )
-    baseline = summaries_to_csv(run_study(config), include_delta=True)
+    baseline = summaries_to_csv(run_study(config))
     failures = []
-    if summaries_to_csv(run_study(config), include_delta=True) != baseline:
+    if summaries_to_csv(run_study(config)) != baseline:
         failures.append("rerun differs from first run")
     cells = sample_tables(TABLE2_POPULATIONS[0], DEFAULT_SEED, PURPOSE_STUDY, 0, 80)
     for descriptor in config.estimators:
@@ -378,7 +378,7 @@ def test_studies_byte_identical_across_reruns_and_batch_composition(monkeypatch)
         if not np.array_equal(whole, halves, equal_nan=True):
             failures.append(f"{descriptor}: halves estimated apart differ from one batch")
     monkeypatch.setattr(EstimatorSpec, "estimate_batch", scalar_estimate_batch)
-    if summaries_to_csv(run_study(config), include_delta=True) != baseline:
+    if summaries_to_csv(run_study(config)) != baseline:
         failures.append("per-replicate scalar estimates give a different CSV")
     print(f"  {len(baseline.splitlines())} CSV lines compared across 3 runs")
     _verdict("byte-identical determinism", failures)

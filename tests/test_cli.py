@@ -16,6 +16,11 @@ TABLE_JSON = '{"x11": 50, "x10": 30, "x01": 20}\n'
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
+def _first_population(config, **values):
+    """``config`` with ``values`` set on its first population entry."""
+    return {**config, "populations": [{**config["populations"][0], **values}]}
+
+
 def run_cli(args, capsys):
     code = cli.main(args)
     captured = capsys.readouterr()
@@ -176,7 +181,7 @@ class TestSimulateCommand:
         assert code == 0
         text = out_path.read_text()
         lines = text.strip().split("\n")
-        assert lines[0] == CSV_HEADER + ",delta_used"
+        assert lines[0] == CSV_HEADER
         assert len(lines) == 3
         assert lines[1].startswith("P1,dse,")
         code, stdout, _ = run_cli(["simulate", "--config", config], capsys)
@@ -189,7 +194,7 @@ class TestSimulateCommand:
 
     def test_population_beyond_exact_doubles_is_usage_error(self, tmp_path, capsys):
         config = json.loads(Path(self._config_path(tmp_path)).read_text())
-        for n in (2**53, 10**19):
+        for n in (10**9 + 1, 2**53, 10**19):
             config["populations"][0]["N"] = n
             path = tmp_path / "huge.json"
             path.write_text(json.dumps(config))
@@ -203,6 +208,52 @@ class TestSimulateCommand:
         code, _, err = run_cli(["simulate", "--config", str(path)], capsys)
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda c: _first_population(c, N=500.7), "N must be an integer"),
+            (lambda c: _first_population(c, N="many"), "N must be an integer"),
+            (lambda c: _first_population(c, N=True), "N must be an integer"),
+            (lambda c: _first_population(c, p1="0.5"), "p1 must be a number"),
+            (lambda c: {**c, "replicates": 5.9}, "replicates must be an integer"),
+            (lambda c: {**c, "replicates": "ten"}, "replicates must be an integer"),
+            (lambda c: {**c, "seed": 1.5}, "seed must be an integer"),
+            (lambda c: [c], "config must be a JSON object"),
+            (lambda c: {**c, "populations": None}, "populations must be a list"),
+            (lambda c: {**c, "populations": [7]}, "population entry must be an object"),
+            (lambda c: {**c, "estimators": "dse"}, "estimators must be a list"),
+            (lambda c: {**c, "delta_mode": "oracle"}, "@oracle"),
+            (lambda c: {**c, "delta_mode": "candidate"}, "@oracle"),
+            (lambda c: {**c, "delta_mod": "oracle"}, "@oracle"),
+        ],
+        ids=[
+            "fractional-N", "string-N", "bool-N", "string-p1", "fractional-replicates",
+            "string-replicates", "fractional-seed", "top-level-array", "null-populations",
+            "number-population", "string-estimators", "study-wide-oracle",
+            "study-wide-candidate", "unknown-key",
+        ],
+    )
+    def test_malformed_config_values_are_usage_errors(
+        self, edit, message, tmp_path, capsys, monkeypatch
+    ):
+        # Rejected while reading the config: no study runs.
+        monkeypatch.setattr(cli, "run_study", lambda *a, **k: pytest.fail("study ran"))
+        config = json.loads(Path(self._config_path(tmp_path)).read_text())
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(edit(config)))
+        code, out, err = run_cli(["simulate", "--config", str(path)], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("dualrec: error:") and message in err
+
+    def test_integral_float_counts_are_accepted(self, tmp_path, capsys):
+        config = json.loads(Path(self._config_path(tmp_path)).read_text())
+        _, want, _ = run_cli(["simulate", "--config", self._config_path(tmp_path)], capsys)
+        config["populations"][0]["N"] = 5e2
+        config["replicates"] = 3e1
+        path = tmp_path / "floats.json"
+        path.write_text(json.dumps(config))
+        assert run_cli(["simulate", "--config", str(path)], capsys) == (0, want, "")
 
 
 class TestReproduceCommand:
@@ -222,7 +273,7 @@ class TestReproduceCommand:
         )
         assert code == 0
         lines = out.strip().split("\n")
-        assert lines[0] == CSV_HEADER + ",delta_used"
+        assert lines[0] == CSV_HEADER
         assert len(lines) == 1 + 4 * 8  # 7 computed + 1 reference row per population
         block = [line.split(",") for line in lines[1:9]]
         assert [row[1] for row in block] == [

@@ -247,20 +247,18 @@ class TestDeltaModes:
         assert again.n_hat_integer == 112
 
     def test_oracle_mode_requires_the_generating_size(self):
-        with pytest.raises(ValidationError):
-            mle_adpl_mtb(T, DeltaPolicy.scaled(1.25), delta_mode="oracle")
+        with pytest.raises(ValidationError, match="true_n"):
+            parse_estimator("adpl-mtb:scaled:1.25@oracle").estimate(T)
+        # The solvers take the size as oracle_n; the old keyword fails loudly
+        # instead of silently selecting or ignoring oracle mode.
+        with pytest.raises(TypeError):
+            mle_adpl_mtb(T, DeltaPolicy.scaled(1.25), true_n=500.0)
 
     def test_oracle_mode_equals_fixed_delta_at_the_generating_size(self):
-        oracle = mle_adpl_mtb(
-            T, DeltaPolicy.scaled(1.25), delta_mode="oracle", true_n=500.0
-        )
+        oracle = mle_adpl_mtb(T, DeltaPolicy.scaled(1.25), oracle_n=500.0)
         fixed = mle_adpl_mtb(T, DeltaPolicy.fixed(1.0 - 1.25 / 500.0))
         assert oracle.n_hat_integer == fixed.n_hat_integer
         assert oracle.delta_used == 1.0 - 1.25 / 500.0
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValidationError):
-            mle_adpl_mtb(T, DeltaPolicy.fixed(0.9), delta_mode="exact")
 
 
 class TestRecoverNuisance:
@@ -589,8 +587,36 @@ class TestBatchEstimates:
             TableArrays.from_cells([2.0**53], [0], [0])
 
     def test_oracle_mode_requires_the_generating_size(self):
-        spec = parse_estimator("adpl-mtb:scaled:1.25")
-        with pytest.raises(ValidationError):
-            spec.estimate_batch([50], [30], [20], delta_mode="oracle")
-        with pytest.raises(ValidationError):
-            spec.estimate_batch([50], [30], [20], delta_mode="sideways")
+        spec = parse_estimator("adpl-mtb:scaled:1.25@oracle")
+        with pytest.raises(ValidationError, match="true_n"):
+            spec.estimate_batch([50], [30], [20])
+        with pytest.raises(ValidationError, match="positive N"):
+            spec.estimate_batch([50], [30], [20], true_n=-3)
+
+    @pytest.mark.parametrize("true_n", [None, 500, 0])
+    @pytest.mark.parametrize("suffix", ["", "@oracle"])
+    @pytest.mark.parametrize("descriptor", DESCRIPTORS)
+    def test_oracle_suffix_is_the_only_switch(self, descriptor, suffix, true_n):
+        # A plain spec ignores true_n; @oracle evaluates an N-dependent policy
+        # once at true_n, which must then be given and positive; fixed:<v>@oracle
+        # and the unadjusted methods need no true_n. Same rule on both paths.
+        spec = parse_estimator(descriptor + suffix)
+        kw = {} if true_n is None else {"true_n": true_n}
+        cells = ([50], [30], [20])
+        at_true_n = suffix and spec.policy is not None and spec.policy.requires_n()
+        if at_true_n and not true_n:
+            with pytest.raises(ValidationError):
+                spec.estimate(T, **kw)
+            with pytest.raises(ValidationError):
+                spec.estimate_batch(*cells, **kw)
+            return
+        want = parse_estimator(descriptor)
+        if at_true_n:
+            want = EstimatorSpec(spec.method, DeltaPolicy.fixed(spec.policy.delta(500.0, T)))
+        got, ref = spec.estimate(T, **kw), want.estimate(T)
+        assert (got.n_hat, got.delta_used, got.note) == (ref.n_hat, ref.delta_used, ref.note)
+        got, ref = spec.estimate_batch(*cells, **kw), want.estimate_batch(*cells)
+        np.testing.assert_array_equal(got.n_hat, ref.n_hat)
+        assert (got.delta_used is None) == (ref.delta_used is None)
+        if ref.delta_used is not None:
+            np.testing.assert_array_equal(got.delta_used, ref.delta_used)

@@ -32,13 +32,12 @@ from conftest import scalar_estimate_batch
 P1 = TABLE2_POPULATIONS[0]
 
 
-def _config(populations, estimators, replicates=200, seed=DEFAULT_SEED, **kw):
+def _config(populations, estimators, replicates=200, seed=DEFAULT_SEED):
     return StudyConfig(
         populations=tuple(populations),
         estimators=tuple(estimators),
         replicates=replicates,
         seed=seed,
-        **kw,
     )
 
 
@@ -57,10 +56,10 @@ class TestPopulationSpec:
             PopulationSpec("bad", 0, 0.5, 0.65, 1.25)
         with pytest.raises(ValidationError):
             PopulationSpec("bad", 500.0, 0.5, 0.65, 1.25)
-        # Cell counts are estimated as doubles, exact only below 2**53.
-        assert PopulationSpec("edge", 2**53 - 1, 0.5, 0.65, 1.25).n == 2**53 - 1
-        for n in (2**53, 10**19):
-            with pytest.raises(ValidationError, match="below 2\\*\\*53"):
+        # Sampling memory grows as sqrt(N); 10**9 is the largest size.
+        assert PopulationSpec("edge", 10**9, 0.5, 0.65, 1.25).n == 10**9
+        for n in (10**9 + 1, 2**53):
+            with pytest.raises(ValidationError, match="up to 10\\*\\*9"):
                 PopulationSpec("big", n, 0.5, 0.65, 1.25)
 
     def test_resizing_keeps_probabilities(self):
@@ -91,14 +90,16 @@ class TestStudyConfig:
         text = config.to_json()
         assert StudyConfig.from_json(text) == config
         data = json.loads(text)
-        assert set(data) == {"populations", "estimators", "replicates", "seed", "delta_mode"}
+        assert set(data) == {"populations", "estimators", "replicates", "seed"}
         assert set(data["populations"][0]) == {"label", "N", "p1", "p_dot1", "phi"}
+        # Oracle mode is a per-estimator suffix; a study-wide key is an error.
+        for mode in ("candidate", "oracle"):
+            with pytest.raises(ValidationError, match="@oracle"):
+                StudyConfig.from_json(json.dumps({**data, "delta_mode": mode}))
 
     def test_validation(self):
         with pytest.raises(ValidationError):
             _config([P1], ["dse"], replicates=1)
-        with pytest.raises(ValidationError):
-            _config([P1], ["dse"], delta_mode="exact")
         with pytest.raises(ValidationError):
             _config([], ["dse"])
         with pytest.raises(ValidationError):
@@ -153,24 +154,22 @@ class TestRunStudy:
         config = _config(
             [P1, sparse], ["dse", "adpl-mtb:recapture:4.0", "mpl-mt"], replicates=60, seed=99
         )
-        baseline = summaries_to_csv(run_study(config), include_delta=True)
-        assert summaries_to_csv(run_study(config), include_delta=True) == baseline
+        baseline = summaries_to_csv(run_study(config))
+        assert summaries_to_csv(run_study(config)) == baseline
         assert all(s.failures > 0 for s in run_study(config)[3:])
         monkeypatch.setattr(EstimatorSpec, "estimate_batch", scalar_estimate_batch)
-        assert summaries_to_csv(run_study(config), include_delta=True) == baseline
+        assert summaries_to_csv(run_study(config)) == baseline
 
     def test_candidate_and_oracle_modes_differ_and_suffix_selects_oracle(self):
-        candidate = _config([P1], ["adpl-mtb:scaled:1.25"], replicates=40)
-        oracle = _config(
-            [P1], ["adpl-mtb:scaled:1.25"], replicates=40, delta_mode="oracle"
+        delta = 1.0 - 1.25 / 500.0
+        descriptors = ["adpl-mtb:scaled:1.25", "adpl-mtb:scaled:1.25@oracle"]
+        (c, s, f) = run_study(
+            _config([P1], descriptors + [f"adpl-mtb:fixed:{delta!r}"], replicates=40)
         )
-        (c,) = run_study(candidate)
-        (o,) = run_study(oracle)
-        assert c.mean != o.mean
-        suffixed = _config([P1], ["adpl-mtb:scaled:1.25@oracle"], replicates=40)
-        (s,) = run_study(suffixed)
-        assert (s.mean, s.se, s.rmse) == (o.mean, o.se, o.rmse)
-        assert s.delta_used == 1.0 - 1.25 / 500.0
+        assert c.mean != s.mean
+        # Oracle mode evaluates delta once at the generating N = 500.
+        assert (s.mean, s.se, s.rmse) == (f.mean, f.se, f.rmse)
+        assert s.delta_used == delta
 
     def test_failures_are_counted_and_flagged(self):
         sparse = PopulationSpec("sparse", 100, 0.10, 0.10, 1.0)
@@ -205,16 +204,12 @@ class TestRunStudy:
     def test_csv_rendering(self):
         config = _config([P1], ["dse", "adpl-mtb:fixed:0.99"], replicates=20)
         summaries = run_study(config)
-        plain = summaries_to_csv(summaries)
-        lines = plain.strip().split("\n")
+        lines = summaries_to_csv(summaries).strip().split("\n")
         assert lines[0] == CSV_HEADER
-        assert lines[0] == "population,estimator,mean,se,rmse,ci_low,ci_high,failures"
+        assert lines[0] == "population,estimator,mean,se,rmse,ci_low,ci_high,failures,delta_used"
         assert len(lines) == 3
-        with_delta = summaries_to_csv(summaries, include_delta=True)
-        dlines = with_delta.strip().split("\n")
-        assert dlines[0] == CSV_HEADER + ",delta_used"
-        assert dlines[1].endswith(",")  # dse row has no delta
-        assert dlines[2].endswith(",0.99")
+        assert lines[1].endswith(",")  # dse row has no delta
+        assert lines[2].endswith(",0.99")
 
 
 class TestScalingStudy:
