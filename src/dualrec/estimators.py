@@ -25,10 +25,12 @@ Adjustment policies (textual forms): ``fixed:<v>`` uses the constant v;
 delta = 1 - k*(1-c_hat)/N with c_hat = x11/x1. For the N-dependent policies
 the estimate is the self-consistent fixed point N_hat = argmax_N l(N;
 delta(N_hat)), found by iterating from the dual-system estimate
-("candidate" mode). In simulation settings the ``@oracle`` descriptor suffix
-selects "oracle" mode, in which delta is evaluated once at the known
-generating N (``oracle_n`` of the adjusted solvers); the two modes genuinely
-differ, and the study tables report both.
+("candidate" mode). That map is nondecreasing in N, so the iterates are
+monotone and never cycle; after 60 solves without a fixed point the last
+iterate is reported with a note. In simulation settings the ``@oracle``
+descriptor suffix selects "oracle" mode, in which delta is evaluated once at
+the known generating N (``oracle_n`` of the adjusted solvers); the two modes
+genuinely differ, and the study tables report both.
 
 Each method has two solvers in one registry (``_METHODS``):
 :meth:`EstimatorSpec.estimate` solves one table, and
@@ -101,7 +103,7 @@ class EstimateReport:
         degenerate: True when the estimate sits on the domain lower bound
             x0 + 1 (or is the structural boundary estimate), signalling that
             the likelihood carried no interior information about N.
-        note: free-form diagnostic (e.g. fixed-point cycle handling).
+        note: free-form diagnostic (e.g. the fixed-point iteration cap).
     """
 
     method: str
@@ -516,26 +518,16 @@ def _adpl_point(
         n_hat = solve(delta_used)
     else:
         # Self-consistent fixed point: iterate N -> argmax at delta(N) from
-        # the dual-system anchor; on a cycle return its smallest member.
-        if table.x11 > 0:
-            anchor = round(table.x1_dot * table.x_dot1 / table.x11)
-        else:
-            anchor = 2 * table.x0
-        path = [min(max(int(anchor), lower + 1), HARD_CEILING)]
-        n_hat = path[0]
+        # the dual-system anchor. The map is nondecreasing in N, so the
+        # iterates are monotone and cannot cycle (see _fixed_point_batch).
+        anchor = round(table.x1_dot * table.x_dot1 / table.x11) if table.x11 > 0 else 2 * table.x0
+        n_hat = min(max(anchor, lower + 1), HARD_CEILING)
         for _ in range(60):
-            nxt = solve(_delta_or_reject(policy, float(path[-1]), table, require_delta_below_one))
-            if nxt == path[-1]:
-                n_hat = nxt
+            nxt = solve(_delta_or_reject(policy, float(n_hat), table, require_delta_below_one))
+            if nxt == n_hat:
                 break
-            if nxt in path:
-                cycle = path[path.index(nxt):]
-                n_hat = min(cycle)
-                note = f"fixed-point cycle {cycle}; smallest member reported"
-                break
-            path.append(nxt)
+            n_hat = nxt
         else:
-            n_hat = path[-1]
             note = "fixed-point iteration cap reached; last iterate reported"
         delta_used = policy.delta(float(n_hat), table)
 
@@ -674,36 +666,26 @@ def _fixed_point_batch(solve, start: np.ndarray) -> np.ndarray:
     """The candidate fixed-point iteration of :func:`_adpl_point`, per row.
 
     ``solve(rows, n)`` returns the argmax at delta(n[j]) for each row
-    rows[j], or -1 where the solve fails. Row i iterates from start[i] along
-    its own path and stops at a fixed point, at the smallest member of a
-    cycle, or after 60 solves at its last iterate; a failed solve fails the
-    row (-1).
+    rows[j], or -1 where the solve fails. Row i iterates from start[i] and
+    stops at a fixed point, or after 60 solves at its last iterate; a failed
+    solve fails the row (-1).
+
+    No cycle can occur: the adpl-mtb and adpl-mt steps are the mpl steps plus
+    (delta-1)[log1p(1/N) + log1p(1/(N-x1.))] and 2(delta-1)log1p(1/N), so with
+    exact step signs the argmax is nondecreasing in delta; the double delta(N)
+    = 1 - k/N or 1 - k(1-c_hat)/N is nondecreasing in N (rounding is monotone),
+    so the iterates are monotone and a value recurs only at a fixed point.
     """
-    cap = 60
-    path = np.empty((start.size, cap + 1), dtype=np.int64)
-    path[:, 0] = start
-    length = np.ones(start.size, dtype=np.int64)
-    out = np.empty_like(start)
     cur = start.copy()
     rows = np.arange(start.size)
-    for _ in range(cap):
+    for _ in range(60):
         if not rows.size:
             break
         nxt = solve(rows, cur[rows].astype(float))
-        done = (nxt < 0) | (nxt == cur[rows])
-        out[rows[done]] = nxt[done]
-        seen = (path[rows] == nxt[:, None]) & (np.arange(cap + 1) < length[rows, None])
-        cycle = ~done & seen.any(axis=1)
-        for j in np.flatnonzero(cycle):
-            r = rows[j]
-            out[r] = path[r, np.argmax(seen[j]):length[r]].min()
-        keep = ~done & ~cycle
-        rows, nxt = rows[keep], nxt[keep]
-        path[rows, length[rows]] = nxt
-        length[rows] += 1
+        moving = (nxt >= 0) & (nxt != cur[rows])
         cur[rows] = nxt
-    out[rows] = cur[rows]
-    return out
+        rows = rows[moving]
+    return cur
 
 
 def _adpl_batch(

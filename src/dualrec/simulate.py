@@ -93,7 +93,6 @@ def _number(value, what: str) -> float:
     return float(value)
 
 
-
 @dataclass(frozen=True)
 class PopulationSpec:
     """Generating population for the behavioral model.
@@ -104,7 +103,8 @@ class PopulationSpec:
     probability phi*p >= 1) is rejected at construction. N is at most
     10**9: the sampler's CDF window grows as sqrt(N) (a study at 1e9 samples
     in under 64 MB), and above HARD_CEILING = 1e8 every likelihood estimator
-    already reports no finite maximum.
+    already reports no finite maximum. The label, written unquoted into the
+    study CSV, has no comma, double quote or line break.
     """
 
     label: str
@@ -114,6 +114,11 @@ class PopulationSpec:
     phi: float
 
     def __post_init__(self) -> None:
+        if not isinstance(self.label, str) or any(c in self.label for c in ',"\r\n'):
+            raise ValidationError(
+                "population label must be a string without a comma, double quote "
+                f"or line break, got {self.label!r}"
+            )
         if not (isinstance(self.n, int) and 1 <= self.n <= 10**9):
             raise ValidationError(
                 f"population size must be a positive integer up to 10**9, got {self.n!r}"
@@ -147,16 +152,16 @@ class PopulationSpec:
     def from_json_dict(cls, data: dict) -> "PopulationSpec":
         if not isinstance(data, dict):
             raise ValidationError(f"population entry must be an object, got {data!r}")
-        try:
-            return cls(
-                label=str(data["label"]),
-                n=_integer(data["N"], "population size N"),
-                p1_dot=_number(data["p1"], "p1"),
-                p_dot1=_number(data["p_dot1"], "p_dot1"),
-                phi=_number(data["phi"], "phi"),
-            )
-        except KeyError as exc:
-            raise ValidationError(f"population entry missing key {exc}") from exc
+        keys = ["label", "N", "p1", "p_dot1", "phi"]
+        if set(data) != set(keys):
+            raise ValidationError(f"population keys must be exactly {keys}, got {sorted(data)}")
+        return cls(
+            label=data["label"],
+            n=_integer(data["N"], "population size N"),
+            p1_dot=_number(data["p1"], "p1"),
+            p_dot1=_number(data["p_dot1"], "p_dot1"),
+            phi=_number(data["phi"], "phi"),
+        )
 
 
 TABLE2_POPULATIONS: tuple[PopulationSpec, ...] = (

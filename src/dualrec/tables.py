@@ -137,12 +137,15 @@ class DualRecordTable:
 
     @classmethod
     def from_json(cls, text: str) -> "DualRecordTable":
-        """Parse a table from the JSON form produced by :meth:`to_json`."""
+        """Parse the JSON form of :meth:`to_json`: an object with exactly its three keys."""
         try:
             obj = json.loads(text)
-            return cls(x11=obj["x11"], x10=obj["x10"], x01=obj["x01"])
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except json.JSONDecodeError as exc:
             raise ValidationError(f"cannot parse table JSON: {exc}") from exc
+        if not isinstance(obj, dict) or set(obj) != {"x11", "x10", "x01"}:
+            got = sorted(obj) if isinstance(obj, dict) else type(obj).__name__
+            raise ValidationError(f"table JSON needs exactly the keys x11, x10, x01, got {got}")
+        return cls(x11=obj["x11"], x10=obj["x10"], x01=obj["x01"])
 
     def to_csv(self) -> str:
         """Serialize to a CSV document with header x11,x10,x01 and one row."""
@@ -154,19 +157,18 @@ class DualRecordTable:
 
     @classmethod
     def from_csv(cls, text: str) -> "DualRecordTable":
-        """Parse a table from the CSV form produced by :meth:`to_csv`."""
+        """Parse the CSV form of :meth:`to_csv`: its header and one row of three counts."""
+        rows = [r for r in csv.reader(io.StringIO(text)) if r]
+        header = [h.strip() for h in rows[0]] if rows else []
+        if header != ["x11", "x10", "x01"]:
+            raise ValidationError(f"expected CSV header x11,x10,x01, got {header}")
+        if len(rows) != 2 or len(rows[1]) != 3:
+            raise ValidationError(f"table CSV needs one data row of three counts, got {rows[1:]}")
         try:
-            rows = list(csv.reader(io.StringIO(text)))
-            rows = [r for r in rows if r]
-            header = [h.strip() for h in rows[0]]
-            if header != ["x11", "x10", "x01"]:
-                raise ValidationError(f"expected CSV header x11,x10,x01, got {header}")
             vals = [int(v) for v in rows[1]]
-            return cls(x11=vals[0], x10=vals[1], x01=vals[2])
-        except ValidationError:
-            raise
-        except (IndexError, ValueError) as exc:
+        except ValueError as exc:
             raise ValidationError(f"cannot parse table CSV: {exc}") from exc
+        return cls(x11=vals[0], x10=vals[1], x01=vals[2])
 
 
 class TableArrays(NamedTuple):

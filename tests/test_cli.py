@@ -151,6 +151,25 @@ class TestEstimateCommand:
         assert code == 2
         assert "estimation error" in err
 
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            ("second-row.csv", "x11,x10,x01\n50,30,20\n1,2,3\n", "one data row of three"),
+            ("fourth-field.csv", "x11,x10,x01\n50,30,20,4\n", "one data row of three"),
+            ("extra-key.json", '{"x11": 50, "x10": 30, "x01": 20, "x00": 4}', "keys x11, x10, x01"),
+        ],
+        ids=["csv-second-row", "csv-fourth-field", "json-extra-key"],
+    )
+    def test_table_file_with_extra_counts_is_usage_error(
+        self, name, text, message, tmp_path, capsys
+    ):
+        # Such files used to be truncated to their first three counts.
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = run_cli(["estimate", "--table", str(path), "--method", "dse"], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("dualrec: error:") and message in err
+
     def test_missing_table_file_is_usage_error(self, tmp_path, capsys):
         code, _, err = run_cli(
             ["estimate", "--table", str(tmp_path / "nope.json"), "--method", "dse"],
@@ -226,12 +245,16 @@ class TestSimulateCommand:
             (lambda c: {**c, "delta_mode": "oracle"}, "@oracle"),
             (lambda c: {**c, "delta_mode": "candidate"}, "@oracle"),
             (lambda c: {**c, "delta_mod": "oracle"}, "@oracle"),
+            (lambda c: _first_population(c, ph1=0.8), "population keys must be exactly"),
+            (lambda c: _first_population(c, label=None), "population label must be a string"),
+            (lambda c: _first_population(c, label="P,1"), "without a comma"),
         ],
         ids=[
             "fractional-N", "string-N", "bool-N", "string-p1", "fractional-replicates",
             "string-replicates", "fractional-seed", "top-level-array", "null-populations",
             "number-population", "string-estimators", "study-wide-oracle",
-            "study-wide-candidate", "unknown-key",
+            "study-wide-candidate", "unknown-key", "unknown-population-key", "null-label",
+            "comma-label",
         ],
     )
     def test_malformed_config_values_are_usage_errors(

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import dualrec.estimators as est_module
@@ -259,6 +259,51 @@ class TestDeltaModes:
         fixed = mle_adpl_mtb(T, DeltaPolicy.fixed(1.0 - 1.25 / 500.0))
         assert oracle.n_hat_integer == fixed.n_hat_integer
         assert oracle.delta_used == 1.0 - 1.25 / 500.0
+
+
+class TestCandidateFixedPoint:
+    """The candidate iteration N -> T(N) = argmax at delta(N) of the adjusted solvers."""
+
+    _count = st.just(0) | st.integers(0, 60) | st.integers(0, 10**4)
+
+    @staticmethod
+    def _map(kind, policy, table, m):
+        """T(m): the scalar argmax at policy.delta(m), inf where none is finite."""
+        d = policy.delta(float(m), table)
+        if kind == "adpl-mtb" and d >= 1.0:
+            return math.inf
+        lower = table.x0 + (kind == "adpl-mtb")
+        try:
+            return _argmax(lambda n: kernels.step_sign(kind, n, table, d), lower, kind)
+        except NoFiniteMaximumError:
+            return math.inf
+
+    @pytest.mark.parametrize("variant", ["scaled", "recapture"])
+    @pytest.mark.parametrize("kind", ["adpl-mtb", "adpl-mt"])
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cells=st.tuples(_count, _count, _count),
+        k=st.floats(0.25, 20.0),
+        offset=st.integers(0, 100) | st.integers(0, 10**6),
+        j=st.integers(1, 10) | st.integers(1, 10**6),
+    )
+    def test_map_is_nondecreasing(self, kind, variant, cells, k, offset, j):
+        # Monotone iterates can repeat a value only at a fixed point.
+        assume(cells[0] + cells[1] > 0)
+        table = DualRecordTable(*cells)
+        policy = DeltaPolicy(variant, k)
+        m = table.x0 + (kind == "adpl-mtb") + offset
+        assert self._map(kind, policy, table, m) <= self._map(kind, policy, table, m + j)
+
+    def test_iteration_cap_reports_the_last_of_60_solves(self):
+        # The map creeps upward here for every one of the 60 solves.
+        spec = parse_estimator("adpl-mt:scaled:1.25")
+        table = DualRecordTable(0, 1, 3)
+        rep = spec.estimate(table)
+        assert rep.n_hat_integer == 1358086
+        assert rep.note == "fixed-point iteration cap reached; last iterate reported"
+        assert self._map("adpl-mt", spec.policy, table, 1358086) > 1358086
+        assert spec.estimate_batch([0], [1], [3]).n_hat[0] == 1358086
 
 
 class TestRecoverNuisance:
@@ -562,15 +607,16 @@ class TestBatchEstimates:
         assert len(passes) <= 2 * math.log2(HARD_CEILING)
 
     def test_fixed_point_rules_per_row(self):
-        # Fixed point, two-cycle (smallest member), failed solve, iteration
-        # cap (last of 60 solves); each row as if solved alone.
-        moves = {10: 12, 12: 12, 20: 25, 25: 21, 21: 25, 5: -1}
+        # Fixed point, a rising and a falling creep that settle after
+        # several solves, failed solve, iteration cap (last of 60 solves);
+        # each row as if solved alone.
+        moves = {10: 12, 12: 12, 20: 23, 23: 25, 25: 26, 26: 26, 40: 36, 36: 33, 33: 33, 5: -1}
 
         def solve(rows, n):
             return np.array([moves.get(int(v), int(v) + 1) for v in n], dtype=np.int64)
 
-        start = np.array([10, 20, 5, 100])
-        want = [12, 21, -1, 160]
+        start = np.array([10, 20, 40, 5, 100])
+        want = [12, 26, 33, -1, 160]
         assert list(est_module._fixed_point_batch(solve, start)) == want
         for row, value in zip(start, want):
             assert list(est_module._fixed_point_batch(solve, np.array([row]))) == [value]

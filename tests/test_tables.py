@@ -63,6 +63,39 @@ class TestDualRecordTable:
         with pytest.raises(ValidationError):
             DualRecordTable.from_csv("a,b,c\n1,2,3\n")
 
+    def test_csv_blank_lines_skipped(self):
+        assert DualRecordTable.from_csv("\nx11,x10,x01\n\n7,5,3\n\n") == DualRecordTable(7, 5, 3)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "x11,x10,x01\n7,5,3\n1,2,3\n",  # a second data row
+            "x11,x10,x01\n7,5,3,4\n",  # a fourth field
+            "x11,x10,x01\n7,5\n",  # a missing field
+            "x11,x10,x01\n",  # no data row
+            "",
+        ],
+        ids=["second-row", "fourth-field", "two-fields", "header-only", "empty"],
+    )
+    def test_csv_must_hold_one_row_of_three_counts(self, text):
+        with pytest.raises(ValidationError):
+            DualRecordTable.from_csv(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"x11": 5, "x10": 3, "x01": 2, "x00": 4}',
+            '{"x11": 5, "x10": 3, "x01": 2, "X11": 5}',
+            "[5, 3, 2]",
+            "null",
+            "{not json",
+        ],
+        ids=["extra-x00", "extra-case-variant", "array", "null", "invalid"],
+    )
+    def test_json_must_be_an_object_with_exactly_three_keys(self, text):
+        with pytest.raises(ValidationError):
+            DualRecordTable.from_json(text)
+
 
 class TestParams:
     def test_mt_params_validation(self):
