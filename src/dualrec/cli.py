@@ -88,8 +88,16 @@ def load_published_reference() -> dict:
     return json.loads(text)
 
 
+def _read_text(path: str) -> str:
+    """The text of a table or config file; bytes that are not UTF-8 are an input error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def _read_table(path: str) -> DualRecordTable:
-    text = Path(path).read_text()
+    text = _read_text(path)
     if text.lstrip().startswith("{"):
         return DualRecordTable.from_json(text)
     return DualRecordTable.from_csv(text)
@@ -102,11 +110,22 @@ def _write_out(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
+def _json_fields(record) -> dict:
+    """A dataclass's fields, with each non-finite float as the text report writes it.
+
+    JSON has no inf or nan, and null already means "not recoverable".
+    """
+    return {
+        k: f"{v:g}" if isinstance(v, float) and not math.isfinite(v) else v
+        for k, v in asdict(record).items()
+    }
+
+
 def _report_json(report: EstimateReport, bootstrap=None) -> str:
-    payload = asdict(report)
+    payload = _json_fields(report)
     if bootstrap is not None:
-        payload["bootstrap"] = asdict(bootstrap)
-    return json.dumps(payload, indent=2) + "\n"
+        payload["bootstrap"] = _json_fields(bootstrap)
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def _report_text(report: EstimateReport, bootstrap=None) -> str:
@@ -167,7 +186,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    config = StudyConfig.from_json(Path(args.config).read_text())
+    config = StudyConfig.from_json(_read_text(args.config))
     summaries = run_study(config)
     _write_out(summaries_to_csv(summaries), args.out)
     return EXIT_OK

@@ -221,10 +221,12 @@ def _argmax(step, lower: int, what: str) -> int:
 
     Raises:
         NoFiniteMaximumError: if the step is still positive at HARD_CEILING
-            (the kernel keeps increasing).
+            (the kernel keeps increasing), or at once, evaluating no step,
+            when ``lower`` exceeds HARD_CEILING: the step forms are checked
+            only up to it.
     """
     lo, hi = lower - 1, max(lower, min(2 * lower, HARD_CEILING))
-    while step(hi) > 0:
+    while lower > HARD_CEILING or step(hi) > 0:
         if hi >= HARD_CEILING:
             raise NoFiniteMaximumError(
                 f"{what}: no finite maximum detected up to N = {HARD_CEILING:.0e}"
@@ -246,14 +248,16 @@ def _argmax_batch(kind: str, tables: TableArrays, lower: np.ndarray, delta) -> n
     path: the same brackets and the same midpoints. Each pass evaluates the
     next probe of every row still searching in one :func:`kernels.step_signs`
     call. Returns the argmax per row, or -1 where :func:`_argmax` raises
-    NoFiniteMaximumError.
+    NoFiniteMaximumError (rows with lower[i] above HARD_CEILING are never
+    probed).
     """
     lower = np.asarray(lower, dtype=np.int64)
     delta = np.broadcast_to(np.asarray(delta, dtype=float), lower.shape)
     lo = lower - 1
     hi = np.maximum(lower, np.minimum(2 * lower, HARD_CEILING))
     bracketing = np.ones(lower.shape, dtype=bool)
-    rows = np.arange(lower.size)
+    hi[lower > HARD_CEILING] = -1
+    rows = np.flatnonzero(lower <= HARD_CEILING)
     while rows.size:
         br = bracketing[rows]
         probe = np.where(br, hi[rows], (lo[rows] + hi[rows]) // 2)

@@ -18,10 +18,11 @@ of conditional binomials (x11, then x10, then x01), each inverted through its
 CDF in double precision (within about 4e-12 of the exact CDF at n = 2e5; see
 :func:`binomial_cdf`). Inversion makes the draw a pure function of the
 uniforms, so results do not depend on execution order or on the library
-version of a rejection sampler. Each CDF is built only over the window of about
-38.6 sd either side of the mode outside which it is exactly 0.0 or 1.0 in
-double, so a draw at n = 1e9 holds about a million doubles, not a billion,
-and the draws equal inversion of the full n + 1 point CDF bit for bit.
+version of a rejection sampler. Each CDF is built only over a window sized by
+a Bernstein tail bound (about 39.2 sd either side of the mean at large n)
+outside which it is exactly 0.0 or 1.0 in double, so a draw at n = 1e9 holds
+about a million doubles, not a billion, and the draws equal inversion of the
+full n + 1 point CDF bit for bit.
 Nothing is cached: the replicate tables of a study rarely repeat an (n, p)
 pair (none of 382 builds repeat in the ``table3`` study, about 15% in the
 small-N figure studies, none at n = 1e6), so a kept window would seldom be
@@ -93,8 +94,8 @@ def uniforms(seed: int, purpose: int, unit: int, count: int, start: int = 0) -> 
 
 
 # exp(x) is exactly 0.0 in double for x < ln(2**-1075), about -745.13. The
-# window search stops where a term lies this far below the mode, a margin
-# that no rounding of the log-pmf can cross.
+# CDF window excludes only terms at least this far below the largest one; the
+# margin of 0.87 covers the log-pmf's rounding, about 1e-5 at n = 1e9.
 _UNDERFLOW_LOG = 746.0
 
 
@@ -109,36 +110,6 @@ def _logpmf(n: int, p: float, k: np.ndarray) -> np.ndarray:
     )
 
 
-def _logpmf_at(n: int, p: float, k: int) -> float:
-    """Scalar ``_logpmf`` for the window search, within rounding of the array form."""
-    return (
-        math.lgamma(n + 1.0)
-        - math.lgamma(k + 1.0)
-        - math.lgamma(n - k + 1.0)
-        + k * math.log(p)
-        + (n - k) * math.log1p(-p)
-    )
-
-
-def _edge(n: int, p: float, mode: int, bound: int, floor: float) -> int:
-    """The k nearest ``mode`` towards ``bound`` whose log-pmf is below ``floor``.
-
-    Returns ``bound`` when no k up to it qualifies. Bisection is valid because
-    the binomial log-pmf is concave, so it falls monotonically away from the
-    mode.
-    """
-    if _logpmf_at(n, p, bound) >= floor:
-        return bound
-    near, far = mode, bound
-    while abs(far - near) > 1:
-        mid = (near + far) // 2
-        if _logpmf_at(n, p, mid) >= floor:
-            near = mid
-        else:
-            far = mid
-    return far
-
-
 def binomial_cdf(n: int, p: float) -> tuple[int, np.ndarray]:
     """Binomial(n, p) CDF in double precision over the window where it is not 0 or 1.
 
@@ -151,36 +122,35 @@ def binomial_cdf(n: int, p: float) -> tuple[int, np.ndarray]:
     neighbour of the exact quantile.
 
     Returns ``(lo, f)`` with ``f[j]`` the CDF at ``k = lo + j`` for
-    ``lo <= k <= hi``. The window holds every k whose term
-    exp(logpmf(k) - max) is non-zero in double, about 38.6 sd either side
-    of the mode, so it costs O(sqrt(n p (1 - p))) memory, not O(n). Outside
-    it every term underflows to exactly 0.0, which makes ``f`` bit for bit
-    the slice [lo, hi] of the full n + 1 point CDF built the same way (log
+    ``lo <= k <= hi``. The window is [np - d, np + d] clipped to [0, n],
+    with c = 746 + ln(n + 1) and d = c/3 + sqrt(c**2/9 + 2c np(1 - p)):
+    about 39.2 sd either side of the mean at large n, so it costs
+    O(sqrt(n p (1 - p))) memory, not O(n). Every term exp(logpmf(k) - max)
+    outside it underflows to exactly 0.0, which makes ``f`` bit for bit the
+    slice [lo, hi] of the full n + 1 point CDF built the same way (log
     probabilities, one cumulative sum, division by the total, last value
     pinned to 1): the full CDF is exactly 0.0 below ``lo`` and 1.0 from
     ``hi`` on. Each edge term is checked to be 0.0 (unless the edge is 0 or
-    n) and the window widened until it is.
+    n), and d doubled until it is; by the bound, one build is enough.
 
     Raises:
         ValueError: unless 0 < p < 1 (``draw_binomial`` handles the ends).
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1), got {p!r}")
-    mode = min(int((n + 1) * p), n)
-    floor = _logpmf_at(n, p, mode) - _UNDERFLOW_LOG
-    lo = _edge(n, p, mode, 0, floor)
-    hi = _edge(n, p, mode, n, floor)
+    # Bernstein: P(|X - np| >= t) <= exp(-t**2 / (2(np(1 - p) + t/3))), which is
+    # exp(-c) at t = d; the pmf at the mode is at least 1/(n + 1), so every k at
+    # distance d or more lies _UNDERFLOW_LOG or more below the largest log-pmf.
+    mean = n * p
+    c = _UNDERFLOW_LOG + math.log(n + 1.0)
+    d = c / 3.0 + math.sqrt(c * c / 9.0 + 2.0 * c * mean * (1.0 - p))
     while True:
+        lo, hi = max(0, math.floor(mean - d)), min(n, math.ceil(mean + d))
         logpmf = _logpmf(n, p, np.arange(lo, hi + 1, dtype=float))
         terms = np.exp(logpmf - logpmf.max())
-        low_ok = lo == 0 or terms[0] == 0.0
-        high_ok = hi == n or terms[-1] == 0.0
-        if low_ok and high_ok:
+        if (lo == 0 or terms[0] == 0.0) and (hi == n or terms[-1] == 0.0):
             break
-        if not low_ok:
-            lo = max(0, 2 * lo - mode)
-        if not high_ok:
-            hi = min(n, 2 * hi - mode)
+        d *= 2.0
     f = np.cumsum(terms)
     f /= f[-1]
     f[-1] = 1.0
@@ -205,8 +175,6 @@ def draw_binomial(n: np.ndarray, p: float, u: np.ndarray) -> np.ndarray:
         return n.astype(np.int64)
     for n_val in np.unique(n):
         idx = np.nonzero(n == n_val)[0]
-        if n_val == 0:
-            continue
         lo, f = binomial_cdf(int(n_val), p)
         out[idx] = lo + np.searchsorted(f, u[idx], side="left")
     out[u == 0.0] = 0

@@ -7,6 +7,17 @@ from scipy.special import gammaln
 from dualrec.estimators import BatchEstimate
 from dualrec.tables import DualRecordTable, EstimationError
 
+# The benchmark's descriptors: every method, and every policy of the
+# adjusted methods.
+DESCRIPTORS = (
+    "dse", "pl-mt", "mpl-mt", "pl-mtb",
+    "adpl-mtb:fixed:0.5", "adpl-mtb:scaled:1.25", "adpl-mtb:recapture:1.25",
+    "adpl-mt:fixed:0.5", "adpl-mt:scaled:1.25", "adpl-mt:recapture:1.25",
+)
+# Tables whose likelihood domain starts above HARD_CEILING (x0 = 3 * 2**52,
+# 2**53 - 2 and 1e9 + 5), beyond the range the step forms are checked on.
+BEYOND_CEILING = ((2**52, 2**52, 2**52), (2**53 - 4, 1, 1), (10**9, 5, 0))
+
 
 def full_binomial_cdf(n: int, p: float) -> np.ndarray:
     """Reference Binomial(n, p) CDF over all of k = 0..n, with F[n] pinned to 1.

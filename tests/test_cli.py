@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import BEYOND_CEILING, DESCRIPTORS
 
 from dualrec import cli
 from dualrec.simulate import CSV_HEADER, StudyConfig, TABLE2_POPULATIONS
@@ -169,6 +170,47 @@ class TestEstimateCommand:
         code, out, err = run_cli(["estimate", "--table", str(path), "--method", "dse"], capsys)
         assert code == 1 and out == ""
         assert err.startswith("dualrec: error:") and message in err
+
+    @pytest.mark.parametrize("cells", BEYOND_CEILING)
+    @pytest.mark.parametrize("descriptor", DESCRIPTORS)
+    def test_domain_above_the_ceiling_exits_two(self, descriptor, cells, tmp_path, capsys):
+        # Searches used to die here with a traceback or a domain error (exit 1),
+        # or report an N above the ceiling.
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(dict(zip(("x11", "x10", "x01"), cells))))
+        method, _, delta = descriptor.partition(":")
+        args = ["estimate", "--table", str(path), "--method", method]
+        code, out, err = run_cli(args + (["--delta", delta] if delta else []), capsys)
+        if method in ("dse", "pl-mtb"):
+            assert code == 0 and err == ""
+        else:
+            assert code == 2 and out == ""
+            assert err.startswith("dualrec: estimation error:")
+
+    def test_json_report_writes_infinite_values_as_text(self, tmp_path, capsys):
+        # x01 = 0 gives p_hat = 0 and phi_hat = inf; JSON has no Infinity.
+        path = tmp_path / "no_x01.json"
+        path.write_text('{"x11": 50, "x10": 30, "x01": 0}\n')
+        code, out, _ = run_cli(
+            ["estimate", "--table", str(path), "--method", "adpl-mtb",
+             "--delta", "fixed:0.5", "--json"],
+            capsys,
+        )
+        assert code == 0
+        payload = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in JSON"))
+        assert payload["phi_hat"] == "inf" and payload["p_hat"] == 0.0
+        assert payload["se"] is None
+
+    @pytest.mark.parametrize("command", ["estimate", "simulate"])
+    def test_file_that_is_not_utf8_is_usage_error(self, command, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b'\xff\xfe{"x11": 50}')
+        args = ["estimate", "--table", str(path), "--method", "dse"]
+        if command == "simulate":
+            args = ["simulate", "--config", str(path)]
+        code, out, err = run_cli(args, capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("dualrec: error:") and "not UTF-8" in err
 
     def test_missing_table_file_is_usage_error(self, tmp_path, capsys):
         code, _, err = run_cli(

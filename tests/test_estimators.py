@@ -49,7 +49,7 @@ from dualrec.tables import (
     p_from_marginals,
 )
 
-from conftest import scalar_estimate_batch
+from conftest import BEYOND_CEILING, DESCRIPTORS, scalar_estimate_batch
 
 T = DualRecordTable(50, 30, 20)
 SMALL = DualRecordTable(7, 5, 3)
@@ -507,6 +507,22 @@ class TestArgmax:
             with pytest.raises(NoFiniteMaximumError):
                 estimator(t)
 
+    @pytest.mark.parametrize("cells", BEYOND_CEILING)
+    @pytest.mark.parametrize("descriptor", DESCRIPTORS)
+    def test_domain_above_the_ceiling_evaluates_no_step(self, descriptor, cells, monkeypatch):
+        # The closed forms (dse, pl-mtb) still give their value; every search
+        # fails at once, NoFiniteMaximumError alone and NaN in a batch.
+        for name in ("step_sign", "step_signs"):
+            monkeypatch.setattr(kernels, name, lambda *a: pytest.fail("a step was evaluated"))
+        spec = parse_estimator(descriptor)
+        batch = spec.estimate_batch(*([c] for c in cells)).n_hat
+        if spec.method in ("dse", "pl-mtb"):
+            assert batch[0] == spec.estimate(DualRecordTable(*cells)).n_hat
+        else:
+            assert np.isnan(batch[0])
+            with pytest.raises(NoFiniteMaximumError):
+                spec.estimate(DualRecordTable(*cells))
+
     @pytest.mark.parametrize(
         "cells, descriptor, exact",
         [
@@ -528,13 +544,6 @@ class TestArgmax:
         assert rep.note is None
 
 
-# The benchmark's descriptors: every method, and every policy of the
-# adjusted methods.
-DESCRIPTORS = (
-    "dse", "pl-mt", "mpl-mt", "pl-mtb",
-    "adpl-mtb:fixed:0.5", "adpl-mtb:scaled:1.25", "adpl-mtb:recapture:1.25",
-    "adpl-mt:fixed:0.5", "adpl-mt:scaled:1.25", "adpl-mt:recapture:1.25",
-)
 # x1.*x.1 > 2**53 and DSE = x0 + 2.5: the double quotient rounds to x0 + 3
 # where the exact one rounds half-even to x0 + 2, which moves the anchor
 # of the candidate fixed point.

@@ -1,9 +1,11 @@
 """Counter-addressed random streams: determinism, seeking, exact inversion."""
 
+import math
+
 import numpy as np
 import pytest
 from conftest import full_binomial_cdf, reference_draw_binomial
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -77,10 +79,53 @@ class TestBinomialInversion:
             assert np.all(full[:lo] == 0.0) and np.all(full[hi:] == 1.0)
         assert 0 < lo and hi < 20_000  # the last case has a proper window
 
+    @staticmethod
+    def _count_builds(monkeypatch):
+        calls = []
+        logpmf = randomness._logpmf
+        monkeypatch.setattr(randomness, "_logpmf", lambda *a: calls.append(1) or logpmf(*a))
+        return calls
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(0, 2_000_000),
+        p=st.one_of(
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+            st.floats(0.0, 1e-6, exclude_min=True),
+            st.floats(1.0 - 1e-6, 1.0, exclude_max=True),
+        ),
+    )
+    @example(n=0, p=0.3)
+    @example(n=1, p=0.5)
+    @example(n=10**9, p=0.5)
+    @example(n=10**9, p=1e-9)
+    def test_closed_form_window_is_built_once(self, n, p):
+        # The Bernstein window holds every non-zero term, so the edge check
+        # passes on the first build: _logpmf runs once.
+        with pytest.MonkeyPatch.context() as mp:
+            calls = self._count_builds(mp)
+            lo, f = binomial_cdf(n, p)
+        assert len(calls) == 1
+        c = randomness._UNDERFLOW_LOG + math.log(n + 1.0)
+        d = c / 3 + math.sqrt(c * c / 9 + 2 * c * n * p * (1 - p))
+        assert lo == max(0, math.floor(n * p - d))
+        assert lo + len(f) - 1 == min(n, math.ceil(n * p + d))
+        assert f[-1] == 1.0 and np.all(np.diff(f) >= 0.0)
+
+    def test_zero_trials_draw_zero(self):
+        # Bin(0, p) has the one-point window [0, 0] with F = [1.0].
+        lo, f = binomial_cdf(0, 0.3)
+        assert (lo, f.tolist()) == (0, [1.0])
+        u = np.array(_EDGE_UNIFORMS)
+        assert draw_binomial(np.zeros(u.shape, dtype=np.int64), 0.3, u).tolist() == [0, 0, 0]
+
     def test_narrow_first_window_is_widened_to_the_exact_cdf(self, monkeypatch):
         monkeypatch.setattr(randomness, "_UNDERFLOW_LOG", 5.0)
+        calls = self._count_builds(monkeypatch)
         for n, p in [(3000, 0.3), (100_000, 0.9), (5000, 1e-3)]:
+            calls.clear()
             lo, f = binomial_cdf(n, p)
+            assert len(calls) > 1  # the first window left a non-zero edge term
             full = full_binomial_cdf(n, p)
             hi = lo + len(f) - 1
             assert np.array_equal(f, full[lo : hi + 1])
