@@ -89,9 +89,12 @@ def load_published_reference() -> dict:
 
 
 def _read_text(path: str) -> str:
-    """The text of a table or config file; bytes that are not UTF-8 are an input error."""
+    """The text of a table or config file; bytes that are not UTF-8 are an input error.
+
+    A leading UTF-8 byte-order mark, as some editors save it, is dropped.
+    """
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path} is not UTF-8 text: {exc}") from exc
 

@@ -241,37 +241,52 @@ def _argmax(step, lower: int, what: str) -> int:
     return hi
 
 
+# The search state of _argmax_batch spans at least this many rows. numpy
+# keeps freed buffers under 1 KiB in a cache of up to 7 per byte size, so
+# boolean masks of every row count below 1024 would ratchet resident memory
+# up by megabytes over a long run; masks this long bypass that cache.
+_MIN_STATE_ROWS = 1024
+
+
 def _argmax_batch(kind: str, tables: TableArrays, lower: np.ndarray, delta) -> np.ndarray:
     """:func:`_argmax` of kernel ``kind`` (see :func:`kernels.step_sign`) on every row.
 
     Row i searches from lower[i] at delta[i] along the scalar search's own
     path: the same brackets and the same midpoints. Each pass evaluates the
     next probe of every row still searching in one :func:`kernels.step_signs`
-    call. Returns the argmax per row, or -1 where :func:`_argmax` raises
-    NoFiniteMaximumError (rows with lower[i] above HARD_CEILING are never
-    probed).
+    call and updates the brackets of all rows under masks. Returns the argmax
+    per row, or -1 where :func:`_argmax` raises NoFiniteMaximumError (rows
+    with lower[i] above HARD_CEILING are never probed).
     """
     lower = np.asarray(lower, dtype=np.int64)
-    delta = np.broadcast_to(np.asarray(delta, dtype=float), lower.shape)
+    size = lower.size
+    delta = np.broadcast_to(np.asarray(delta, dtype=float), (size,))
+    if size < _MIN_STATE_ROWS:
+        lower = np.concatenate([lower, np.full(_MIN_STATE_ROWS - size, HARD_CEILING + 1)])
     lo = lower - 1
     hi = np.maximum(lower, np.minimum(2 * lower, HARD_CEILING))
+    searching = lower <= HARD_CEILING
+    hi[~searching] = -1
     bracketing = np.ones(lower.shape, dtype=bool)
-    hi[lower > HARD_CEILING] = -1
-    rows = np.flatnonzero(lower <= HARD_CEILING)
-    while rows.size:
-        br = bracketing[rows]
-        probe = np.where(br, hi[rows], (lo[rows] + hi[rows]) // 2)
-        up = kernels.step_signs(kind, probe, tables.take(rows), delta[rows]) > 0
+    up = np.zeros(lower.shape, dtype=bool)
+    while searching.any():
+        rows = np.flatnonzero(searching)
+        if rows.size == size:
+            rows = slice(size)  # every row: views, not copies
+        probe = np.where(bracketing, hi, (lo + hi) // 2)
+        up[rows] = kernels.step_signs(kind, probe[rows], tables.take(rows), delta[rows]) > 0
+        br = searching & bracketing
+        halving = searching & ~bracketing
         stuck = br & up & (probe >= HARD_CEILING)
-        grow = rows[br & up & ~stuck]
+        grow = br & up & ~stuck
         lo[grow] = hi[grow]
         hi[grow] = np.minimum(lower[grow] + 2 * (hi[grow] - lower[grow]), HARD_CEILING)
-        bracketing[rows[br & ~up]] = False
-        lo[rows[~br & up]] = probe[~br & up]
-        hi[rows[~br & ~up]] = probe[~br & ~up]
-        hi[rows[stuck]] = -1
-        rows = rows[~stuck & (bracketing[rows] | (hi[rows] - lo[rows] > 1))]
-    return hi
+        bracketing &= ~br | up
+        np.copyto(lo, probe, where=halving & up)
+        np.copyto(hi, probe, where=halving & ~up)
+        np.copyto(hi, -1, where=stuck)
+        searching &= ~stuck & (bracketing | (hi - lo > 1))
+    return hi[:size]
 
 
 def recover_nuisance(
@@ -632,6 +647,11 @@ class BatchEstimate:
         """Rows with an estimate."""
         return ~np.isnan(self.n_hat)
 
+    def take(self, rows) -> "BatchEstimate":
+        """The estimates of the given rows (index array, mask or slice)."""
+        delta_used = None if self.delta_used is None else self.delta_used[rows]
+        return BatchEstimate(self.n_hat[rows], delta_used)
+
 
 def _dse_values(tables: TableArrays) -> np.ndarray:
     """x1.*x.1/x11 on rows with x11 >= 1, rounded once, as Python's int / int.
@@ -693,9 +713,12 @@ def _fixed_point_batch(solve, start: np.ndarray) -> np.ndarray:
 
 
 def _adpl_batch(
-    kind: str, tables: TableArrays, policy: DeltaPolicy, oracle_n: float | None
+    kind: str, tables: TableArrays, policy: DeltaPolicy, oracle_n: np.ndarray | None
 ) -> BatchEstimate:
-    """Row-by-row :func:`mle_adpl_mtb` ("adpl-mtb") or :func:`mle_adpl_mt` ("adpl-mt")."""
+    """Row-by-row :func:`mle_adpl_mtb` ("adpl-mtb") or :func:`mle_adpl_mt` ("adpl-mt").
+
+    ``oracle_n``, when given, holds the size that row i evaluates delta at.
+    """
     below_one = kind == "adpl-mtb"
     ok = tables.x1_dot > 0
     if kind == "adpl-mt" and not policy.requires_n():
@@ -712,9 +735,10 @@ def _adpl_batch(
         return found
 
     if oracle_n is not None or not policy.requires_n():
-        if policy.requires_n() and oracle_n <= 0:
-            raise ValidationError(f"{policy.variant} policy requires a positive N, got {oracle_n}")
-        at = np.full(rows.size, 1.0 if oracle_n is None else float(oracle_n))
+        if oracle_n is not None and np.any(oracle_n <= 0):
+            bad = oracle_n[oracle_n <= 0][0]
+            raise ValidationError(f"{policy.variant} policy requires a positive N, got {bad:g}")
+        at = np.ones(rows.size) if oracle_n is None else oracle_n[rows]
         found = solve(np.arange(rows.size), at)
     else:
         anchor = 2.0 * t.x0
@@ -734,8 +758,8 @@ def _adpl_batch(
 class _Method(NamedTuple):
     """One estimation method: its single-table and replicate-array solvers.
 
-    Both take (table or TableArrays, policy, oracle_n); the batch solver's
-    rows equal the single-table solver's reports.
+    Both take (table or TableArrays, policy, oracle_n), the batch solver with
+    one oracle_n per row; its rows equal the single-table solver's reports.
     """
 
     solve: Callable[..., EstimateReport]
@@ -781,7 +805,7 @@ class EstimatorSpec:
     methods, forbidden otherwise). The ``@oracle`` suffix, the only switch
     for oracle delta mode, evaluates an N-dependent policy once at the
     generating size ``true_n`` instead of at the self-consistent fixed point.
-    Other specs ignore ``true_n``.
+    Other specs ignore the value of ``true_n``.
     """
 
     method: str
@@ -824,19 +848,31 @@ class EstimatorSpec:
         """Apply this estimator to a table."""
         return _METHODS[self.method].solve(table, self.policy, self._oracle_n(true_n))
 
-    def estimate_batch(self, x11, x10, x01, *, true_n: float | None = None) -> BatchEstimate:
+    def estimate_batch(self, x11, x10, x01, *, true_n=None) -> BatchEstimate:
         """Apply this estimator to every replicate table: row i is (x11[i], x10[i], x01[i]).
 
-        Row by row the result equals :meth:`estimate` on that table: the same
-        n_hat and delta_used, and a failure (NaN) exactly where it raises
-        EstimationError or the table is all-zero. The closed forms are array
-        expressions; each argmax search advances every row per pass. For one
-        table :meth:`estimate` is faster (0.07 ms against 2.1 ms for
-        ``adpl-mtb:scaled:1.25`` on (50, 30, 20)), so this is the path for
-        replicate arrays only.
+        ``true_n`` is one generating size for all rows or an array of one per
+        row, so rows drawn from populations of different sizes can share a
+        batch; an array of another length raises ValidationError.
+
+        Row by row the result equals :meth:`estimate` on that table at that
+        row's ``true_n``: the same n_hat and delta_used, and a failure (NaN)
+        exactly where it raises EstimationError or the table is all-zero. The
+        closed forms are array expressions; each argmax search advances every
+        row per pass. For one table :meth:`estimate` is faster (0.07 ms
+        against 2.1 ms for ``adpl-mtb:scaled:1.25`` on (50, 30, 20)), so this
+        is the path for replicate arrays only.
         """
         tables = TableArrays.from_cells(x11, x10, x01)
-        return _METHODS[self.method].solve_batch(tables, self.policy, self._oracle_n(true_n))
+        if np.ndim(true_n) and np.shape(true_n) != tables.x11.shape:
+            raise ValidationError(
+                f"true_n must be a scalar or hold one size per row ({tables.x11.size}), "
+                f"got shape {np.shape(true_n)}"
+            )
+        oracle_n = self._oracle_n(true_n)
+        if oracle_n is not None:
+            oracle_n = np.broadcast_to(np.asarray(oracle_n, dtype=float), tables.x11.shape)
+        return _METHODS[self.method].solve_batch(tables, self.policy, oracle_n)
 
 
 def parse_estimator(descriptor: str) -> EstimatorSpec:

@@ -22,7 +22,12 @@ version of a rejection sampler. Each CDF is built only over a window sized by
 a Bernstein tail bound (about 39.2 sd either side of the mean at large n)
 outside which it is exactly 0.0 or 1.0 in double, so a draw at n = 1e9 holds
 about a million doubles, not a billion, and the draws equal inversion of the
-full n + 1 point CDF bit for bit.
+full n + 1 point CDF bit for bit. The stages after the first draw from many
+trial counts at once; :func:`draw_binomial` sizes all their windows in closed
+form, evaluates ``gammaln`` once over the windows' span, and builds the
+windows as rows of padded blocks of about 2**14 doubles, each with one
+row-wise cumulative sum. A window wider than a block is built alone by
+:func:`binomial_cdf`, which stays the reference.
 Nothing is cached: the replicate tables of a study rarely repeat an (n, p)
 pair (none of 382 builds repeat in the ``table3`` study, about 15% in the
 small-N figure studies, none at n = 1e6), so a kept window would seldom be
@@ -97,6 +102,8 @@ def uniforms(seed: int, purpose: int, unit: int, count: int, start: int = 0) -> 
 # CDF window excludes only terms at least this far below the largest one; the
 # margin of 0.87 covers the log-pmf's rounding, about 1e-5 at n = 1e9.
 _UNDERFLOW_LOG = 746.0
+# Doubles per padded block of CDF windows in draw_binomial (128 KiB).
+_BLOCK = 2**14
 
 
 def _logpmf(n: int, p: float, k: np.ndarray) -> np.ndarray:
@@ -108,6 +115,19 @@ def _logpmf(n: int, p: float, k: np.ndarray) -> np.ndarray:
         + k * np.log(p)
         + (n - k) * np.log1p(-p)
     )
+
+
+def _reach(n, p: float):
+    """Mean and half-width d of the closed-form window of Binomial(n, p); n may be an array.
+
+    Bernstein: P(|X - np| >= t) <= exp(-t**2 / (2(np(1 - p) + t/3))), which
+    is exp(-c) at t = d; the pmf at the mode is at least 1/(n + 1), so every k
+    at distance d or more lies _UNDERFLOW_LOG or more below the largest
+    log-pmf.
+    """
+    mean = n * p
+    c = _UNDERFLOW_LOG + np.log(n + 1.0)
+    return mean, c / 3.0 + np.sqrt(c * c / 9.0 + 2.0 * c * mean * (1.0 - p))
 
 
 def binomial_cdf(n: int, p: float) -> tuple[int, np.ndarray]:
@@ -138,12 +158,7 @@ def binomial_cdf(n: int, p: float) -> tuple[int, np.ndarray]:
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1), got {p!r}")
-    # Bernstein: P(|X - np| >= t) <= exp(-t**2 / (2(np(1 - p) + t/3))), which is
-    # exp(-c) at t = d; the pmf at the mode is at least 1/(n + 1), so every k at
-    # distance d or more lies _UNDERFLOW_LOG or more below the largest log-pmf.
-    mean = n * p
-    c = _UNDERFLOW_LOG + math.log(n + 1.0)
-    d = c / 3.0 + math.sqrt(c * c / 9.0 + 2.0 * c * mean * (1.0 - p))
+    mean, d = _reach(n, p)
     while True:
         lo, hi = max(0, math.floor(mean - d)), min(n, math.ceil(mean + d))
         logpmf = _logpmf(n, p, np.arange(lo, hi + 1, dtype=float))
@@ -157,14 +172,98 @@ def binomial_cdf(n: int, p: float) -> tuple[int, np.ndarray]:
     return lo, f
 
 
+def _log_factorial(a: int, b: int, budget: int):
+    """x -> ln(x!) = gammaln(x + 1.0) for integer arrays x within [a, b].
+
+    Evaluated once over [a, b] and looked up when that span holds fewer than
+    ``budget`` points, else evaluated on each call; gammaln is element-wise,
+    so both give the same doubles.
+    """
+    if b - a >= budget:
+        return lambda x: gammaln(x + 1.0)
+    table = gammaln(np.arange(a, b + 1, dtype=float) + 1.0)
+    return lambda x: table[x - a]
+
+
+def _cdf_block(n, p: float, lo, width, log_fact_k, log_fact_nk):
+    """CDF windows of Binomial(n[i], p) over [lo[i], lo[i] + width[i]) as rows of one array.
+
+    Row i is the ``f`` of :func:`binomial_cdf` on that window, padded with
+    1.0: the log-pmf is computed element-wise as :func:`_logpmf` does and
+    padded with -inf, whose exact 0.0 terms leave each row's cumulative sum
+    and total as they are. Returns the rows and a mask of the rows whose
+    edge terms are 0.0 (or at 0 or n), as :func:`binomial_cdf` checks.
+    """
+    hi = lo + width - 1
+    cols = np.arange(width.max())
+    k = np.minimum(lo[:, None] + cols, hi[:, None])
+    nk = n[:, None] - k
+    # The terms of _logpmf, subtracted and added in its order, in place.
+    f = gammaln(n + 1.0)[:, None] - log_fact_k(k)
+    f -= log_fact_nk(nk)
+    f += k * np.log(p)
+    f += nk * np.log1p(-p)
+    del k, nk
+    f[cols >= width[:, None]] = -np.inf
+    f -= f.max(axis=1, keepdims=True)
+    np.exp(f, out=f)
+    last = f[np.arange(n.size), width - 1]
+    ok = ((lo == 0) | (f[:, 0] == 0.0)) & ((hi == n) | (last == 0.0))
+    np.cumsum(f, axis=1, out=f)
+    # Each row's total is its last column; total / total is exactly 1.0, so
+    # every column from the window's last on holds 1.0, as pinned in binomial_cdf.
+    f /= f[:, -1:].copy()
+    return f, ok
+
+
+def _cdfs(n: np.ndarray, p: float):
+    """(i, lo, f) for each of the distinct trial counts n: f is binomial_cdf(n[i], p)[1].
+
+    The windows of :func:`binomial_cdf` come from the closed form for all n at
+    once and are built in padded blocks of about _BLOCK doubles, rows sorted
+    by width; ``gammaln`` runs once over the windows' k span and once over
+    their n - k span. A window wider than a block, or one whose edge check
+    fails, is built by :func:`binomial_cdf` itself. Any window holding every
+    non-zero term gives the same CDF values, so the draws do not depend on
+    which rows share a block.
+    """
+    mean, d = _reach(n, p)
+    lo = np.maximum(0, np.floor(mean - d)).astype(np.int64)
+    hi = np.minimum(n, np.ceil(mean + d)).astype(np.int64)
+    width = hi - lo + 1
+    by_width = np.argsort(width, kind="stable")
+    wide = width[by_width] > _BLOCK
+    for i in by_width[wide]:
+        yield (i, *binomial_cdf(int(n[i]), p))
+    fits = by_width[~wide]
+    if not fits.size:
+        return
+    budget = int(width[fits].sum())
+    log_fact_k = _log_factorial(lo[fits].min(), hi[fits].max(), budget)
+    log_fact_nk = _log_factorial((n - hi)[fits].min(), (n - lo)[fits].max(), budget)
+    start = 0
+    while start < fits.size:
+        # The most rows whose padded block (rows x widest row) fits _BLOCK.
+        w = width[fits[start:]]
+        count = np.searchsorted(np.arange(1, w.size + 1) * w, _BLOCK, side="right")
+        rows = fits[start : start + count]
+        start += count
+        f, ok = _cdf_block(n[rows], p, lo[rows], width[rows], log_fact_k, log_fact_nk)
+        for j, i in enumerate(rows):
+            if ok[j]:
+                yield i, lo[i], f[j, : width[i]]
+            else:
+                yield (i, *binomial_cdf(int(n[i]), p))
+
+
 def draw_binomial(n: np.ndarray, p: float, u: np.ndarray) -> np.ndarray:
     """Invert Binomial(n_i, p) at uniform u_i in [0, 1) for each i.
 
     Each draw is the smallest k with F(k) >= u_i on the full CDF, found in
     the window of :func:`binomial_cdf`; u_i == 0.0 gives 0, as it does on
     the full CDF's leading zeros. The trial counts may differ across
-    entries; draws are grouped by unique count so each distinct window is
-    built once per call.
+    entries; each distinct count's window is built once per call, in the
+    padded blocks of :func:`_cdfs`.
     """
     n = np.asarray(n)
     u = np.asarray(u)
@@ -173,9 +272,11 @@ def draw_binomial(n: np.ndarray, p: float, u: np.ndarray) -> np.ndarray:
         return out
     if p >= 1.0:
         return n.astype(np.int64)
-    for n_val in np.unique(n):
-        idx = np.nonzero(n == n_val)[0]
-        lo, f = binomial_cdf(int(n_val), p)
+    values, row = np.unique(n, return_inverse=True)
+    order = np.argsort(row, kind="stable")
+    bounds = np.searchsorted(row[order], np.arange(values.size + 1))
+    for i, lo, f in _cdfs(values, p):
+        idx = order[bounds[i] : bounds[i + 1]]
         out[idx] = lo + np.searchsorted(f, u[idx], side="left")
     out[u == 0.0] = 0
     return out

@@ -58,15 +58,18 @@ def reference_draw_binomial(n: np.ndarray, p: float, u: np.ndarray) -> np.ndarra
 def scalar_estimate_batch(spec, x11, x10, x01, *, true_n=None):
     """Reference for ``EstimatorSpec.estimate_batch``: ``estimate`` on each row alone.
 
-    A row fails (NaN) where ``estimate`` raises EstimationError or the table
-    is all-zero; delta_used is None when no row reports an adjustment.
+    ``true_n`` is a scalar or one generating size per row; each row is
+    estimated at its own. A row fails (NaN) where ``estimate`` raises
+    EstimationError or the table is all-zero; delta_used is None when no row
+    reports an adjustment.
     """
+    sizes = np.broadcast_to(np.asarray(true_n, dtype=object), np.shape(x11))
     n_hat, deltas = [], []
-    for cells in zip(x11, x10, x01):
+    for cells, size in zip(zip(x11, x10, x01), sizes):
         try:
             if not sum(cells):
                 raise EstimationError("all-zero table")
-            rep = spec.estimate(DualRecordTable(*map(int, cells)), true_n=true_n)
+            rep = spec.estimate(DualRecordTable(*map(int, cells)), true_n=size)
         except EstimationError:
             n_hat.append(math.nan)
             deltas.append(math.nan)

@@ -212,6 +212,31 @@ class TestEstimateCommand:
         assert code == 1 and out == ""
         assert err.startswith("dualrec: error:") and "not UTF-8" in err
 
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("estimate", TABLE_JSON),
+            ("estimate", "x11,x10,x01\n50,30,20\n"),
+            (
+                "simulate",
+                StudyConfig((TABLE2_POPULATIONS[0],), ("dse", "pl-mtb"), 5, 3).to_json(),
+            ),
+        ],
+        ids=["json-table", "csv-table", "config"],
+    )
+    def test_leading_byte_order_mark_is_ignored(self, command, text, tmp_path, capsys):
+        # Some editors start UTF-8 files with the mark EF BB BF.
+        outputs = []
+        for prefix in (b"", b"\xef\xbb\xbf"):
+            path = tmp_path / "input"
+            path.write_bytes(prefix + text.encode())
+            args = ["estimate", "--table", str(path), "--method", "dse"]
+            if command == "simulate":
+                args = ["simulate", "--config", str(path)]
+            outputs.append(run_cli(args, capsys))
+        assert outputs[1] == outputs[0]
+        assert outputs[0][0] == 0 and outputs[0][2] == ""
+
     def test_missing_table_file_is_usage_error(self, tmp_path, capsys):
         code, _, err = run_cli(
             ["estimate", "--table", str(tmp_path / "nope.json"), "--method", "dse"],

@@ -583,6 +583,37 @@ class TestBatchEstimates:
         else:
             np.testing.assert_array_equal(got.delta_used, want.delta_used)
 
+    @pytest.mark.parametrize("descriptor", [d + "@oracle" for d in DESCRIPTORS])
+    @settings(max_examples=10, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(st.tuples(_cell, _cell, _cell) | st.sampled_from(EDGE_ROWS), st.integers(1, 10**6)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_rows_equal_scalar_estimates_at_their_own_true_n(self, descriptor, rows):
+        # Rows drawn from populations of different sizes share one batch.
+        spec = parse_estimator(descriptor)
+        cells = np.array([c for c, _ in rows], dtype=np.int64).T
+        sizes = np.array([n for _, n in rows])
+        got = spec.estimate_batch(*cells, true_n=sizes)
+        want = scalar_estimate_batch(spec, *cells, true_n=sizes)
+        np.testing.assert_array_equal(got.n_hat, want.n_hat)
+        if spec.policy is not None:
+            np.testing.assert_array_equal(got.delta_used, want.delta_used)
+
+    def test_per_row_true_n_must_fit_the_rows(self):
+        cells = ([50, 60], [30, 30], [20, 20])
+        spec = parse_estimator("adpl-mtb:scaled:1.25@oracle")
+        with pytest.raises(ValidationError, match="one size per row"):
+            spec.estimate_batch(*cells, true_n=[500, 500, 500])
+        with pytest.raises(ValidationError, match="positive N"):
+            spec.estimate_batch(*cells, true_n=[500, 0])
+        # A spec that ignores true_n still rejects sizes of another count.
+        with pytest.raises(ValidationError, match="one size per row"):
+            parse_estimator("dse").estimate_batch(*cells, true_n=[500])
+
     def test_edge_rows_take_the_decimal_recheck_and_the_exact_quotient(self, monkeypatch):
         kinds = set()
         decimal_step = kernels._decimal_step

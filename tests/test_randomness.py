@@ -158,6 +158,86 @@ class TestBinomialInversion:
         counts = np.full(u.shape, n)
         assert np.array_equal(draw_binomial(counts, p, u), reference_draw_binomial(counts, p, u))
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.lists(
+            st.lists(st.floats(-800.0, 0.0), min_size=1, max_size=40), min_size=1, max_size=8
+        )
+    )
+    def test_padded_rows_sum_as_each_row_alone(self, rows):
+        # The padded CDF blocks of draw_binomial rest on this: exp of -inf is
+        # an exact 0.0, and a row-wise cumulative sum over the 2-D block adds
+        # each row's terms in the order of the row's own 1-D sum.
+        width = max(map(len, rows))
+        block = np.full((len(rows), width), -np.inf)
+        for i, row in enumerate(rows):
+            block[i, : len(row)] = row
+        sums = np.cumsum(np.exp(block), axis=1)
+        for i, row in enumerate(rows):
+            alone = np.cumsum(np.exp(np.array(row)))
+            assert np.array_equal(sums[i, : len(row)], alone)
+            assert np.all(sums[i, len(row) :] == alone[-1])
+
+    @staticmethod
+    def _per_value_inversion(n, p, u):
+        """Each draw inverted through binomial_cdf of its own trial count."""
+        out = []
+        for n_i, u_i in zip(n, u):
+            lo, f = binomial_cdf(int(n_i), p)
+            out.append(0 if u_i == 0.0 else lo + int(np.searchsorted(f, u_i, side="left")))
+        return out
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        draws=st.lists(
+            st.tuples(
+                st.integers(0, 50) | st.integers(0, 3000) | st.integers(0, 300_000),
+                st.sampled_from(_EDGE_UNIFORMS) | st.floats(0.0, 1.0, exclude_max=True),
+            ),
+            min_size=1,
+            max_size=16,
+        ),
+        p=st.one_of(
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+            st.floats(0.0, 1e-6, exclude_min=True),
+            st.floats(1.0 - 1e-6, 1.0, exclude_max=True),
+        ),
+        block=st.sampled_from([randomness._BLOCK, 64]),
+        widen=st.booleans(),
+    )
+    @example(draws=[(0, 0.5), (0, 0.0), (7, 0.0), (7, 0.3), (2000, 0.9)], p=0.4, block=64, widen=False)
+    @example(draws=[(10**6, 0.5), (10**6, 0.0), (900, 0.1), (901, 0.7)], p=0.5, block=randomness._BLOCK, widen=False)
+    @example(draws=[(3000, 0.2), (3001, 0.6), (2999, 0.0), (5, 0.4)], p=0.3, block=randomness._BLOCK, widen=True)
+    def test_mixed_counts_equal_per_value_inversion_bit_for_bit(self, draws, p, block, widen):
+        # Windows wider than the block are built alone; with a narrowed
+        # closed form, block rows fail the edge check and are widened by
+        # binomial_cdf. Either way each draw is its own value's inversion.
+        n = np.array([d[0] for d in draws], dtype=np.int64)
+        u = np.array([d[1] for d in draws])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(randomness, "_BLOCK", block)
+            if widen:
+                mp.setattr(randomness, "_UNDERFLOW_LOG", 5.0)
+            got = draw_binomial(n, p, u)
+            want = self._per_value_inversion(n, p, u)
+        assert got.tolist() == want
+
+    def test_block_rows_failing_the_edge_check_are_widened(self, monkeypatch):
+        # With a narrowed closed form the first windows of these counts leave
+        # a non-zero edge term; the rows are rebuilt by binomial_cdf, which
+        # widens them to the exact CDF.
+        monkeypatch.setattr(randomness, "_UNDERFLOW_LOG", 5.0)
+        rebuilt = []
+        build = randomness.binomial_cdf
+        monkeypatch.setattr(
+            randomness, "binomial_cdf", lambda n, p: rebuilt.append(n) or build(n, p)
+        )
+        n = np.array([3000, 3001, 3000, 2500])
+        u = uniforms(DEFAULT_SEED, PURPOSE_STUDY, 4, 4)[:, 0]
+        got = draw_binomial(n, 0.3, u)
+        assert sorted(rebuilt) == [2500, 3000, 3001]
+        assert np.array_equal(got, reference_draw_binomial(n, 0.3, u))
+
     def test_edge_probabilities(self):
         n = np.array([5, 9, 0])
         u = np.array([0.99, 0.5, 0.1])

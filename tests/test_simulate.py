@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dualrec import simulate
 from dualrec.estimators import EstimatorSpec
 from dualrec.randomness import DEFAULT_SEED, PURPOSE_STUDY
 from dualrec.simulate import (
@@ -201,6 +202,31 @@ class TestRunStudy:
         assert peak < 64 * 2**20
         assert [s.replicate_count for s in summaries] == [20, 20]
         assert all(0.8 * 10**9 < s.mean < 10**9 for s in summaries)  # both biased low at phi > 1
+
+    def test_study_csv_does_not_depend_on_the_stacking(self, monkeypatch):
+        # Populations of different N, in candidate and oracle mode; groups of
+        # one population, of two, and one group of all five.
+        pops = [P1.with_n(n, label=f"P1|{n}") for n in (20, 100, 500, 20_000)] + [
+            PopulationSpec("sparse", 40, 0.10, 0.30, 1.0)
+        ]
+        estimators = ["dse", "mpl-mt", "adpl-mtb:recapture:1.25", "adpl-mtb:scaled:1.25@oracle"]
+        config = _config(pops, estimators, replicates=30, seed=17)
+        csvs = []
+        for rows in (1, 60, 10**6):
+            monkeypatch.setattr(simulate, "STACK_ROWS", rows)
+            csvs.append(summaries_to_csv(run_study(config)))
+        assert csvs[1] == csvs[0] and csvs[2] == csvs[0]
+        assert len(csvs[0].splitlines()) == 1 + len(pops) * len(estimators)
+
+    def test_oracle_rows_of_each_population_use_its_own_size(self):
+        # One stack holds both populations; each oracle row evaluates delta
+        # at its own population's N, as a study of that population alone does.
+        pops = [P1.with_n(100, label="small"), P1]
+        descriptor = "adpl-mtb:scaled:1.25@oracle"
+        together = run_study(_config(pops, [descriptor], replicates=40))
+        assert [s.delta_used for s in together] == [1.0 - 1.25 / 100, 1.0 - 1.25 / 500]
+        alone = run_study(_config(pops[:1], [descriptor], replicates=40))
+        assert together[0] == alone[0]
 
     def test_csv_rendering(self):
         config = _config([P1], ["dse", "adpl-mtb:fixed:0.99"], replicates=20)
