@@ -26,8 +26,11 @@ full n + 1 point CDF bit for bit. The stages after the first draw from many
 trial counts at once; :func:`draw_binomial` sizes all their windows in closed
 form, evaluates ``gammaln`` once over the windows' span, and builds the
 windows as rows of padded blocks of about 2**14 doubles, each with one
-row-wise cumulative sum. A window wider than a block is built alone by
-:func:`binomial_cdf`, which stays the reference.
+row-wise cumulative sum. A window wider than that is a block of one row and
+reads the same shared log-factorials, so the nearly overlapping windows of
+one stage evaluate ``gammaln`` about once over their span, not once each.
+:func:`binomial_cdf` stays the reference, and builds the rare window whose
+edge check fails.
 Nothing is cached: the replicate tables of a study rarely repeat an (n, p)
 pair (none of 382 builds repeat in the ``table3`` study, about 15% in the
 small-N figure studies, none at n = 1e6), so a kept window would seldom be
@@ -172,17 +175,32 @@ def binomial_cdf(n: int, p: float) -> tuple[int, np.ndarray]:
     return lo, f
 
 
-def _log_factorial(a: int, b: int, budget: int):
-    """x -> ln(x!) = gammaln(x + 1.0) for integer arrays x within [a, b].
+class _LogFactorial:
+    """ln(x!) = gammaln(x + 1.0) for integers x within [a, b].
 
-    Evaluated once over [a, b] and looked up when that span holds fewer than
-    ``budget`` points, else evaluated on each call; gammaln is element-wise,
-    so both give the same doubles.
+    Evaluated once over [a, b] when that span holds fewer than ``budget``
+    points, else on each lookup, so trial counts spread far apart never
+    make a run span their whole range; gammaln is element-wise, so both
+    give the same doubles.
     """
-    if b - a >= budget:
-        return lambda x: gammaln(x + 1.0)
-    table = gammaln(np.arange(a, b + 1, dtype=float) + 1.0)
-    return lambda x: table[x - a]
+
+    def __init__(self, a: int, b: int, budget: int):
+        self.a = a
+        self.table = None
+        if b - a < budget:
+            self.table = gammaln(np.arange(a, b + 1, dtype=float) + 1.0)
+
+    def at(self, x: np.ndarray) -> np.ndarray:
+        """Values at an integer array x."""
+        if self.table is None:
+            return gammaln(x + 1.0)
+        return self.table[x - self.a]
+
+    def run(self, start: int, stop: int) -> np.ndarray:
+        """Values at start, start + 1, ..., stop - 1: a slice of the table when there is one."""
+        if self.table is None:
+            return gammaln(np.arange(start, stop, dtype=float) + 1.0)
+        return self.table[start - self.a : stop - self.a]
 
 
 def _cdf_block(n, p: float, lo, width, log_fact_k, log_fact_nk):
@@ -195,16 +213,26 @@ def _cdf_block(n, p: float, lo, width, log_fact_k, log_fact_nk):
     edge terms are 0.0 (or at 0 or n), as :func:`binomial_cdf` checks.
     """
     hi = lo + width - 1
-    cols = np.arange(width.max())
-    k = np.minimum(lo[:, None] + cols, hi[:, None])
-    nk = n[:, None] - k
+    if n.size == 1:
+        # A row alone reads its log-factorials as slices: k forward, n - k reversed.
+        k = np.arange(lo[0], hi[0] + 1, dtype=float)[None]
+        lf_k = log_fact_k.run(lo[0], hi[0] + 1)
+        lf_nk = log_fact_nk.run(n[0] - hi[0], n[0] - lo[0] + 1)[::-1]
+    else:
+        cols = np.arange(width.max())
+        k = np.minimum(lo[:, None] + cols, hi[:, None])
+        lf_k = log_fact_k.at(k)
+        lf_nk = log_fact_nk.at(n[:, None] - k)
+        # ln(k!) = inf makes the log-pmf of each padding column -inf.
+        lf_k[cols >= width[:, None]] = np.inf
     # The terms of _logpmf, subtracted and added in its order, in place.
-    f = gammaln(n + 1.0)[:, None] - log_fact_k(k)
-    f -= log_fact_nk(nk)
+    f = gammaln(n + 1.0)[:, None] - lf_k
+    f -= lf_nk
+    del lf_k, lf_nk
     f += k * np.log(p)
-    f += nk * np.log1p(-p)
-    del k, nk
-    f[cols >= width[:, None]] = -np.inf
+    k = n[:, None] - k
+    f += k * np.log1p(-p)
+    del k
     f -= f.max(axis=1, keepdims=True)
     np.exp(f, out=f)
     last = f[np.arange(n.size), width - 1]
@@ -221,32 +249,30 @@ def _cdfs(n: np.ndarray, p: float):
 
     The windows of :func:`binomial_cdf` come from the closed form for all n at
     once and are built in padded blocks of about _BLOCK doubles, rows sorted
-    by width; ``gammaln`` runs once over the windows' k span and once over
-    their n - k span. A window wider than a block, or one whose edge check
-    fails, is built by :func:`binomial_cdf` itself. Any window holding every
-    non-zero term gives the same CDF values, so the draws do not depend on
-    which rows share a block.
+    by width; a window wider than a block is a block of its own. Every
+    window reads its log-factorials from two runs shared by the call, one
+    over the windows' k span and one over their n - k span (see
+    :class:`_LogFactorial`). A window whose edge check fails is built by
+    :func:`binomial_cdf` itself. Any window holding every non-zero term
+    gives the same CDF values, so the draws do not depend on which rows
+    share a block.
     """
+    if not n.size:
+        return
     mean, d = _reach(n, p)
     lo = np.maximum(0, np.floor(mean - d)).astype(np.int64)
     hi = np.minimum(n, np.ceil(mean + d)).astype(np.int64)
     width = hi - lo + 1
+    budget = int(width.sum())
+    log_fact_k = _LogFactorial(lo.min(), hi.max(), budget)
+    log_fact_nk = _LogFactorial((n - hi).min(), (n - lo).max(), budget)
     by_width = np.argsort(width, kind="stable")
-    wide = width[by_width] > _BLOCK
-    for i in by_width[wide]:
-        yield (i, *binomial_cdf(int(n[i]), p))
-    fits = by_width[~wide]
-    if not fits.size:
-        return
-    budget = int(width[fits].sum())
-    log_fact_k = _log_factorial(lo[fits].min(), hi[fits].max(), budget)
-    log_fact_nk = _log_factorial((n - hi)[fits].min(), (n - lo)[fits].max(), budget)
     start = 0
-    while start < fits.size:
-        # The most rows whose padded block (rows x widest row) fits _BLOCK.
-        w = width[fits[start:]]
-        count = np.searchsorted(np.arange(1, w.size + 1) * w, _BLOCK, side="right")
-        rows = fits[start : start + count]
+    while start < n.size:
+        # The most rows whose padded block (rows x widest row) fits _BLOCK, at least one.
+        w = width[by_width[start:]]
+        count = max(1, np.searchsorted(np.arange(1, w.size + 1) * w, _BLOCK, side="right"))
+        rows = by_width[start : start + count]
         start += count
         f, ok = _cdf_block(n[rows], p, lo[rows], width[rows], log_fact_k, log_fact_nk)
         for j, i in enumerate(rows):
@@ -263,7 +289,7 @@ def draw_binomial(n: np.ndarray, p: float, u: np.ndarray) -> np.ndarray:
     the window of :func:`binomial_cdf`; u_i == 0.0 gives 0, as it does on
     the full CDF's leading zeros. The trial counts may differ across
     entries; each distinct count's window is built once per call, in the
-    padded blocks of :func:`_cdfs`.
+    padded blocks of :func:`_cdfs`, wide windows as blocks of one row.
     """
     n = np.asarray(n)
     u = np.asarray(u)

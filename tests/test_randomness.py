@@ -1,6 +1,7 @@
 """Counter-addressed random streams: determinism, seeking, exact inversion."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -209,9 +210,10 @@ class TestBinomialInversion:
     @example(draws=[(10**6, 0.5), (10**6, 0.0), (900, 0.1), (901, 0.7)], p=0.5, block=randomness._BLOCK, widen=False)
     @example(draws=[(3000, 0.2), (3001, 0.6), (2999, 0.0), (5, 0.4)], p=0.3, block=randomness._BLOCK, widen=True)
     def test_mixed_counts_equal_per_value_inversion_bit_for_bit(self, draws, p, block, widen):
-        # Windows wider than the block are built alone; with a narrowed
-        # closed form, block rows fail the edge check and are widened by
-        # binomial_cdf. Either way each draw is its own value's inversion.
+        # Windows wider than the block are blocks of one row, read from the
+        # same shared log-factorial runs; with a narrowed closed form, rows
+        # fail the edge check and are widened by binomial_cdf. Either way
+        # each draw is its own value's inversion.
         n = np.array([d[0] for d in draws], dtype=np.int64)
         u = np.array([d[1] for d in draws])
         with pytest.MonkeyPatch.context() as mp:
@@ -237,6 +239,66 @@ class TestBinomialInversion:
         got = draw_binomial(n, 0.3, u)
         assert sorted(rebuilt) == [2500, 3000, 3001]
         assert np.array_equal(got, reference_draw_binomial(n, 0.3, u))
+
+    @pytest.mark.parametrize("p", [1e-6, 0.02, 0.3, 0.5, 0.98])
+    def test_every_window_equals_binomial_cdf_bit_for_bit(self, p):
+        # Each count alone (its window is the whole shared run) and all of
+        # them in one call (runs too spread out to evaluate, so looked up
+        # per window); windows above 2**14 points are blocks of one row.
+        counts = (20_000, 200_000, 10**6, 10**7)
+        for n in [np.array([c]) for c in counts] + [np.array(counts)]:
+            built = list(randomness._cdfs(n, p))
+            assert sorted(i for i, _, _ in built) == list(range(n.size))
+            for i, lo, f in built:
+                want_lo, want = binomial_cdf(int(n[i]), p)
+                assert lo == want_lo
+                assert np.array_equal(f, want)
+
+    def test_wide_windows_share_the_log_factorial_runs(self, monkeypatch):
+        # One draw_tables call of a study at N = 1e6 (p1. = 0.6, p.1 = 0.7,
+        # phi = 1.25), R = 50: 99 of its windows exceed a block. They read
+        # the two runs of their stage; none is built by binomial_cdf.
+        points, builds, widths = [], [], []
+        log_gamma, cdfs = randomness.gammaln, randomness._cdfs
+
+        def counted_gammaln(x):
+            points.append(np.size(x))
+            return log_gamma(x)
+
+        def recorded_cdfs(n, p):
+            for i, lo, f in cdfs(n, p):
+                widths.append(f.size)
+                yield i, lo, f
+
+        monkeypatch.setattr(randomness, "gammaln", counted_gammaln)
+        monkeypatch.setattr(randomness, "_cdfs", recorded_cdfs)
+        monkeypatch.setattr(randomness, "binomial_cdf", lambda n, p: builds.append(n))
+        spec = PopulationSpec("M", 1_000_000, 0.60, 0.70, 1.25)
+        draw_tables(spec.n, spec.cells(), uniforms(7, PURPOSE_STUDY, 0, 50))
+        assert builds == []
+        assert sum(w > randomness._BLOCK for w in widths) == 99
+        assert sum(points) < 8 * max(widths)
+
+    def test_spread_counts_do_not_share_a_run(self):
+        # A run over 0..1e9 would hold 8 GB; with these counts the runs are
+        # too spread out for the windows' total width, so each window
+        # evaluates gammaln over its own points.
+        n = np.array([10, 10**9, 5 * 10**8, 300_000])
+        u = uniforms(DEFAULT_SEED, PURPOSE_STUDY, 5, 4)[:, 0]
+        want = self._per_value_inversion(n, 0.3, u)
+        tracemalloc.start()
+        try:
+            got = draw_binomial(n, 0.3, u)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got.tolist() == want
+        assert peak < 64 * 2**20
+
+    def test_no_draws(self):
+        empty = np.array([], dtype=np.int64)
+        assert draw_binomial(empty, 0.3, np.array([])).size == 0
+        assert all(x.size == 0 for x in draw_tables(100, (0.3, 0.2, 0.2, 0.3), np.zeros((0, 4))))
 
     def test_edge_probabilities(self):
         n = np.array([5, 9, 0])
