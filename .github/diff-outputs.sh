@@ -1,0 +1,136 @@
+#!/usr/bin/env bash
+# Diff the program's outputs against those of a base commit.
+#
+# Usage: .github/diff-outputs.sh BASE_SRC WORK_DIR
+#
+# BASE_SRC is the src directory of the base commit's checkout; the head side
+# is the src directory next to this script. Outputs go to WORK_DIR. Every
+# reproduce target, a simulate study of every method and policy in both
+# delta modes, large-N and mixed-N studies, and single-table estimate
+# reports (stdout, stderr and exit code) run on both sides. reproduce and
+# simulate run the batch solvers, estimate the single-table ones; the tiny
+# population and the (0, 1, 3) table reach the 60-solve cap of the candidate
+# fixed point and fail there. Every case whose outputs differ, and every
+# reproduce or simulate run that fails, is reported, and the script then
+# exits 1.
+set -u
+
+base_src=$1
+work=$2
+head_src="$(cd "$(dirname "$0")/.." && pwd)/src"
+mkdir -p "$work"
+bad=()
+
+# run SIDE OUT ARGS...: run dualrec from SIDE's src, stdout to OUT.
+run() {
+  local src=$head_src
+  if [ "$1" = base ]; then src=$base_src; fi
+  local out=$2
+  shift 2
+  PYTHONPATH="$src" python -m dualrec "$@" > "$out"
+}
+
+# report LINE: print LINE and remember it for the summary.
+report() {
+  echo "$1"
+  bad+=("$1")
+}
+
+# compare CASE FILE...: diff each base-FILE against head-FILE in WORK_DIR.
+compare() {
+  local case=$1 same=1 file
+  shift
+  for file in "$@"; do
+    diff "$work/base-$file" "$work/head-$file" || same=0
+  done
+  if [ "$same" = 0 ]; then report "differs: $case"; fi
+}
+
+for target in table2 table3 table4 fig1 fig2 fig3 fig4; do
+  for side in base head; do
+    run "$side" "$work/$side-$target.csv" reproduce --target "$target" --replicates 20 ||
+      report "fails on $side: reproduce $target"
+  done
+  compare "reproduce $target" "$target.csv"
+done
+
+cat > "$work/study.json" <<'JSON'
+{"populations": [
+   {"label": "P1", "N": 500, "p1": 0.5, "p_dot1": 0.65, "phi": 1.25},
+   {"label": "P6", "N": 500, "p1": 0.6, "p_dot1": 0.7, "phi": 0.8},
+   {"label": "sparse", "N": 40, "p1": 0.1, "p_dot1": 0.3, "phi": 1.0},
+   {"label": "tiny", "N": 20, "p1": 0.1, "p_dot1": 0.3, "phi": 1.0}],
+ "estimators": [
+   "dse", "pl-mt", "mpl-mt", "pl-mtb",
+   "adpl-mtb:fixed:0.5", "adpl-mtb:scaled:1.25", "adpl-mtb:recapture:1.25",
+   "adpl-mt:fixed:0.5", "adpl-mt:scaled:1.25", "adpl-mt:recapture:1.25",
+   "adpl-mt:scaled:4",
+   "dse@oracle", "pl-mt@oracle", "mpl-mt@oracle", "pl-mtb@oracle",
+   "adpl-mtb:fixed:0.5@oracle", "adpl-mtb:scaled:1.25@oracle",
+   "adpl-mtb:recapture:1.25@oracle", "adpl-mt:fixed:0.5@oracle",
+   "adpl-mt:scaled:1.25@oracle", "adpl-mt:recapture:1.25@oracle"],
+ "replicates": 20, "seed": 7}
+JSON
+# Large-N draws: at N <= 500 every CDF window spans [0, n], so only these
+# populations exercise the window bound; the closed forms keep the study to
+# sampling. At seed 7, 7 of the 20 stage-3 windows of "straddle" are wider
+# than a padded block (_BLOCK) and 13 are not, so one draw_binomial call has
+# windows on both sides of that size.
+cat > "$work/large.json" <<'JSON'
+{"populations": [
+   {"label": "M", "N": 1000000, "p1": 0.6, "p_dot1": 0.7, "phi": 1.25},
+   {"label": "G", "N": 1000000000, "p1": 0.6, "p_dot1": 0.7, "phi": 1.25},
+   {"label": "skewed", "N": 1000000, "p1": 0.02, "p_dot1": 0.3, "phi": 1.0},
+   {"label": "straddle", "N": 340000, "p1": 0.5, "p_dot1": 0.65, "phi": 1.25}],
+ "estimators": ["dse", "pl-mtb"],
+ "replicates": 20, "seed": 7}
+JSON
+# Mixed-N likelihood study: run_study stacks the rows of populations of
+# different N into one batch, and @oracle rows evaluate delta at their own
+# population's N.
+cat > "$work/mixed.json" <<'JSON'
+{"populations": [
+   {"label": "N20", "N": 20, "p1": 0.5, "p_dot1": 0.65, "phi": 1.25},
+   {"label": "N500", "N": 500, "p1": 0.6, "p_dot1": 0.7, "phi": 0.8},
+   {"label": "N20000", "N": 20000, "p1": 0.5, "p_dot1": 0.65, "phi": 1.25}],
+ "estimators": [
+   "mpl-mt", "adpl-mtb:scaled:1.25", "adpl-mtb:recapture:1.25",
+   "adpl-mtb:scaled:1.25@oracle", "adpl-mtb:recapture:1.25@oracle"],
+ "replicates": 20, "seed": 7}
+JSON
+for study in study large mixed; do
+  for side in base head; do
+    run "$side" "$work/$side-$study.csv" simulate --config "$work/$study.json" ||
+      report "fails on $side: simulate $study"
+  done
+  compare "simulate $study" "$study.csv"
+done
+
+for cells in "50 30 20" "2 500 400" "0 0 5" "0 1 3"; do
+  set -- $cells
+  printf '{"x11": %s, "x10": %s, "x01": %s}\n' "$1" "$2" "$3" > "$work/table.json"
+  for descriptor in dse pl-mt mpl-mt pl-mtb \
+      adpl-mtb:fixed:0.5 adpl-mtb:scaled:1.25 adpl-mtb:recapture:1.25 \
+      adpl-mt:fixed:0.5 adpl-mt:scaled:1.25 adpl-mt:recapture:1.25 adpl-mt:scaled:4; do
+    method="${descriptor%%:*}"
+    args=(--method "$method")
+    if [ "$method" != "$descriptor" ]; then args+=(--delta "${descriptor#*:}"); fi
+    for format in text json; do
+      flags=("${args[@]}")
+      if [ "$format" = json ]; then flags+=(--json); fi
+      for side in base head; do
+        code=0
+        run "$side" "$work/$side-estimate.out" estimate --table "$work/table.json" "${flags[@]}" \
+          2> "$work/$side-estimate.err" || code=$?
+        echo "exit $code" >> "$work/$side-estimate.err"
+      done
+      compare "estimate $cells $descriptor $format" estimate.out estimate.err
+    done
+  done
+done
+
+echo "${#bad[@]} cases differ or fail"
+for line in "${bad[@]}"; do
+  echo "  $line"
+done
+[ "${#bad[@]}" = 0 ]

@@ -65,7 +65,8 @@ notes:
   The adjusted-profile methods require --delta with a policy string:
   fixed:<v>, scaled:<k> (delta = 1 - k/N), or recapture:<k>
   (delta = 1 - k*(1 - c_hat)/N). N-dependent policies are resolved
-  self-consistently at the estimate.
+  self-consistently at the estimate; one that has not settled after 60
+  solves is an estimation error (exit 2).
 
   Published real-data point estimates quoted alongside this methodology were
   derived from cell counts that were never published, so they cannot be

@@ -26,11 +26,12 @@ delta = 1 - k*(1-c_hat)/N with c_hat = x11/x1. For the N-dependent policies
 the estimate is the self-consistent fixed point N_hat = argmax_N l(N;
 delta(N_hat)), found by iterating from the dual-system estimate
 ("candidate" mode). That map is nondecreasing in N, so the iterates are
-monotone and never cycle; after 60 solves without a fixed point the last
-iterate is reported with a note. In simulation settings the ``@oracle``
-descriptor suffix selects "oracle" mode, in which delta is evaluated once at
-the known generating N (``oracle_n`` of the adjusted solvers); the two modes
-genuinely differ, and the study tables report both.
+monotone and reach the nearest fixed point on their side of the anchor; an
+estimate still moving after 60 solves fails with NoFiniteMaximumError. In
+simulation settings the ``@oracle`` descriptor suffix selects "oracle" mode,
+in which delta is evaluated once at the known generating N (``oracle_n`` of
+the adjusted solvers); the two modes genuinely differ, and the study tables
+report both.
 
 Each method has two solvers in one registry (``_METHODS``):
 :meth:`EstimatorSpec.estimate` solves one table, and
@@ -103,7 +104,8 @@ class EstimateReport:
         degenerate: True when the estimate sits on the domain lower bound
             x0 + 1 (or is the structural boundary estimate), signalling that
             the likelihood carried no interior information about N.
-        note: free-form diagnostic (e.g. the fixed-point iteration cap).
+        note: free-form diagnostic (e.g. that the pl-mtb estimate is the
+            boundary of a decreasing likelihood).
     """
 
     method: str
@@ -503,60 +505,48 @@ def mle_profile_mtb(table: DualRecordTable) -> EstimateReport:
     return _attach_nuisance(report, table)
 
 
-def _delta_or_reject(
-    policy: DeltaPolicy, n: float, table: DualRecordTable, require_below_one: bool
-) -> float:
-    d = policy.delta(n, table)
-    if require_below_one and d >= 1.0:
-        raise NoFiniteMaximumError(
-            f"adjustment delta = {d:.6g} violates the finite-maximum requirement delta < 1"
-        )
-    return d
-
-
 def _adpl_point(
-    table: DualRecordTable,
-    policy: DeltaPolicy,
-    oracle_n: float | None,
-    method: str,
-    lower: int,
-    require_delta_below_one: bool,
+    table: DualRecordTable, policy: DeltaPolicy, oracle_n: float | None, method: str
 ) -> EstimateReport:
     """Shared solver for the adjusted-profile estimators; ``method`` names the kernel."""
     if table.x1_dot == 0:
         raise UndefinedEstimateError("adjusted profile estimation requires x1. >= 1")
+    below_one = method == "adpl-mtb"
+    lower = table.x0 + below_one
 
-    def solve(delta: float) -> int:
-        return _argmax(lambda m: kernels.step_sign(method, m, table, delta), lower, method)
+    def solve(n: float) -> int:
+        """The argmax at delta(n)."""
+        d = policy.delta(n, table)
+        if below_one and d >= 1.0:
+            raise NoFiniteMaximumError(
+                f"adjustment delta = {d:.6g} violates the finite-maximum requirement delta < 1"
+            )
+        return _argmax(lambda m: kernels.step_sign(method, m, table, d), lower, method)
 
-    note = None
     if oracle_n is not None or not policy.requires_n():
         # One solve: delta at the given size, or the fixed policy's constant.
         at = 1.0 if oracle_n is None else float(oracle_n)
-        delta_used = _delta_or_reject(policy, at, table, require_delta_below_one)
-        n_hat = solve(delta_used)
+        n_hat = solve(at)
     else:
         # Self-consistent fixed point: iterate N -> argmax at delta(N) from
-        # the dual-system anchor. The map is nondecreasing in N, so the
-        # iterates are monotone and cannot cycle (see _fixed_point_batch).
+        # the dual-system anchor (see _fixed_point_batch).
         anchor = round(table.x1_dot * table.x_dot1 / table.x11) if table.x11 > 0 else 2 * table.x0
         n_hat = min(max(anchor, lower + 1), HARD_CEILING)
         for _ in range(60):
-            nxt = solve(_delta_or_reject(policy, float(n_hat), table, require_delta_below_one))
+            nxt = solve(float(n_hat))
             if nxt == n_hat:
                 break
             n_hat = nxt
         else:
-            note = "fixed-point iteration cap reached; last iterate reported"
-        delta_used = policy.delta(float(n_hat), table)
+            raise NoFiniteMaximumError(f"{method}: no fixed point of the candidate map in 60 solves")
+        at = float(n_hat)
 
     report = EstimateReport(
         method=method,
         n_hat=float(n_hat),
         n_hat_integer=int(n_hat),
-        delta_used=delta_used,
+        delta_used=policy.delta(at, table),
         degenerate=(n_hat == lower),
-        note=note,
     )
     return _attach_nuisance(report, table)
 
@@ -583,14 +573,7 @@ def mle_adpl_mtb(
             mode); otherwise N-dependent policies use the self-consistent
             fixed point.
     """
-    return _adpl_point(
-        table,
-        policy,
-        oracle_n,
-        "adpl-mtb",
-        lower=table.x0 + 1,
-        require_delta_below_one=True,
-    )
+    return _adpl_point(table, policy, oracle_n, "adpl-mtb")
 
 
 def mle_adpl_mt(
@@ -610,21 +593,13 @@ def mle_adpl_mt(
     with x11 = 0 the kernel can still rise past HARD_CEILING, which is
     reported as no finite maximum. ``oracle_n`` is as in :func:`mle_adpl_mtb`.
     """
-    if not policy.requires_n() and 2.0 * (policy.delta(1.0, table) - 1.0) >= table.x11:
-        d = policy.delta(1.0, table)
+    if not policy.requires_n() and 2.0 * (policy.value - 1.0) >= table.x11:
         raise NoFiniteMaximumError(
-            f"adjustment delta = {d:.6g} is at or above the divergence "
+            f"adjustment delta = {policy.value:.6g} is at or above the divergence "
             f"threshold 1 + x11/2 = {1.0 + table.x11 / 2.0:.6g}: the adjusted "
             "kernel increases without bound"
         )
-    return _adpl_point(
-        table,
-        policy,
-        oracle_n,
-        "adpl-mt",
-        lower=table.x0,
-        require_delta_below_one=False,
-    )
+    return _adpl_point(table, policy, oracle_n, "adpl-mt")
 
 
 @dataclass(frozen=True)
@@ -689,16 +664,19 @@ def _mt_batch(kind: str, tables: TableArrays) -> BatchEstimate:
 def _fixed_point_batch(solve, start: np.ndarray) -> np.ndarray:
     """The candidate fixed-point iteration of :func:`_adpl_point`, per row.
 
-    ``solve(rows, n)`` returns the argmax at delta(n[j]) for each row
-    rows[j], or -1 where the solve fails. Row i iterates from start[i] and
-    stops at a fixed point, or after 60 solves at its last iterate; a failed
-    solve fails the row (-1).
+    ``solve(rows, n)`` returns T(n[j]), the argmax at delta(n[j]), for each
+    row rows[j], or -1 where the solve fails. Row i iterates N -> T(N) from
+    its anchor a = start[i] and ends in one of two ways: at a fixed point, or
+    failed (-1) when a solve fails or the row is still moving after 60 solves.
 
-    No cycle can occur: the adpl-mtb and adpl-mt steps are the mpl steps plus
+    T is nondecreasing: the adpl-mtb and adpl-mt steps are the mpl steps plus
     (delta-1)[log1p(1/N) + log1p(1/(N-x1.))] and 2(delta-1)log1p(1/N), so with
-    exact step signs the argmax is nondecreasing in delta; the double delta(N)
-    = 1 - k/N or 1 - k(1-c_hat)/N is nondecreasing in N (rounding is monotone),
-    so the iterates are monotone and a value recurs only at a fixed point.
+    exact step signs the argmax is nondecreasing in delta, and the double
+    delta(N) = 1 - k/N or 1 - k(1-c_hat)/N is nondecreasing in N (rounding is
+    monotone). So the iterates are monotone, never cycle, and rise to the
+    least fixed point at or above a, or fall to the greatest at or below it.
+    T can have several fixed points: on sparse tables, and at N >~ 1e7, where
+    the double delta(N) is constant over runs of N.
     """
     cur = start.copy()
     rows = np.arange(start.size)
@@ -709,6 +687,7 @@ def _fixed_point_batch(solve, start: np.ndarray) -> np.ndarray:
         moving = (nxt >= 0) & (nxt != cur[rows])
         cur[rows] = nxt
         rows = rows[moving]
+    cur[rows] = -1
     return cur
 
 

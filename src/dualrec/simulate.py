@@ -49,6 +49,7 @@ from .tables import (
     FeasibilityError,
     MtbParams,
     ValidationError,
+    _integer,
     cell_probs_mtb,
     expected_distinct,
     p_from_marginals,
@@ -82,15 +83,6 @@ CSV_HEADER = "population,estimator,mean,se,rmse,ci_low,ci_high,failures,delta_us
 # whole population. It bounds estimation memory; 2048 rows cost about 5% of
 # the throughput of the paper's reproduce targets.
 STACK_ROWS = 4096
-
-
-def _integer(value, what: str) -> int:
-    """A JSON count: an integer, or an integral float such as 1e6, never a bool."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{what} must be an integer, got {value!r}")
-    return value
 
 
 def _number(value, what: str) -> float:

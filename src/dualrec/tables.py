@@ -89,6 +89,15 @@ def _require_count(name: str, value: int) -> int:
     return int(value)
 
 
+def _integer(value, what: str) -> int:
+    """A JSON count: an integer, or an integral float such as 1e6, never a bool."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _require_prob(name: str, value: float) -> float:
     value = float(value)
     if not 0.0 < value < 1.0 or not math.isfinite(value):
@@ -137,7 +146,10 @@ class DualRecordTable:
 
     @classmethod
     def from_json(cls, text: str) -> "DualRecordTable":
-        """Parse the JSON form of :meth:`to_json`: an object with exactly its three keys."""
+        """Parse the JSON form of :meth:`to_json`: an object with exactly its three keys.
+
+        Counts are integers or integral floats such as 5e1, as in a study config.
+        """
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -145,7 +157,7 @@ class DualRecordTable:
         if not isinstance(obj, dict) or set(obj) != {"x11", "x10", "x01"}:
             got = sorted(obj) if isinstance(obj, dict) else type(obj).__name__
             raise ValidationError(f"table JSON needs exactly the keys x11, x10, x01, got {got}")
-        return cls(x11=obj["x11"], x10=obj["x10"], x01=obj["x01"])
+        return cls(*(_integer(obj[name], name) for name in ("x11", "x10", "x01")))
 
     def to_csv(self) -> str:
         """Serialize to a CSV document with header x11,x10,x01 and one row."""
@@ -157,18 +169,21 @@ class DualRecordTable:
 
     @classmethod
     def from_csv(cls, text: str) -> "DualRecordTable":
-        """Parse the CSV form of :meth:`to_csv`: its header and one row of three counts."""
+        """Parse the CSV form of :meth:`to_csv`: its header and one row of three counts.
+
+        Each count is ASCII decimal digits, with surrounding whitespace ignored.
+        """
         rows = [r for r in csv.reader(io.StringIO(text)) if r]
         header = [h.strip() for h in rows[0]] if rows else []
         if header != ["x11", "x10", "x01"]:
             raise ValidationError(f"expected CSV header x11,x10,x01, got {header}")
         if len(rows) != 2 or len(rows[1]) != 3:
             raise ValidationError(f"table CSV needs one data row of three counts, got {rows[1:]}")
-        try:
-            vals = [int(v) for v in rows[1]]
-        except ValueError as exc:
-            raise ValidationError(f"cannot parse table CSV: {exc}") from exc
-        return cls(x11=vals[0], x10=vals[1], x01=vals[2])
+        fields = [v.strip() for v in rows[1]]
+        for name, v in zip(("x11", "x10", "x01"), fields):
+            if not (v.isascii() and v.isdigit()):
+                raise ValidationError(f"table CSV {name} must be decimal digits 0-9, got {v!r}")
+        return cls(*(int(v) for v in fields))
 
 
 class TableArrays(NamedTuple):

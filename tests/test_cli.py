@@ -171,6 +171,32 @@ class TestEstimateCommand:
         assert code == 1 and out == ""
         assert err.startswith("dualrec: error:") and message in err
 
+    @pytest.mark.parametrize(
+        "text",
+        ['{"x11": 5e1, "x10": 30.0, "x01": 20}', "x11,x10,x01\n50, 30 ,20\n"],
+        ids=["json-integral-floats", "csv-spaces"],
+    )
+    def test_table_file_counts_read_like_config_counts(self, text, tmp_path, capsys):
+        path = tmp_path / "table"
+        path.write_text(text)
+        got = run_cli(["estimate", "--table", str(path), "--method", "mpl-mt"], capsys)
+        path.write_text(TABLE_JSON)
+        assert got == run_cli(["estimate", "--table", str(path), "--method", "mpl-mt"], capsys)
+        assert got[0] == 0
+
+    @pytest.mark.parametrize(
+        "text",
+        ["x11,x10,x01\n5_0,30,20\n", "x11,x10,x01\n\u0665\u0660,30,20\n"],
+        ids=["digit-group-underscore", "arabic-indic-digits"],
+    )
+    def test_csv_count_that_is_not_ascii_digits_is_usage_error(self, text, tmp_path, capsys):
+        # int() reads both as 50.
+        path = tmp_path / "table.csv"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(["estimate", "--table", str(path), "--method", "dse"], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("dualrec: error:") and "decimal digits" in err
+
     @pytest.mark.parametrize("cells", BEYOND_CEILING)
     @pytest.mark.parametrize("descriptor", DESCRIPTORS)
     def test_domain_above_the_ceiling_exits_two(self, descriptor, cells, tmp_path, capsys):

@@ -295,15 +295,24 @@ class TestCandidateFixedPoint:
         m = table.x0 + (kind == "adpl-mtb") + offset
         assert self._map(kind, policy, table, m) <= self._map(kind, policy, table, m + j)
 
-    def test_iteration_cap_reports_the_last_of_60_solves(self):
+    def test_iteration_cap_fails_the_row(self):
         # The map creeps upward here for every one of the 60 solves.
         spec = parse_estimator("adpl-mt:scaled:1.25")
         table = DualRecordTable(0, 1, 3)
-        rep = spec.estimate(table)
-        assert rep.n_hat_integer == 1358086
-        assert rep.note == "fixed-point iteration cap reached; last iterate reported"
+        with pytest.raises(NoFiniteMaximumError, match="60 solves"):
+            spec.estimate(table)
+        assert np.isnan(spec.estimate_batch([0], [1], [3]).n_hat[0])
         assert self._map("adpl-mt", spec.policy, table, 1358086) > 1358086
-        assert spec.estimate_batch([0], [1], [3]).n_hat[0] == 1358086
+
+    def test_iteration_returns_the_least_fixed_point_above_the_anchor(self):
+        # delta(N) is one double over runs of N near 1e7, so T is flat there
+        # and holds two fixed points; the iterates rise to the first.
+        spec = parse_estimator("adpl-mtb:recapture:0.25")
+        table = DualRecordTable(205177, 1307, 37712)
+        assert spec.estimate(table).n_hat_integer == 13122788
+        assert spec.estimate_batch([205177], [1307], [37712]).n_hat[0] == 13122788
+        for fixed in (13122788, 13122794):
+            assert self._map("adpl-mtb", spec.policy, table, fixed) == fixed
 
 
 class TestRecoverNuisance:
@@ -648,15 +657,17 @@ class TestBatchEstimates:
 
     def test_fixed_point_rules_per_row(self):
         # Fixed point, a rising and a falling creep that settle after
-        # several solves, failed solve, iteration cap (last of 60 solves);
-        # each row as if solved alone.
+        # several solves, failed solve, iteration cap (still moving after
+        # 60 solves), the first of two fixed points; each row as if solved
+        # alone.
         moves = {10: 12, 12: 12, 20: 23, 23: 25, 25: 26, 26: 26, 40: 36, 36: 33, 33: 33, 5: -1}
+        moves.update({300: 302, 301: 302, 302: 302, 303: 304, 304: 304})
 
         def solve(rows, n):
             return np.array([moves.get(int(v), int(v) + 1) for v in n], dtype=np.int64)
 
-        start = np.array([10, 20, 40, 5, 100])
-        want = [12, 26, 33, -1, 160]
+        start = np.array([10, 20, 40, 5, 100, 300])
+        want = [12, 26, 33, -1, -1, 302]
         assert list(est_module._fixed_point_batch(solve, start)) == want
         for row, value in zip(start, want):
             assert list(est_module._fixed_point_batch(solve, np.array([row]))) == [value]

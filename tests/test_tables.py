@@ -49,6 +49,22 @@ class TestDualRecordTable:
         t = DualRecordTable.from_json('{"x11": 5, "x10": 3, "x01": 2}')
         assert (t.x11, t.x10, t.x01) == (5, 3, 2)
 
+    def test_json_counts_read_as_in_a_study_config(self):
+        # Integral floats are counts, as a config's "N": 5e2 is.
+        assert DualRecordTable.from_json('{"x11": 5e1, "x10": 3.0, "x01": 2}') == (
+            DualRecordTable(50, 3, 2)
+        )
+        for bad in ("50.5", "true", '"50"', "null"):
+            with pytest.raises(ValidationError, match="x11 must be an integer"):
+                DualRecordTable.from_json(f'{{"x11": {bad}, "x10": 3, "x01": 2}}')
+
+    def test_csv_counts_are_ascii_decimal_digits(self):
+        assert DualRecordTable.from_csv("x11,x10,x01\n 50 ,\t3, 2\n") == DualRecordTable(50, 3, 2)
+        # Python's int() would read each of these fields as a count.
+        for bad in ("5_0", "+50", "\u0665\u0660", "\uff15\uff10", "", "-1"):
+            with pytest.raises(ValidationError, match="x11 must be decimal digits"):
+                DualRecordTable.from_csv(f"x11,x10,x01\n{bad},3,2\n")
+
     def test_json_missing_key_rejected(self):
         with pytest.raises(ValidationError):
             DualRecordTable.from_json('{"x11": 5, "x10": 3}')
