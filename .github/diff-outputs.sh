@@ -6,9 +6,11 @@
 # BASE_SRC is the src directory of the base commit's checkout; the head side
 # is the src directory next to this script. Outputs go to WORK_DIR. Every
 # reproduce target, a simulate study of every method and policy in both
-# delta modes, large-N and mixed-N studies, and single-table estimate
-# reports (stdout, stderr and exit code) run on both sides. reproduce and
-# simulate run the batch solvers, estimate the single-table ones; the tiny
+# delta modes, large-N and mixed-N studies, single-table estimate reports
+# (stdout, stderr and exit code), and estimate reports with a parametric
+# bootstrap run on both sides. reproduce and simulate solve many rows per
+# batch, estimate solves its table as a one-row batch, and the bootstrap
+# solves its fit as one row and its replicates as one batch; the tiny
 # population and the (0, 1, 3) table reach the 60-solve cap of the candidate
 # fixed point and fail there. Every case whose outputs differ, and every
 # reproduce or simulate run that fails, is reported, and the script then
@@ -106,15 +108,18 @@ for study in study large mixed; do
   compare "simulate $study" "$study.csv"
 done
 
-for cells in "50 30 20" "2 500 400" "0 0 5" "0 1 3"; do
-  set -- $cells
-  printf '{"x11": %s, "x10": %s, "x01": %s}\n' "$1" "$2" "$3" > "$work/table.json"
-  for descriptor in dse pl-mt mpl-mt pl-mtb \
-      adpl-mtb:fixed:0.5 adpl-mtb:scaled:1.25 adpl-mtb:recapture:1.25 \
-      adpl-mt:fixed:0.5 adpl-mt:scaled:1.25 adpl-mt:recapture:1.25 adpl-mt:scaled:4; do
+# estimate_cases "X11 X10 X01" "DESCRIPTOR..." [ARG...]: compare estimate
+# (stdout, stderr and exit code) on that table for each descriptor, in text
+# and in JSON, with the extra ARGs.
+estimate_cases() {
+  local cells=$1 descriptors=$2 descriptor method format side code args flags
+  shift 2
+  printf '{"x11": %s, "x10": %s, "x01": %s}\n' $cells > "$work/table.json"
+  for descriptor in $descriptors; do
     method="${descriptor%%:*}"
     args=(--method "$method")
     if [ "$method" != "$descriptor" ]; then args+=(--delta "${descriptor#*:}"); fi
+    args+=("$@")
     for format in text json; do
       flags=("${args[@]}")
       if [ "$format" = json ]; then flags+=(--json); fi
@@ -124,9 +129,19 @@ for cells in "50 30 20" "2 500 400" "0 0 5" "0 1 3"; do
           2> "$work/$side-estimate.err" || code=$?
         echo "exit $code" >> "$work/$side-estimate.err"
       done
-      compare "estimate $cells $descriptor $format" estimate.out estimate.err
+      compare "estimate $cells $descriptor${*:+ $*} $format" estimate.out estimate.err
     done
   done
+}
+
+for cells in "50 30 20" "2 500 400" "0 0 5" "0 1 3"; do
+  estimate_cases "$cells" "dse pl-mt mpl-mt pl-mtb \
+    adpl-mtb:fixed:0.5 adpl-mtb:scaled:1.25 adpl-mtb:recapture:1.25 \
+    adpl-mt:fixed:0.5 adpl-mt:scaled:1.25 adpl-mt:recapture:1.25 adpl-mt:scaled:4"
+done
+for cells in "50 30 20" "2 500 400"; do
+  estimate_cases "$cells" "dse pl-mt adpl-mtb:recapture:1.25 adpl-mt:scaled:1.25" \
+    --bootstrap 40 --seed 7
 done
 
 echo "${#bad[@]} cases differ or fail"

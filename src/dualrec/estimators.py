@@ -33,11 +33,16 @@ in which delta is evaluated once at the known generating N (``oracle_n`` of
 the adjusted solvers); the two modes genuinely differ, and the study tables
 report both.
 
-Each method has two solvers in one registry (``_METHODS``):
+Each method has two entry points in one registry (``_METHODS``):
 :meth:`EstimatorSpec.estimate` solves one table, and
-:meth:`EstimatorSpec.estimate_batch` solves replicate cell arrays together,
-with array closed forms and one bisection pass per step for all rows of a
-search; row by row it gives the same estimates, adjustments and failures.
+:meth:`EstimatorSpec.estimate_batch` solves replicate cell arrays together.
+The rules of each likelihood estimator (its guards, its failures and their
+messages, the fixed-point iteration) are written once, in the batch solvers
+(``_mt_batch``, ``_adpl_batch``); a single table is solved as a one-row
+batch whose failure rule raises, where a batch leaves the failed row NaN.
+The argmax search picks its engine by row count: one row is bisected on
+exact scalar step signs, more rows advance together, one array pass per
+probe. Row by row the two give the same estimates, adjustments and failures.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import kernels
-from .randomness import DEFAULT_SEED, PURPOSE_BOOTSTRAP, draw_tables, uniforms
+from .randomness import DEFAULT_SEED, MAX_N, PURPOSE_BOOTSTRAP, draw_tables, uniforms
 from .tables import (
     DualRecordTable,
     EstimationError,
@@ -212,6 +217,21 @@ class DeltaPolicy:
         return 1.0 - self.value * (1.0 - c_hat) / n
 
 
+def _no_maximum(what: str) -> NoFiniteMaximumError:
+    """The failure of a search whose step is still positive at HARD_CEILING."""
+    return NoFiniteMaximumError(f"{what}: no finite maximum detected up to N = {HARD_CEILING:.0e}")
+
+
+def _ignore(rows, error) -> None:
+    """The failure rule of a batch: failed rows stay -1 inside and NaN outside."""
+
+
+def _raise(rows, error) -> None:
+    """The failure rule of a single table, solved as a one-row batch: raise for its row."""
+    if rows.any():
+        raise error()
+
+
 def _argmax(step, lower: int, what: str) -> int:
     """Smallest integer N in [lower, HARD_CEILING] with step(N) <= 0.
 
@@ -230,9 +250,7 @@ def _argmax(step, lower: int, what: str) -> int:
     lo, hi = lower - 1, max(lower, min(2 * lower, HARD_CEILING))
     while lower > HARD_CEILING or step(hi) > 0:
         if hi >= HARD_CEILING:
-            raise NoFiniteMaximumError(
-                f"{what}: no finite maximum detected up to N = {HARD_CEILING:.0e}"
-            )
+            raise _no_maximum(what)
         lo, hi = hi, min(lower + 2 * (hi - lower), HARD_CEILING)
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -243,52 +261,63 @@ def _argmax(step, lower: int, what: str) -> int:
     return hi
 
 
-# The search state of _argmax_batch spans at least this many rows. numpy
-# keeps freed buffers under 1 KiB in a cache of up to 7 per byte size, so
-# boolean masks of every row count below 1024 would ratchet resident memory
-# up by megabytes over a long run; masks this long bypass that cache.
+# The vectorized search state spans at least this many rows. numpy keeps
+# freed buffers under 1 KiB in a cache of up to 7 per byte size, so boolean
+# masks of every row count below 1024 would ratchet resident memory up by
+# megabytes over a long run; masks this long bypass that cache.
 _MIN_STATE_ROWS = 1024
 
 
-def _argmax_batch(kind: str, tables: TableArrays, lower: np.ndarray, delta) -> np.ndarray:
+def _argmax_batch(kind: str, tables: TableArrays, lower, delta, fail=_ignore) -> np.ndarray:
     """:func:`_argmax` of kernel ``kind`` (see :func:`kernels.step_sign`) on every row.
 
-    Row i searches from lower[i] at delta[i] along the scalar search's own
-    path: the same brackets and the same midpoints. Each pass evaluates the
-    next probe of every row still searching in one :func:`kernels.step_signs`
-    call and updates the brackets of all rows under masks. Returns the argmax
-    per row, or -1 where :func:`_argmax` raises NoFiniteMaximumError (rows
-    with lower[i] above HARD_CEILING are never probed).
+    Row i searches from lower[i] at delta[i]. One row is searched by
+    :func:`_argmax` itself on exact :func:`kernels.step_sign`. More rows
+    follow the scalar search's own path, with the same brackets and the same
+    midpoints: each pass evaluates the next probe of every row still
+    searching in one :func:`kernels.step_signs` call and updates the
+    brackets of all rows under masks. Returns the argmax per row, or -1
+    where :func:`_argmax` raises NoFiniteMaximumError, and tells ``fail``
+    those rows (rows with lower[i] above HARD_CEILING are never probed).
     """
-    lower = np.asarray(lower, dtype=np.int64)
+    lower = np.minimum(lower, HARD_CEILING + 1).astype(np.int64)
     size = lower.size
-    delta = np.broadcast_to(np.asarray(delta, dtype=float), (size,))
-    if size < _MIN_STATE_ROWS:
-        lower = np.concatenate([lower, np.full(_MIN_STATE_ROWS - size, HARD_CEILING + 1)])
-    lo = lower - 1
-    hi = np.maximum(lower, np.minimum(2 * lower, HARD_CEILING))
-    searching = lower <= HARD_CEILING
-    hi[~searching] = -1
-    bracketing = np.ones(lower.shape, dtype=bool)
-    up = np.zeros(lower.shape, dtype=bool)
-    while searching.any():
-        rows = np.flatnonzero(searching)
-        if rows.size == size:
-            rows = slice(size)  # every row: views, not copies
-        probe = np.where(bracketing, hi, (lo + hi) // 2)
-        up[rows] = kernels.step_signs(kind, probe[rows], tables.take(rows), delta[rows]) > 0
-        br = searching & bracketing
-        halving = searching & ~bracketing
-        stuck = br & up & (probe >= HARD_CEILING)
-        grow = br & up & ~stuck
-        lo[grow] = hi[grow]
-        hi[grow] = np.minimum(lower[grow] + 2 * (hi[grow] - lower[grow]), HARD_CEILING)
-        bracketing &= ~br | up
-        np.copyto(lo, probe, where=halving & up)
-        np.copyto(hi, probe, where=halving & ~up)
-        np.copyto(hi, -1, where=stuck)
-        searching &= ~stuck & (bracketing | (hi - lo > 1))
-    return hi[:size]
+    if size == 1:
+        table, d, low = tables.row(0), float(np.ravel(delta)[0]), lower.item()
+        try:
+            hi = np.array([_argmax(lambda m: kernels.step_sign(kind, m, table, d), low, kind)])
+        except NoFiniteMaximumError:
+            hi = np.array([-1])
+    else:
+        delta = np.broadcast_to(np.asarray(delta, dtype=float), (size,))
+        if size < _MIN_STATE_ROWS:
+            lower = np.concatenate([lower, np.full(_MIN_STATE_ROWS - size, HARD_CEILING + 1)])
+        lo = lower - 1
+        hi = np.maximum(lower, np.minimum(2 * lower, HARD_CEILING))
+        searching = lower <= HARD_CEILING
+        hi[~searching] = -1
+        bracketing = np.ones(lower.shape, dtype=bool)
+        up = np.zeros(lower.shape, dtype=bool)
+        while searching.any():
+            rows = np.flatnonzero(searching)
+            if rows.size == size:
+                rows = slice(size)  # every row: views, not copies
+            probe = np.where(bracketing, hi, (lo + hi) // 2)
+            up[rows] = kernels.step_signs(kind, probe[rows], tables.take(rows), delta[rows]) > 0
+            br = searching & bracketing
+            halving = searching & ~bracketing
+            stuck = br & up & (probe >= HARD_CEILING)
+            grow = br & up & ~stuck
+            lo[grow] = hi[grow]
+            hi[grow] = np.minimum(lower[grow] + 2 * (hi[grow] - lower[grow]), HARD_CEILING)
+            bracketing &= ~br | up
+            np.copyto(lo, probe, where=halving & up)
+            np.copyto(hi, probe, where=halving & ~up)
+            np.copyto(hi, -1, where=stuck)
+            searching &= ~stuck & (bracketing | (hi - lo > 1))
+        hi = hi[:size]
+    fail(hi < 0, lambda: _no_maximum(kind))
+    return hi
 
 
 def recover_nuisance(
@@ -445,12 +474,21 @@ def _attach_nuisance(report: EstimateReport, table: DualRecordTable) -> Estimate
     return replace(report, p1_hat=p1_hat, p_hat=p_hat, c_hat=c_hat, phi_hat=phi_hat)
 
 
-def _mt_point(kind: str, table: DualRecordTable, likelihood: str) -> EstimateReport:
-    """Integer maximizer of the M_t kernel ``kind`` ("pl-mt" or "mpl-mt")."""
-    if table.x11 == 0:
-        raise UndefinedEstimateError(f"{likelihood} has no finite maximizer: x11 = 0")
-    n = _argmax(lambda m: kernels.step_sign(kind, m, table), table.x0, kind)
-    report = EstimateReport(method=kind, n_hat=float(n), n_hat_integer=int(n))
+def _one_row(table: DualRecordTable) -> TableArrays:
+    """``table`` as a one-row batch; unlike from_cells it takes counts of 2**53 and up.
+
+    Such a row is never searched (x0 > HARD_CEILING): only the guards and
+    the anchor read it. Counts beyond 2**500 read as 2**500, so that a
+    product of two stays a finite double.
+    """
+    cells = (table.x11, table.x1_dot, table.x_dot1, table.x0)
+    return TableArrays(*(np.array([float(min(v, 2**500))]) for v in cells))
+
+
+def _mt_point(kind: str, table: DualRecordTable) -> EstimateReport:
+    """Integer maximizer of the M_t kernel ``kind``: :func:`_mt_batch` on one row."""
+    n = int(_mt_batch(kind, _one_row(table), _raise).n_hat[0])
+    report = EstimateReport(method=kind, n_hat=float(n), n_hat_integer=n)
     return _attach_nuisance(report, table)
 
 
@@ -468,7 +506,7 @@ def mle_profile_mt(table: DualRecordTable) -> EstimateReport:
         UndefinedEstimateError: when x11 = 0 (no finite maximizer exists).
         NoFiniteMaximumError: when the maximizer lies beyond HARD_CEILING.
     """
-    return _mt_point("pl-mt", table, "profile likelihood")
+    return _mt_point("pl-mt", table)
 
 
 def mle_mpl_mt(table: DualRecordTable) -> EstimateReport:
@@ -484,7 +522,7 @@ def mle_mpl_mt(table: DualRecordTable) -> EstimateReport:
         UndefinedEstimateError: when x11 = 0.
         NoFiniteMaximumError: when the maximizer lies beyond HARD_CEILING.
     """
-    return _mt_point("mpl-mt", table, "modified profile likelihood")
+    return _mt_point("mpl-mt", table)
 
 
 def mle_profile_mtb(table: DualRecordTable) -> EstimateReport:
@@ -508,45 +546,16 @@ def mle_profile_mtb(table: DualRecordTable) -> EstimateReport:
 def _adpl_point(
     table: DualRecordTable, policy: DeltaPolicy, oracle_n: float | None, method: str
 ) -> EstimateReport:
-    """Shared solver for the adjusted-profile estimators; ``method`` names the kernel."""
-    if table.x1_dot == 0:
-        raise UndefinedEstimateError("adjusted profile estimation requires x1. >= 1")
-    below_one = method == "adpl-mtb"
-    lower = table.x0 + below_one
-
-    def solve(n: float) -> int:
-        """The argmax at delta(n)."""
-        d = policy.delta(n, table)
-        if below_one and d >= 1.0:
-            raise NoFiniteMaximumError(
-                f"adjustment delta = {d:.6g} violates the finite-maximum requirement delta < 1"
-            )
-        return _argmax(lambda m: kernels.step_sign(method, m, table, d), lower, method)
-
-    if oracle_n is not None or not policy.requires_n():
-        # One solve: delta at the given size, or the fixed policy's constant.
-        at = 1.0 if oracle_n is None else float(oracle_n)
-        n_hat = solve(at)
-    else:
-        # Self-consistent fixed point: iterate N -> argmax at delta(N) from
-        # the dual-system anchor (see _fixed_point_batch).
-        anchor = round(table.x1_dot * table.x_dot1 / table.x11) if table.x11 > 0 else 2 * table.x0
-        n_hat = min(max(anchor, lower + 1), HARD_CEILING)
-        for _ in range(60):
-            nxt = solve(float(n_hat))
-            if nxt == n_hat:
-                break
-            n_hat = nxt
-        else:
-            raise NoFiniteMaximumError(f"{method}: no fixed point of the candidate map in 60 solves")
-        at = float(n_hat)
-
+    """The adjusted-profile estimate of kernel ``method``: :func:`_adpl_batch` on one row."""
+    at = None if oracle_n is None else np.array([float(oracle_n)])
+    batch = _adpl_batch(method, _one_row(table), policy, at, _raise)
+    n_hat = int(batch.n_hat[0])
     report = EstimateReport(
         method=method,
         n_hat=float(n_hat),
-        n_hat_integer=int(n_hat),
-        delta_used=policy.delta(at, table),
-        degenerate=(n_hat == lower),
+        n_hat_integer=n_hat,
+        delta_used=float(batch.delta_used[0]),
+        degenerate=(n_hat == table.x0 + (method == "adpl-mtb")),
     )
     return _attach_nuisance(report, table)
 
@@ -593,12 +602,6 @@ def mle_adpl_mt(
     with x11 = 0 the kernel can still rise past HARD_CEILING, which is
     reported as no finite maximum. ``oracle_n`` is as in :func:`mle_adpl_mtb`.
     """
-    if not policy.requires_n() and 2.0 * (policy.value - 1.0) >= table.x11:
-        raise NoFiniteMaximumError(
-            f"adjustment delta = {policy.value:.6g} is at or above the divergence "
-            f"threshold 1 + x11/2 = {1.0 + table.x11 / 2.0:.6g}: the adjusted "
-            "kernel increases without bound"
-        )
     return _adpl_point(table, policy, oracle_n, "adpl-mt")
 
 
@@ -652,22 +655,31 @@ def _pl_mtb_batch(tables: TableArrays, *_) -> BatchEstimate:
     return BatchEstimate(np.where(tables.x0 > 0, tables.x0 + 1.0, np.nan))
 
 
-def _mt_batch(kind: str, tables: TableArrays) -> BatchEstimate:
-    """Row-by-row :func:`mle_profile_mt` ("pl-mt") or :func:`mle_mpl_mt` ("mpl-mt")."""
+def _mt_batch(kind: str, tables: TableArrays, fail=_ignore) -> BatchEstimate:
+    """Row-by-row :func:`mle_profile_mt` ("pl-mt") or :func:`mle_mpl_mt` ("mpl-mt").
+
+    ``fail(rows, error)`` is told each mask of failing rows, with a builder
+    of their exception: :func:`_ignore` leaves them NaN, :func:`_raise`
+    raises it.
+    """
+    likelihood = "modified profile likelihood" if kind == "mpl-mt" else "profile likelihood"
+    error = f"{likelihood} has no finite maximizer: x11 = 0"
+    fail(tables.x11 == 0, lambda: UndefinedEstimateError(error))
     n_hat = np.full(tables.x11.size, np.nan)
     rows = np.flatnonzero(tables.x11 > 0)
-    found = _argmax_batch(kind, tables.take(rows), tables.x0[rows], 1.0)
+    found = _argmax_batch(kind, tables.take(rows), tables.x0[rows], 1.0, fail)
     n_hat[rows] = np.where(found >= 0, found, np.nan)
     return BatchEstimate(n_hat)
 
 
-def _fixed_point_batch(solve, start: np.ndarray) -> np.ndarray:
-    """The candidate fixed-point iteration of :func:`_adpl_point`, per row.
+def _fixed_point_batch(solve, start: np.ndarray, fail=_ignore, capped=None) -> np.ndarray:
+    """The candidate fixed-point iteration of the adjusted estimators, per row.
 
     ``solve(rows, n)`` returns T(n[j]), the argmax at delta(n[j]), for each
     row rows[j], or -1 where the solve fails. Row i iterates N -> T(N) from
     its anchor a = start[i] and ends in one of two ways: at a fixed point, or
-    failed (-1) when a solve fails or the row is still moving after 60 solves.
+    failed (-1) when a solve fails or the row is still moving after 60 solves;
+    ``fail(rows, capped)`` is told the rows of the latter.
 
     T is nondecreasing: the adpl-mtb and adpl-mt steps are the mpl steps plus
     (delta-1)[log1p(1/N) + log1p(1/(N-x1.))] and 2(delta-1)log1p(1/N), so with
@@ -679,44 +691,56 @@ def _fixed_point_batch(solve, start: np.ndarray) -> np.ndarray:
     the double delta(N) is constant over runs of N.
     """
     cur = start.copy()
-    rows = np.arange(start.size)
+    moving = np.ones(start.size, dtype=bool)
     for _ in range(60):
+        rows = np.flatnonzero(moving)
         if not rows.size:
             break
         nxt = solve(rows, cur[rows].astype(float))
-        moving = (nxt >= 0) & (nxt != cur[rows])
+        moving[rows] = (nxt >= 0) & (nxt != cur[rows])
         cur[rows] = nxt
-        rows = rows[moving]
-    cur[rows] = -1
+    fail(moving, capped)
+    cur[moving] = -1
     return cur
 
 
 def _adpl_batch(
-    kind: str, tables: TableArrays, policy: DeltaPolicy, oracle_n: np.ndarray | None
+    kind: str, tables: TableArrays, policy: DeltaPolicy, oracle_n: np.ndarray | None, fail=_ignore
 ) -> BatchEstimate:
     """Row-by-row :func:`mle_adpl_mtb` ("adpl-mtb") or :func:`mle_adpl_mt` ("adpl-mt").
 
-    ``oracle_n``, when given, holds the size that row i evaluates delta at.
+    ``oracle_n``, when given, holds the size that row i evaluates delta at;
+    ``fail`` is as in :func:`_mt_batch`. The rows fail, in this order, where
+    a fixed adpl-mt delta is at or above the divergence threshold, where
+    x1. = 0, and then at the first solve that finds delta >= 1 (adpl-mtb)
+    or no maximum below HARD_CEILING, or at the 60-solve cap.
     """
-    below_one = kind == "adpl-mtb"
-    ok = tables.x1_dot > 0
+    if oracle_n is not None and policy.requires_n() and np.any(oracle_n <= 0):
+        bad = oracle_n[oracle_n <= 0][0]
+        raise ValidationError(f"{policy.variant} policy requires a positive N, got {bad:g}")
+    ok = np.ones(tables.x11.size, dtype=bool)
     if kind == "adpl-mt" and not policy.requires_n():
-        ok &= 2.0 * (policy.value - 1.0) < tables.x11  # divergence, as in mle_adpl_mt
-    rows = np.flatnonzero(ok)
+        ok = 2.0 * (policy.value - 1.0) < tables.x11
+        fail(~ok, lambda: NoFiniteMaximumError(
+            f"adjustment delta = {policy.value:.6g} is at or above the divergence threshold "
+            f"1 + x11/2 = {1.0 + tables.x11[~ok][0] / 2.0:.6g}: the adjusted kernel increases "
+            "without bound"))
+    empty = ok & (tables.x1_dot == 0)
+    fail(empty, lambda: UndefinedEstimateError("adjusted profile estimation requires x1. >= 1"))
+    rows = np.flatnonzero(ok & ~empty)
     t = tables.take(rows)
-    lower = t.x0.astype(np.int64) + below_one
+    lower = t.x0 + (kind == "adpl-mtb")
 
     def solve(idx: np.ndarray, n: np.ndarray) -> np.ndarray:
         d = policy.deltas(n, t.take(idx))
+        good = (d < 1.0) | (kind == "adpl-mt")
+        fail(~good, lambda: NoFiniteMaximumError(f"adjustment delta = {d[~good][0]:.6g} violates "
+                                                 "the finite-maximum requirement delta < 1"))
         found = np.full(idx.size, -1, dtype=np.int64)
-        good = d < 1.0 if below_one else np.ones(idx.size, dtype=bool)
-        found[good] = _argmax_batch(kind, t.take(idx[good]), lower[idx[good]], d[good])
+        found[good] = _argmax_batch(kind, t.take(idx[good]), lower[idx[good]], d[good], fail)
         return found
 
     if oracle_n is not None or not policy.requires_n():
-        if oracle_n is not None and np.any(oracle_n <= 0):
-            bad = oracle_n[oracle_n <= 0][0]
-            raise ValidationError(f"{policy.variant} policy requires a positive N, got {bad:g}")
         at = np.ones(rows.size) if oracle_n is None else oracle_n[rows]
         found = solve(np.arange(rows.size), at)
     else:
@@ -724,7 +748,8 @@ def _adpl_batch(
         overlap = t.x11 > 0
         anchor[overlap] = np.rint(_dse_values(t.take(overlap)))
         start = np.minimum(np.maximum(anchor, lower + 1), HARD_CEILING).astype(np.int64)
-        found = _fixed_point_batch(solve, start)
+        found = _fixed_point_batch(solve, start, fail, lambda: NoFiniteMaximumError(
+            f"{kind}: no fixed point of the candidate map in 60 solves"))
         at = found.astype(float)
     n_hat = np.full(tables.x11.size, np.nan)
     delta_used = np.full(tables.x11.size, np.nan)
@@ -739,11 +764,19 @@ class _Method(NamedTuple):
 
     Both take (table or TableArrays, policy, oracle_n), the batch solver with
     one oracle_n per row; its rows equal the single-table solver's reports.
+    The likelihood methods' single-table solvers run their batch solver on
+    one row.
     """
 
     solve: Callable[..., EstimateReport]
     solve_batch: Callable[..., BatchEstimate]
     needs_policy: bool
+
+
+def _mt_method(fn, kind: str) -> _Method:
+    return _Method(
+        lambda table, *_: fn(table), lambda tables, *_: _mt_batch(kind, tables), needs_policy=False
+    )
 
 
 def _adpl_method(fn, kind: str) -> _Method:
@@ -758,16 +791,8 @@ def _adpl_method(fn, kind: str) -> _Method:
 # CLI's --method choices and EstimatorSpec all read it.
 _METHODS: dict[str, _Method] = {
     "dse": _Method(lambda table, *_: dse(table), _dse_batch, needs_policy=False),
-    "pl-mt": _Method(
-        lambda table, *_: mle_profile_mt(table),
-        lambda tables, *_: _mt_batch("pl-mt", tables),
-        needs_policy=False,
-    ),
-    "mpl-mt": _Method(
-        lambda table, *_: mle_mpl_mt(table),
-        lambda tables, *_: _mt_batch("mpl-mt", tables),
-        needs_policy=False,
-    ),
+    "pl-mt": _mt_method(mle_profile_mt, "pl-mt"),
+    "mpl-mt": _mt_method(mle_mpl_mt, "mpl-mt"),
     "pl-mtb": _Method(lambda table, *_: mle_profile_mtb(table), _pl_mtb_batch, needs_policy=False),
     "adpl-mtb": _adpl_method(mle_adpl_mtb, "adpl-mtb"),
     "adpl-mt": _adpl_method(mle_adpl_mt, "adpl-mt"),
@@ -838,9 +863,10 @@ class EstimatorSpec:
         row's ``true_n``: the same n_hat and delta_used, and a failure (NaN)
         exactly where it raises EstimationError or the table is all-zero. The
         closed forms are array expressions; each argmax search advances every
-        row per pass. For one table :meth:`estimate` is faster (0.07 ms
-        against 2.1 ms for ``adpl-mtb:scaled:1.25`` on (50, 30, 20)), so this
-        is the path for replicate arrays only.
+        row per pass, and a single row takes the scalar search that
+        :meth:`estimate` runs. :meth:`estimate` solves that same one-row batch
+        and adds the report's nuisance values, so it costs about the same
+        (about 0.2 ms for ``adpl-mtb:scaled:1.25`` on (50, 30, 20)).
         """
         tables = TableArrays.from_cells(x11, x10, x01)
         if np.ndim(true_n) and np.shape(true_n) != tables.x11.shape:
@@ -895,7 +921,9 @@ def parametric_bootstrap(
         ValidationError: when ``b`` < 2 (no spread can be estimated).
         EstimationError: when the fitted parameters cannot seed a valid
             generating model (e.g. x01 = 0 gives p_hat = 0, or x10 = 0 gives
-            c_hat = 1) or when fewer than two bootstrap replicates succeed.
+            c_hat = 1), when the fitted N exceeds ``randomness.MAX_N`` (the
+            sampler's range, as in studies; nothing is drawn), or when fewer
+            than two bootstrap replicates succeed.
     """
     if b < 2:
         raise ValidationError(f"bootstrap needs at least 2 replicates, got {b}")
@@ -906,6 +934,9 @@ def parametric_bootstrap(
             "bootstrap unavailable: fitted nuisance values do not define a valid generating model"
         )
     n0 = max(int(round(fit.n_hat)), table.x0 + 1)
+    if n0 > MAX_N:
+        raise EstimationError(f"bootstrap unavailable: fitted N = {n0} is above {MAX_N:.0e}, "
+                              "the largest size tables are drawn at")
     try:
         params = MtbParams(n=n0, p1_dot=fit.p1_hat, p=fit.p_hat, phi=fit.phi_hat)
     except ValidationError as exc:

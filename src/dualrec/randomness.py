@@ -58,9 +58,15 @@ __all__ = [
     "binomial_cdf",
     "draw_binomial",
     "draw_tables",
+    "MAX_N",
 ]
 
 DEFAULT_SEED = 20260823
+
+# The largest population size drawn from: the range over which the CDF
+# windows and their accuracy are documented (a draw at 1e9 holds about a
+# million doubles; the windows grow as sqrt(N)).
+MAX_N = 10**9
 
 PURPOSE_STUDY = 0
 PURPOSE_BOOTSTRAP = 1

@@ -38,6 +38,7 @@ import numpy as np
 from .estimators import BatchEstimate, parse_estimator
 from .randomness import (
     DEFAULT_SEED,
+    MAX_N,
     PURPOSE_BANDS,
     PURPOSE_SCALING,
     PURPOSE_STUDY,
@@ -99,8 +100,8 @@ class PopulationSpec:
     input; the first-capture probability p is derived from it, so an
     infeasible combination (derived p outside (0,1), or recapture
     probability phi*p >= 1) is rejected at construction. N is at most
-    10**9: the sampler's CDF window grows as sqrt(N) (a study at 1e9 samples
-    in under 64 MB), and above HARD_CEILING = 1e8 every likelihood estimator
+    ``randomness.MAX_N`` = 10**9: the sampler's CDF window grows as sqrt(N)
+    (a study at 1e9 samples in under 64 MB), and above HARD_CEILING = 1e8 every likelihood estimator
     already reports no finite maximum. The label, written unquoted into the
     study CSV, has no comma, double quote or line break.
     """
@@ -117,7 +118,7 @@ class PopulationSpec:
                 "population label must be a string without a comma, double quote "
                 f"or line break, got {self.label!r}"
             )
-        if not (isinstance(self.n, int) and 1 <= self.n <= 10**9):
+        if not (isinstance(self.n, int) and 1 <= self.n <= MAX_N):
             raise ValidationError(
                 f"population size must be a positive integer up to 10**9, got {self.n!r}"
             )

@@ -97,6 +97,14 @@ class TestEstimateCommand:
         assert f"bootstrap needs at least 2 replicates, got {b}" in err
         assert "Traceback" not in err
 
+    def test_bootstrap_beyond_the_sampler_range_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text('{"x11": 1e10, "x10": 1e10, "x01": 1e10}\n')
+        args = ["estimate", "--table", str(path), "--method", "dse", "--bootstrap", "5"]
+        code, out, err = run_cli(args, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("dualrec: estimation error: bootstrap unavailable: fitted N = ")
+
     def test_writes_to_file(self, table_file, tmp_path, capsys):
         out_path = tmp_path / "report.txt"
         code, out, _ = run_cli(

@@ -432,6 +432,14 @@ class TestBootstrap:
         with pytest.raises(ValidationError, match="at least 2 replicates"):
             parametric_bootstrap(T, "dse", b=b)
 
+    @pytest.mark.parametrize("descriptor", ["dse", "pl-mtb"])
+    def test_fit_above_the_sampler_range_draws_nothing(self, descriptor, monkeypatch):
+        # The fits are 4e10 and 3e10; studies stop at N = 1e9 too.
+        monkeypatch.setattr(est_module, "draw_tables", lambda *a: pytest.fail("tables were drawn"))
+        huge = DualRecordTable(10**10, 10**10, 10**10)
+        with pytest.raises(EstimationError, match="bootstrap unavailable: fitted N = "):
+            parametric_bootstrap(huge, descriptor, b=5)
+
     def test_degenerate_fit_cannot_seed_a_generating_model(self):
         with pytest.raises(EstimationError):
             parametric_bootstrap(DualRecordTable(50, 30, 0), "dse", b=20)
@@ -551,6 +559,78 @@ class TestArgmax:
         rep = parse_estimator(descriptor).estimate(DualRecordTable(*cells))
         assert rep.n_hat_integer == exact
         assert rep.note is None
+
+
+# Each failure of a single-table estimate: descriptor, table, exception class
+# and exact message. The batch gives NaN on the same row.
+FAILURES = [
+    ("pl-mt", (0, 30, 20), UndefinedEstimateError,
+     "profile likelihood has no finite maximizer: x11 = 0"),
+    ("mpl-mt", (0, 30, 20), UndefinedEstimateError,
+     "modified profile likelihood has no finite maximizer: x11 = 0"),
+    ("adpl-mtb:scaled:1.25", (0, 0, 7), UndefinedEstimateError,
+     "adjusted profile estimation requires x1. >= 1"),
+    ("adpl-mt:fixed:3", (2, 5, 5), NoFiniteMaximumError,
+     "adjustment delta = 3 is at or above the divergence threshold 1 + x11/2 = 2: "
+     "the adjusted kernel increases without bound"),
+    # x1. = 0 as well: the divergence check comes first.
+    ("adpl-mt:fixed:1.5", (0, 0, 5), NoFiniteMaximumError,
+     "adjustment delta = 1.5 is at or above the divergence threshold 1 + x11/2 = 1: "
+     "the adjusted kernel increases without bound"),
+    ("adpl-mtb:fixed:1.5", (50, 30, 20), NoFiniteMaximumError,
+     "adjustment delta = 1.5 violates the finite-maximum requirement delta < 1"),
+    ("adpl-mtb:recapture:1.25", (50, 0, 20), NoFiniteMaximumError,  # x10 = 0: delta = 1
+     "adjustment delta = 1 violates the finite-maximum requirement delta < 1"),
+    ("pl-mt", (1, 100000, 100000), NoFiniteMaximumError,
+     "pl-mt: no finite maximum detected up to N = 1e+08"),
+    ("adpl-mt:scaled:1.25", (0, 1, 3), NoFiniteMaximumError,
+     "adpl-mt: no fixed point of the candidate map in 60 solves"),
+]
+
+
+class TestFailures:
+    @pytest.mark.parametrize("descriptor, cells, error, message", FAILURES)
+    def test_class_and_message_and_nan_in_a_batch(self, descriptor, cells, error, message):
+        spec = parse_estimator(descriptor)
+        with pytest.raises(EstimationError) as exc:
+            spec.estimate(DualRecordTable(*cells))
+        assert type(exc.value) is error
+        assert str(exc.value) == message
+        assert np.isnan(spec.estimate_batch(*([c] for c in cells)).n_hat[0])
+        rows = np.array([(7, 5, 3), cells, (25, 15, 20)]).T
+        got = spec.estimate_batch(*rows).n_hat
+        assert np.isnan(got[1])
+        np.testing.assert_array_equal(got, scalar_estimate_batch(spec, *rows).n_hat)
+
+    def test_oracle_size_must_be_positive_on_both_paths(self):
+        spec = parse_estimator("adpl-mtb:scaled:1.25@oracle")
+        message = "scaled policy requires a positive N, got -3"
+        with pytest.raises(ValidationError) as exc:
+            spec.estimate(T, true_n=-3)
+        assert str(exc.value) == message
+        with pytest.raises(ValidationError) as exc:
+            spec.estimate_batch([50], [30], [20], true_n=-3)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("descriptor", [d for d in DESCRIPTORS if d not in ("dse", "pl-mtb")])
+    def test_the_search_engine_follows_the_row_count(self, descriptor, monkeypatch):
+        # One row is searched by the scalar bisection, two or more by the
+        # vectorized passes.
+        passes = []
+        step_signs = kernels.step_signs
+        monkeypatch.setattr(
+            kernels, "step_signs", lambda *args: passes.append(1) or step_signs(*args)
+        )
+        spec = parse_estimator(descriptor)
+        one = spec.estimate_batch([50], [30], [20])
+        assert not passes
+        want = spec.estimate(T)
+        assert one.n_hat[0] == want.n_hat
+        if want.delta_used is not None:
+            assert one.delta_used[0] == want.delta_used
+        two = spec.estimate_batch([50, 50], [30, 30], [20, 20])
+        assert passes
+        assert list(two.n_hat) == [want.n_hat] * 2
 
 
 # x1.*x.1 > 2**53 and DSE = x0 + 2.5: the double quotient rounds to x0 + 3
