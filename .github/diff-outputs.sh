@@ -12,7 +12,8 @@
 # batch, estimate solves its table as a one-row batch, and the bootstrap
 # solves its fit as one row and its replicates as one batch; the tiny
 # population and the (0, 1, 3) table reach the 60-solve cap of the candidate
-# fixed point and fail there. Every case whose outputs differ, and every
+# fixed point and fail there, and (2, 9007199254740985, 4) has the largest
+# total a table may have, 2**53 - 1. Every case whose outputs differ, and every
 # reproduce or simulate run that fails, is reported, and the script then
 # exits 1.
 set -u
@@ -134,7 +135,7 @@ estimate_cases() {
   done
 }
 
-for cells in "50 30 20" "2 500 400" "0 0 5" "0 1 3"; do
+for cells in "50 30 20" "2 500 400" "0 0 5" "0 1 3" "2 9007199254740985 4"; do
   estimate_cases "$cells" "dse pl-mt mpl-mt pl-mtb \
     adpl-mtb:fixed:0.5 adpl-mtb:scaled:1.25 adpl-mtb:recapture:1.25 \
     adpl-mt:fixed:0.5 adpl-mt:scaled:1.25 adpl-mt:recapture:1.25 adpl-mt:scaled:4"

@@ -33,22 +33,26 @@ in which delta is evaluated once at the known generating N (``oracle_n`` of
 the adjusted solvers); the two modes genuinely differ, and the study tables
 report both.
 
-Each method has two entry points in one registry (``_METHODS``):
-:meth:`EstimatorSpec.estimate` solves one table, and
-:meth:`EstimatorSpec.estimate_batch` solves replicate cell arrays together.
-The rules of each likelihood estimator (its guards, its failures and their
-messages, the fixed-point iteration) are written once, in the batch solvers
-(``_mt_batch``, ``_adpl_batch``); a single table is solved as a one-row
-batch whose failure rule raises, where a batch leaves the failed row NaN.
-The argmax search picks its engine by row count: one row is bisected on
-exact scalar step signs, more rows advance together, one array pass per
-probe. Row by row the two give the same estimates, adjustments and failures.
+Each method has one solver, its entry in the registry ``_METHODS``: a batch
+solver of replicate cell arrays. :meth:`EstimatorSpec.estimate_batch` runs
+it on many rows. :meth:`EstimatorSpec.estimate` and the public functions
+run it on a single table as a one-row batch whose failure rule raises,
+where a batch leaves the failed row NaN, and then only build the report
+(nuisance values, the plug-in se of dse, flags and notes). So each
+estimator's rules (its closed form or search, its guards, its failures and
+their messages, the fixed-point iteration) are written once. A table's
+total x0 stays below 2**53, so every count, margin and x0 + 1 the solvers
+read is an exact double. The argmax search picks its engine by row count:
+one row is bisected on exact scalar step signs, more rows advance together,
+one array pass per probe. Row by row the two give the same estimates,
+adjustments and failures.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -441,55 +445,7 @@ def dse(table: DualRecordTable) -> EstimateReport:
     Raises:
         UndefinedEstimateError: when x11 = 0 (the estimate is infinite).
     """
-    if table.x11 == 0:
-        raise UndefinedEstimateError("dual-system estimate undefined: x11 = 0")
-    r = table.x1_dot * table.x_dot1 / table.x11
-    p1_hat = p_hat = c_hat = phi_hat = None
-    try:
-        p1_hat, p_hat, c_hat, phi_hat = recover_nuisance(r, table)
-    except EstimationError:
-        pass
-    se = None
-    p1 = table.x1_dot / r
-    p2 = table.x_dot1 / r
-    if 0.0 < p1 < 1.0 and 0.0 < p2 < 1.0:
-        se = math.sqrt(_var_dse(r, p1, p2, 1.0))
-    return EstimateReport(
-        method="dse",
-        n_hat=r,
-        n_hat_integer=math.floor(r),
-        p1_hat=p1_hat,
-        p_hat=p_hat,
-        c_hat=c_hat,
-        phi_hat=phi_hat,
-        se=se,
-    )
-
-
-def _attach_nuisance(report: EstimateReport, table: DualRecordTable) -> EstimateReport:
-    try:
-        p1_hat, p_hat, c_hat, phi_hat = recover_nuisance(report.n_hat, table)
-    except EstimationError:
-        return report
-    return replace(report, p1_hat=p1_hat, p_hat=p_hat, c_hat=c_hat, phi_hat=phi_hat)
-
-
-def _one_row(table: DualRecordTable) -> TableArrays:
-    """``table`` as a one-row batch; unlike from_cells it takes counts of 2**53 and up.
-
-    Such a row is never searched (x0 > HARD_CEILING): only the guards and
-    the anchor read it. Counts beyond 2**500 read as 2**500, so that a
-    product of two stays a finite double.
-    """
-    cells = (table.x11, table.x1_dot, table.x_dot1, table.x0)
-    return TableArrays(*(np.array([float(min(v, 2**500))]) for v in cells))
-
-
-def _mt_point(kind: str, table: DualRecordTable) -> EstimateReport:
-    """Integer maximizer of the M_t kernel ``kind``: :func:`_mt_batch` on one row."""
-    n = int(_mt_batch(kind, _one_row(table), _raise).n_hat[0])
-    report = EstimateReport(method=kind, n_hat=float(n), n_hat_integer=n)
-    return _attach_nuisance(report, table)
+    return _estimate("dse", table)
 
 
 def mle_profile_mt(table: DualRecordTable) -> EstimateReport:
@@ -506,7 +462,7 @@ def mle_profile_mt(table: DualRecordTable) -> EstimateReport:
         UndefinedEstimateError: when x11 = 0 (no finite maximizer exists).
         NoFiniteMaximumError: when the maximizer lies beyond HARD_CEILING.
     """
-    return _mt_point("pl-mt", table)
+    return _estimate("pl-mt", table)
 
 
 def mle_mpl_mt(table: DualRecordTable) -> EstimateReport:
@@ -522,7 +478,7 @@ def mle_mpl_mt(table: DualRecordTable) -> EstimateReport:
         UndefinedEstimateError: when x11 = 0.
         NoFiniteMaximumError: when the maximizer lies beyond HARD_CEILING.
     """
-    return _mt_point("mpl-mt", table)
+    return _estimate("mpl-mt", table)
 
 
 def mle_profile_mtb(table: DualRecordTable) -> EstimateReport:
@@ -532,32 +488,7 @@ def mle_profile_mtb(table: DualRecordTable) -> EstimateReport:
     is always the lower bound x0 + 1; the report is flagged degenerate because
     the likelihood carries no interior information about N under this model.
     """
-    n = table.x0 + 1
-    report = EstimateReport(
-        method="pl-mtb",
-        n_hat=float(n),
-        n_hat_integer=n,
-        degenerate=True,
-        note="boundary estimate: the profile likelihood is decreasing in N",
-    )
-    return _attach_nuisance(report, table)
-
-
-def _adpl_point(
-    table: DualRecordTable, policy: DeltaPolicy, oracle_n: float | None, method: str
-) -> EstimateReport:
-    """The adjusted-profile estimate of kernel ``method``: :func:`_adpl_batch` on one row."""
-    at = None if oracle_n is None else np.array([float(oracle_n)])
-    batch = _adpl_batch(method, _one_row(table), policy, at, _raise)
-    n_hat = int(batch.n_hat[0])
-    report = EstimateReport(
-        method=method,
-        n_hat=float(n_hat),
-        n_hat_integer=n_hat,
-        delta_used=float(batch.delta_used[0]),
-        degenerate=(n_hat == table.x0 + (method == "adpl-mtb")),
-    )
-    return _attach_nuisance(report, table)
+    return _estimate("pl-mtb", table)
 
 
 def mle_adpl_mtb(
@@ -582,7 +513,7 @@ def mle_adpl_mtb(
             mode); otherwise N-dependent policies use the self-consistent
             fixed point.
     """
-    return _adpl_point(table, policy, oracle_n, "adpl-mtb")
+    return _estimate("adpl-mtb", table, policy, oracle_n)
 
 
 def mle_adpl_mt(
@@ -602,7 +533,7 @@ def mle_adpl_mt(
     with x11 = 0 the kernel can still rise past HARD_CEILING, which is
     reported as no finite maximum. ``oracle_n`` is as in :func:`mle_adpl_mtb`.
     """
-    return _adpl_point(table, policy, oracle_n, "adpl-mt")
+    return _estimate("adpl-mt", table, policy, oracle_n)
 
 
 @dataclass(frozen=True)
@@ -644,18 +575,21 @@ def _dse_values(tables: TableArrays) -> np.ndarray:
     return r
 
 
-def _dse_batch(tables: TableArrays, *_) -> BatchEstimate:
-    n_hat = np.full(tables.x11.size, np.nan)
+def _dse_batch(tables: TableArrays, *_, fail=_ignore) -> BatchEstimate:
+    """Row-by-row :func:`dse`; ``fail`` is as in :func:`_mt_batch`."""
     rows = tables.x11 > 0
+    fail(~rows, lambda: UndefinedEstimateError("dual-system estimate undefined: x11 = 0"))
+    n_hat = np.full(tables.x11.size, np.nan)
     n_hat[rows] = _dse_values(tables.take(rows))
     return BatchEstimate(n_hat)
 
 
-def _pl_mtb_batch(tables: TableArrays, *_) -> BatchEstimate:
+def _pl_mtb_batch(tables: TableArrays, *_, fail=_ignore) -> BatchEstimate:
+    """Row-by-row :func:`mle_profile_mtb`: x0 + 1, NaN only on all-zero rows."""
     return BatchEstimate(np.where(tables.x0 > 0, tables.x0 + 1.0, np.nan))
 
 
-def _mt_batch(kind: str, tables: TableArrays, fail=_ignore) -> BatchEstimate:
+def _mt_batch(kind: str, tables: TableArrays, *_, fail=_ignore) -> BatchEstimate:
     """Row-by-row :func:`mle_profile_mt` ("pl-mt") or :func:`mle_mpl_mt` ("mpl-mt").
 
     ``fail(rows, error)`` is told each mask of failing rows, with a builder
@@ -759,44 +693,85 @@ def _adpl_batch(
     return BatchEstimate(n_hat, delta_used)
 
 
-class _Method(NamedTuple):
-    """One estimation method: its single-table and replicate-array solvers.
+def _attach_nuisance(report: EstimateReport, table: DualRecordTable) -> EstimateReport:
+    try:
+        p1_hat, p_hat, c_hat, phi_hat = recover_nuisance(report.n_hat, table)
+    except EstimationError:
+        return report
+    return replace(report, p1_hat=p1_hat, p_hat=p_hat, c_hat=c_hat, phi_hat=phi_hat)
 
-    Both take (table or TableArrays, policy, oracle_n), the batch solver with
-    one oracle_n per row; its rows equal the single-table solver's reports.
-    The likelihood methods' single-table solvers run their batch solver on
-    one row.
+
+def _dse_report(method: str, table: DualRecordTable, batch: BatchEstimate) -> EstimateReport:
+    """The :func:`dse` report: the estimate, its floor, nuisance values and plug-in se."""
+    r = float(batch.n_hat[0])
+    se = None
+    p1 = table.x1_dot / r
+    p2 = table.x_dot1 / r
+    if 0.0 < p1 < 1.0 and 0.0 < p2 < 1.0:
+        se = math.sqrt(_var_dse(r, p1, p2, 1.0))
+    return _attach_nuisance(EstimateReport(method, r, math.floor(r), se=se), table)
+
+
+def _argmax_report(
+    method: str, table: DualRecordTable, batch: BatchEstimate, **fields
+) -> EstimateReport:
+    """The report of an integer estimate, with ``fields`` and the nuisance values at it."""
+    n = int(batch.n_hat[0])
+    return _attach_nuisance(EstimateReport(method, float(n), n, **fields), table)
+
+
+def _boundary_report(method: str, table: DualRecordTable, batch: BatchEstimate) -> EstimateReport:
+    """The :func:`mle_profile_mtb` report, flagged degenerate."""
+    note = "boundary estimate: the profile likelihood is decreasing in N"
+    return _argmax_report(method, table, batch, degenerate=True, note=note)
+
+
+def _adjusted_report(method: str, table: DualRecordTable, batch: BatchEstimate) -> EstimateReport:
+    """An adjusted-profile report: delta_used, and degenerate at the domain's lower bound."""
+    lower = table.x0 + (method == "adpl-mtb")
+    return _argmax_report(method, table, batch, delta_used=float(batch.delta_used[0]),
+                          degenerate=int(batch.n_hat[0]) == lower)
+
+
+class _Method(NamedTuple):
+    """One estimation method: its solver, its single-table report, and whether it takes a policy.
+
+    ``solve_batch(tables, policy, oracle_n, fail=_ignore)`` solves every row
+    of a TableArrays, with one oracle_n per row, and tells ``fail`` the rows
+    it fails (see :func:`_mt_batch`). A single table is solved by it as a
+    one-row batch with :func:`_raise`; ``report(method, table, batch)`` then
+    builds the EstimateReport from that row.
     """
 
-    solve: Callable[..., EstimateReport]
     solve_batch: Callable[..., BatchEstimate]
+    report: Callable[..., EstimateReport]
     needs_policy: bool
 
 
-def _mt_method(fn, kind: str) -> _Method:
-    return _Method(
-        lambda table, *_: fn(table), lambda tables, *_: _mt_batch(kind, tables), needs_policy=False
-    )
-
-
-def _adpl_method(fn, kind: str) -> _Method:
-    return _Method(
-        lambda table, policy, oracle_n: fn(table, policy, oracle_n=oracle_n),
-        lambda tables, policy, oracle_n: _adpl_batch(kind, tables, policy, oracle_n),
-        needs_policy=True,
-    )
-
-
-# The method registry: descriptor name -> solvers. Descriptor parsing, the
-# CLI's --method choices and EstimatorSpec all read it.
+# The method registry: descriptor name -> solver and report. Descriptor
+# parsing, the CLI's --method choices and EstimatorSpec all read it.
 _METHODS: dict[str, _Method] = {
-    "dse": _Method(lambda table, *_: dse(table), _dse_batch, needs_policy=False),
-    "pl-mt": _mt_method(mle_profile_mt, "pl-mt"),
-    "mpl-mt": _mt_method(mle_mpl_mt, "mpl-mt"),
-    "pl-mtb": _Method(lambda table, *_: mle_profile_mtb(table), _pl_mtb_batch, needs_policy=False),
-    "adpl-mtb": _adpl_method(mle_adpl_mtb, "adpl-mtb"),
-    "adpl-mt": _adpl_method(mle_adpl_mt, "adpl-mt"),
+    "dse": _Method(_dse_batch, _dse_report, needs_policy=False),
+    "pl-mt": _Method(partial(_mt_batch, "pl-mt"), _argmax_report, needs_policy=False),
+    "mpl-mt": _Method(partial(_mt_batch, "mpl-mt"), _argmax_report, needs_policy=False),
+    "pl-mtb": _Method(_pl_mtb_batch, _boundary_report, needs_policy=False),
+    "adpl-mtb": _Method(partial(_adpl_batch, "adpl-mtb"), _adjusted_report, needs_policy=True),
+    "adpl-mt": _Method(partial(_adpl_batch, "adpl-mt"), _adjusted_report, needs_policy=True),
 }
+
+
+def _estimate(
+    method: str,
+    table: DualRecordTable,
+    policy: DeltaPolicy | None = None,
+    oracle_n: float | None = None,
+) -> EstimateReport:
+    """``method`` on one table: its solver on a one-row batch that raises, then its report."""
+    cells = (table.x11, table.x1_dot, table.x_dot1, table.x0)  # exact doubles: x0 < 2**53
+    row = TableArrays(*(np.array([float(v)]) for v in cells))
+    at = None if oracle_n is None else np.array([float(oracle_n)])
+    solve_batch, report, _ = _METHODS[method]
+    return report(method, table, solve_batch(row, policy, at, fail=_raise))
 
 
 @dataclass(frozen=True)
@@ -850,7 +825,7 @@ class EstimatorSpec:
 
     def estimate(self, table: DualRecordTable, *, true_n: float | None = None) -> EstimateReport:
         """Apply this estimator to a table."""
-        return _METHODS[self.method].solve(table, self.policy, self._oracle_n(true_n))
+        return _estimate(self.method, table, self.policy, self._oracle_n(true_n))
 
     def estimate_batch(self, x11, x10, x01, *, true_n=None) -> BatchEstimate:
         """Apply this estimator to every replicate table: row i is (x11[i], x10[i], x01[i]).
@@ -861,12 +836,14 @@ class EstimatorSpec:
 
         Row by row the result equals :meth:`estimate` on that table at that
         row's ``true_n``: the same n_hat and delta_used, and a failure (NaN)
-        exactly where it raises EstimationError or the table is all-zero. The
-        closed forms are array expressions; each argmax search advances every
-        row per pass, and a single row takes the scalar search that
-        :meth:`estimate` runs. :meth:`estimate` solves that same one-row batch
-        and adds the report's nuisance values, so it costs about the same
-        (about 0.2 ms for ``adpl-mtb:scaled:1.25`` on (50, 30, 20)).
+        exactly where it raises EstimationError or the table is all-zero.
+        :meth:`estimate` runs this same solver on its table as a one-row
+        batch and adds the report, so it costs about the same (about 0.2 ms
+        for ``adpl-mtb:scaled:1.25`` on (50, 30, 20)). The closed forms are
+        array expressions; each argmax search advances every row per pass,
+        and a single row takes the scalar search. Each row keeps the count
+        rule of a table: a row whose total x0 is 2**53 or more raises
+        ValidationError, as :class:`~dualrec.tables.DualRecordTable` does.
         """
         tables = TableArrays.from_cells(x11, x10, x01)
         if np.ndim(true_n) and np.shape(true_n) != tables.x11.shape:

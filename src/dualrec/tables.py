@@ -15,7 +15,9 @@ c = phi * p is the recapture probability given list-1 capture. phi > 1 means
 recapture-prone behavior, phi < 1 recapture-averse, phi = 1 recovers M_t.
 
 Conventions:
-    - counts are 64-bit integers; probabilities are double-precision floats;
+    - counts are non-negative integers whose table total x0 = x11 + x10 + x01
+      is below 2**53, so every count, margin and x0 + 1 is an exact double;
+      probabilities are double-precision floats;
     - all value objects are immutable after construction and safe to share
       across threads;
     - an all-zero table is rejected at construction (every estimator divides
@@ -89,6 +91,19 @@ def _require_count(name: str, value: int) -> int:
     return int(value)
 
 
+def _require_total(total) -> None:
+    """The count rule of a table: its total x0 = x11 + x10 + x01 is below 2**53.
+
+    Doubles hold every integer up to 2**53, so under this rule every count,
+    margin and x0 + 1 that an estimator reads is exact. ``total`` is one
+    table's integer total or an array of double totals: a double sum of
+    non-negative integers rounds to 2**53 or above exactly when the true sum
+    is at least 2**53.
+    """
+    if np.any(total >= 2**53):
+        raise ValidationError("table total x0 = x11 + x10 + x01 must be below 2**53")
+
+
 def _integer(value, what: str) -> int:
     """A JSON count: an integer, or an integral float such as 1e6, never a bool."""
     if isinstance(value, float) and value.is_integer():
@@ -124,6 +139,7 @@ class DualRecordTable:
             object.__setattr__(self, name, _require_count(name, getattr(self, name)))
         if self.x11 + self.x10 + self.x01 == 0:
             raise ValidationError("all-zero table: at least one individual must be observed")
+        _require_total(self.x0)
 
     @property
     def x1_dot(self) -> int:
@@ -190,9 +206,10 @@ class TableArrays(NamedTuple):
     """Replicate tables as parallel float arrays: row i is one table.
 
     The fields mirror the :class:`DualRecordTable` attributes that the kernel
-    step forms read, so their array branches accept either. Counts are held
-    as doubles, which is exact up to 2**53, and sums and products of them
-    round exactly as the same Python integer expressions do when converted.
+    step forms read, so their array branches accept either. Every row keeps
+    the count rule of a table, a total x0 below 2**53, so its counts, margins
+    and x0 + 1 are exact doubles, and sums and products of them round
+    exactly as the same Python integer expressions do when converted.
     """
 
     x11: np.ndarray
@@ -205,16 +222,22 @@ class TableArrays(NamedTuple):
         """Rows from equal-length cell arrays of non-negative integers.
 
         All-zero rows are kept (the estimators fail them); a negative or
-        non-integer count raises :class:`ValidationError`.
+        non-integer count, or a row whose total is 2**53 or more, raises
+        :class:`ValidationError`, as :class:`DualRecordTable` does.
         """
-        cells = [np.asarray(v, dtype=float).reshape(-1) for v in (x11, x10, x01)]
+        try:
+            cells = [np.asarray(v, dtype=float).reshape(-1) for v in (x11, x10, x01)]
+        except OverflowError:  # an integer beyond the largest double
+            _require_total(math.inf)
         if len({c.size for c in cells}) != 1:
             raise ValidationError("cell arrays must have equal lengths")
         for name, c in zip(("x11", "x10", "x01"), cells):
-            if np.any(c < 0) or np.any(c != np.floor(c)) or np.any(c >= 2.0**53):
-                raise ValidationError(f"{name} must hold non-negative integers below 2**53")
+            if np.any(c < 0) or np.any(c != np.floor(c)):
+                raise ValidationError(f"{name} must hold non-negative integers")
         a, b, d = cells
-        return cls(a, a + b, a + d, a + b + d)
+        x0 = a + b + d
+        _require_total(x0)
+        return cls(a, a + b, a + d, x0)
 
     def take(self, rows) -> "TableArrays":
         """The tables at the given row indices (or boolean mask)."""

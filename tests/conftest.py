@@ -14,9 +14,10 @@ DESCRIPTORS = (
     "adpl-mtb:fixed:0.5", "adpl-mtb:scaled:1.25", "adpl-mtb:recapture:1.25",
     "adpl-mt:fixed:0.5", "adpl-mt:scaled:1.25", "adpl-mt:recapture:1.25",
 )
-# Tables whose likelihood domain starts above HARD_CEILING (x0 = 3 * 2**52,
-# 2**53 - 2 and 1e9 + 5), beyond the range the step forms are checked on.
-BEYOND_CEILING = ((2**52, 2**52, 2**52), (2**53 - 4, 1, 1), (10**9, 5, 0))
+# Tables whose likelihood domain starts above HARD_CEILING (x0 = 2**53 - 1,
+# the largest total a table may have, 2**53 - 2 and 1e9 + 5), beyond the
+# range the step forms are checked on.
+BEYOND_CEILING = ((2**51, 2**51, 2**52 - 1), (2**53 - 4, 1, 1), (10**9, 5, 0))
 
 
 def full_binomial_cdf(n: int, p: float) -> np.ndarray:

@@ -221,6 +221,20 @@ class TestEstimateCommand:
             assert code == 2 and out == ""
             assert err.startswith("dualrec: estimation error:")
 
+    @pytest.mark.parametrize("method", ["dse", "pl-mtb"])
+    @pytest.mark.parametrize("suffix", ["json", "csv"])
+    def test_table_beyond_exact_doubles_is_usage_error(self, method, suffix, tmp_path, capsys):
+        # A 401-digit x11 used to end in an OverflowError traceback.
+        x11 = "9" * 401
+        path = tmp_path / f"huge.{suffix}"
+        if suffix == "json":
+            path.write_text(f'{{"x11": {x11}, "x10": 1, "x01": 1}}')
+        else:
+            path.write_text(f"x11,x10,x01\n{x11},1,1\n")
+        code, out, err = run_cli(["estimate", "--table", str(path), "--method", method], capsys)
+        assert code == 1 and out == ""
+        assert err == "dualrec: error: table total x0 = x11 + x10 + x01 must be below 2**53\n"
+
     def test_json_report_writes_infinite_values_as_text(self, tmp_path, capsys):
         # x01 = 0 gives p_hat = 0 and phi_hat = inf; JSON has no Infinity.
         path = tmp_path / "no_x01.json"

@@ -564,6 +564,7 @@ class TestArgmax:
 # Each failure of a single-table estimate: descriptor, table, exception class
 # and exact message. The batch gives NaN on the same row.
 FAILURES = [
+    ("dse", (0, 30, 20), UndefinedEstimateError, "dual-system estimate undefined: x11 = 0"),
     ("pl-mt", (0, 30, 20), UndefinedEstimateError,
      "profile likelihood has no finite maximizer: x11 = 0"),
     ("mpl-mt", (0, 30, 20), UndefinedEstimateError,
@@ -647,6 +648,7 @@ EDGE_ROWS = (
     (250000, 150000, 200000),
     ANCHOR_ROW,
     (7, 3 * 10**9, 5 * 10**9),  # x1.*x.1 beyond 64-bit integers
+    (2, 2**53 - 4, 1),  # the largest total a table may have
 )
 
 
@@ -762,6 +764,21 @@ class TestBatchEstimates:
             spec.estimate_batch([1, 2], [2], [3])
         with pytest.raises(ValidationError):
             TableArrays.from_cells([2.0**53], [0], [0])
+
+    @pytest.mark.parametrize(
+        "cells", [(2, 2**53 - 1, 1), (2**52, 2**52, 2**52), (2**53, 0, 0), (10**400, 1, 1)]
+    )
+    def test_totals_from_two_to_the_53_up_are_rejected_on_both_paths(self, cells):
+        # (2, 2**53 - 1, 1) used to give dse 1.351079888211149e16 alone and
+        # 1.3510798882111488e16 in a batch: x1. = 2**53 + 1 is no double.
+        message = "table total x0 = x11 + x10 + x01 must be below 2**53"
+        with pytest.raises(ValidationError) as exc:
+            DualRecordTable(*cells)
+        assert str(exc.value) == message
+        for descriptor in DESCRIPTORS:
+            with pytest.raises(ValidationError) as exc:
+                parse_estimator(descriptor).estimate_batch(*([c] for c in cells))
+            assert str(exc.value) == message
 
     def test_oracle_mode_requires_the_generating_size(self):
         spec = parse_estimator("adpl-mtb:scaled:1.25@oracle")
