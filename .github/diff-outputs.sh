@@ -6,7 +6,8 @@
 # BASE_SRC is the src directory of the base commit's checkout; the head side
 # is the src directory next to this script. Outputs go to WORK_DIR. Every
 # reproduce target, a simulate study of every method and policy in both
-# delta modes, large-N and mixed-N studies, single-table estimate reports
+# delta modes, large-N and mixed-N studies, a study of two stack groups that
+# share sampling windows across populations, single-table estimate reports
 # (stdout, stderr and exit code), and estimate reports with a parametric
 # bootstrap run on both sides. reproduce and simulate solve many rows per
 # batch, estimate solves its table as a one-row batch, and the bootstrap
@@ -101,7 +102,25 @@ cat > "$work/mixed.json" <<'JSON'
    "adpl-mtb:scaled:1.25@oracle", "adpl-mtb:recapture:1.25@oracle"],
  "replicates": 20, "seed": 7}
 JSON
-for study in study large mixed; do
+# Group draw: at R = 300 a stack group holds 13 populations (4096 // 300,
+# with R not dividing STACK_ROWS), so these 14 make two groups. Populations
+# of one design at N = 200, 500 and 1000 share (trials, probability) pairs
+# across populations within a draw, and the padded blocks hold several rows
+# with several draws each.
+{
+  printf '{"populations": [\n'
+  for copy in a b c d; do
+    for n in 200 500 1000; do
+      printf '   {"label": "A%s%s", "N": %s, "p1": 0.6, "p_dot1": 0.7, "phi": 1.25},\n' \
+        "$copy" "$n" "$n"
+    done
+  done
+  printf '   {"label": "B500", "N": 500, "p1": 0.7, "p_dot1": 0.55, "phi": 0.8},\n'
+  printf '   {"label": "B1000", "N": 1000, "p1": 0.7, "p_dot1": 0.55, "phi": 0.8}],\n'
+  printf ' "estimators": ["dse", "pl-mtb", "adpl-mtb:scaled:1.25"],\n'
+  printf ' "replicates": 300, "seed": 7}\n'
+} > "$work/group.json"
+for study in study large mixed group; do
   for side in base head; do
     run "$side" "$work/$side-$study.csv" simulate --config "$work/$study.json" ||
       report "fails on $side: simulate $study"

@@ -22,19 +22,26 @@ version of a rejection sampler. Each CDF is built only over a window sized by
 a Bernstein tail bound (about 39.2 sd either side of the mean at large n)
 outside which it is exactly 0.0 or 1.0 in double, so a draw at n = 1e9 holds
 about a million doubles, not a billion, and the draws equal inversion of the
-full n + 1 point CDF bit for bit. The stages after the first draw from many
-trial counts at once; :func:`draw_binomial` sizes all their windows in closed
-form, evaluates ``gammaln`` once over the windows' span, and builds the
-windows as rows of padded blocks of about 2**14 doubles, each with one
-row-wise cumulative sum. A window wider than that is a block of one row and
-reads the same shared log-factorials, so the nearly overlapping windows of
-one stage evaluate ``gammaln`` about once over their span, not once each.
-:func:`binomial_cdf` stays the reference, and builds the rare window whose
-edge check fails.
-Nothing is cached: the replicate tables of a study rarely repeat an (n, p)
-pair (none of 382 builds repeat in the ``table3`` study, about 15% in the
-small-N figure studies, none at n = 1e6), so a kept window would seldom be
-looked up again.
+full n + 1 point CDF bit for bit. Each stage of :func:`draw_tables` is one
+:func:`draw_binomial` call over every row, and a study draws all the rows of
+a stack group of populations in one such call, so a stage holds many
+(trials, probability) pairs at once. :func:`draw_binomial` builds one window
+per distinct pair of the call and sizes all the windows in closed form.
+Windows whose ranges overlap, such as those of one population in one stage,
+form a cluster that evaluates ``gammaln`` once over the union of its
+windows, and the clusters are built one after another, so populations far
+apart never share, or hold at once, a log-factorial table. A cluster's
+windows are built as rows of padded blocks of about 2**14 doubles, each with
+one row-wise cumulative sum; a window wider than that is a block of one row
+that reads the cluster's log-factorials as slices, so the nearly overlapping
+windows of one stage evaluate ``gammaln`` about once, not once each. A block of
+several rows is inverted by one search over all of its rows, whose keys
+place each row's CDF on the 53-bit grid of the uniforms, so it is exact for
+every uniform :func:`uniforms` draws. :func:`binomial_cdf` stays the
+reference, and builds the rare window whose edge check fails. Nothing is kept
+from one call to the next: the populations of a study share pairs within a
+stack group (about 15% of the windows in the small-N figure studies), and
+the group's one call builds each of them once.
 """
 
 from __future__ import annotations
@@ -113,6 +120,11 @@ def uniforms(seed: int, purpose: int, unit: int, count: int, start: int = 0) -> 
 _UNDERFLOW_LOG = 746.0
 # Doubles per padded block of CDF windows in draw_binomial (128 KiB).
 _BLOCK = 2**14
+# A block's merged search keys row r's CDF values as r * _ROW_SPAN +
+# floor(F * 2**53) (see _search_rows), so a block holds at most the 1023
+# rows whose keys stay below 2**63.
+_ROW_SPAN = 2**53 + 1
+_MAX_ROWS = 2**63 // _ROW_SPAN
 
 
 def _logpmf(n: int, p: float, k: np.ndarray) -> np.ndarray:
@@ -181,63 +193,80 @@ def binomial_cdf(n: int, p: float) -> tuple[int, np.ndarray]:
     return lo, f
 
 
-class _LogFactorial:
-    """ln(x!) = gammaln(x + 1.0) for integers x within [a, b].
+def _runs(a: np.ndarray, b: np.ndarray):
+    """Merge the integer intervals [a[i], b[i]] into the runs of their union.
 
-    Evaluated once over [a, b] when that span holds fewer than ``budget``
-    points, else on each lookup, so trial counts spread far apart never
-    make a run span their whole range; gammaln is element-wise, so both
-    give the same doubles.
+    Overlapping or touching intervals share a run. Returns the run of each
+    interval and the runs' first and last points, in ascending order.
+    """
+    order = np.argsort(a, kind="stable")
+    reach = np.maximum.accumulate(b[order])
+    first = np.ones(a.size, dtype=bool)
+    first[1:] = a[order[1:]] > reach[:-1] + 1
+    starts = np.flatnonzero(first)
+    run = np.empty(a.size, dtype=np.int64)
+    run[order] = np.cumsum(first) - 1
+    return run, a[order[starts]], reach[np.append(starts[1:], a.size) - 1]
+
+
+class _LogFactorial:
+    """ln(x!) = gammaln(x + 1.0) for the integers x of the intervals [a[i], b[i]].
+
+    Each run of the intervals' union (see :func:`_runs`) is evaluated once,
+    and the runs are stored end to end, so the table holds no point outside
+    the intervals and intervals far apart never make it span the gap
+    between them. gammaln is element-wise, so a lookup gives the doubles of
+    gammaln(x + 1.0) itself. Interval i reads x at ``table[x - base[i]]``.
     """
 
-    def __init__(self, a: int, b: int, budget: int):
-        self.a = a
-        self.table = None
-        if b - a < budget:
-            self.table = gammaln(np.arange(a, b + 1, dtype=float) + 1.0)
+    def __init__(self, a: np.ndarray, b: np.ndarray):
+        run, lo, hi = _runs(a, b)
+        size = hi - lo + 1
+        base = lo - (np.cumsum(size) - size)
+        x = np.arange(size.sum(), dtype=float)
+        x += np.repeat(base + 1.0, size)
+        self.table = gammaln(x)
+        self.base = base[run]
 
-    def at(self, x: np.ndarray) -> np.ndarray:
-        """Values at an integer array x."""
-        if self.table is None:
-            return gammaln(x + 1.0)
-        return self.table[x - self.a]
+    def at(self, x: np.ndarray, i: np.ndarray) -> np.ndarray:
+        """Values at an integer array x whose row r lies in interval i[r]."""
+        return self.table[x - self.base[i, None]]
 
-    def run(self, start: int, stop: int) -> np.ndarray:
-        """Values at start, start + 1, ..., stop - 1: a slice of the table when there is one."""
-        if self.table is None:
-            return gammaln(np.arange(start, stop, dtype=float) + 1.0)
-        return self.table[start - self.a : stop - self.a]
+    def run(self, i: int, start: int, stop: int) -> np.ndarray:
+        """Values at start, start + 1, ..., stop - 1 within interval i: a slice of the table."""
+        return self.table[start - self.base[i] : stop - self.base[i]]
 
 
-def _cdf_block(n, p: float, lo, width, log_fact_k, log_fact_nk):
-    """CDF windows of Binomial(n[i], p) over [lo[i], lo[i] + width[i]) as rows of one array.
+def _cdf_block(n, p, lo, width, i, log_fact_k, log_fact_nk):
+    """CDF windows of Binomial(n[r], p[r]) over [lo[r], lo[r] + width[r]) as rows of one array.
 
-    Row i is the ``f`` of :func:`binomial_cdf` on that window, padded with
+    Row r is the ``f`` of :func:`binomial_cdf` on that window, padded with
     1.0: the log-pmf is computed element-wise as :func:`_logpmf` does and
     padded with -inf, whose exact 0.0 terms leave each row's cumulative sum
-    and total as they are. Returns the rows and a mask of the rows whose
+    and total as they are. Row r reads interval i[r] of the two
+    log-factorial tables. Returns the rows and a mask of the rows whose
     edge terms are 0.0 (or at 0 or n), as :func:`binomial_cdf` checks.
     """
     hi = lo + width - 1
     if n.size == 1:
         # A row alone reads its log-factorials as slices: k forward, n - k reversed.
         k = np.arange(lo[0], hi[0] + 1, dtype=float)[None]
-        lf_k = log_fact_k.run(lo[0], hi[0] + 1)
-        lf_nk = log_fact_nk.run(n[0] - hi[0], n[0] - lo[0] + 1)[::-1]
+        lf_k = log_fact_k.run(i[0], lo[0], hi[0] + 1)
+        lf_nk = log_fact_nk.run(i[0], n[0] - hi[0], n[0] - lo[0] + 1)[::-1]
     else:
         cols = np.arange(width.max())
         k = np.minimum(lo[:, None] + cols, hi[:, None])
-        lf_k = log_fact_k.at(k)
-        lf_nk = log_fact_nk.at(n[:, None] - k)
+        lf_k = log_fact_k.at(k, i)
+        lf_nk = log_fact_nk.at(n[:, None] - k, i)
         # ln(k!) = inf makes the log-pmf of each padding column -inf.
         lf_k[cols >= width[:, None]] = np.inf
     # The terms of _logpmf, subtracted and added in its order, in place.
     f = gammaln(n + 1.0)[:, None] - lf_k
     f -= lf_nk
     del lf_k, lf_nk
-    f += k * np.log(p)
+    f += k * np.log(p)[:, None]
     k = n[:, None] - k
-    f += k * np.log1p(-p)
+    f += k * np.log1p(-p)[:, None]
     del k
     f -= f.max(axis=1, keepdims=True)
     np.exp(f, out=f)
@@ -250,18 +279,23 @@ def _cdf_block(n, p: float, lo, width, log_fact_k, log_fact_nk):
     return f, ok
 
 
-def _cdfs(n: np.ndarray, p: float):
-    """(i, lo, f) for each of the distinct trial counts n: f is binomial_cdf(n[i], p)[1].
+def _cdf_blocks(n: np.ndarray, p: np.ndarray):
+    """(rows, lo, f) blocks of the windows of the distinct pairs (n[i], p[i]).
 
-    The windows of :func:`binomial_cdf` come from the closed form for all n at
-    once and are built in padded blocks of about _BLOCK doubles, rows sorted
-    by width; a window wider than a block is a block of its own. Every
-    window reads its log-factorials from two runs shared by the call, one
-    over the windows' k span and one over their n - k span (see
-    :class:`_LogFactorial`). A window whose edge check fails is built by
-    :func:`binomial_cdf` itself. Any window holding every non-zero term
-    gives the same CDF values, so the draws do not depend on which rows
-    share a block.
+    ``f[j]`` is ``binomial_cdf(n[i], p[i])[1]`` for ``i = rows[j]``, padded
+    with 1.0 to the block's width, and ``lo[j]`` is its lower end. The
+    windows of :func:`binomial_cdf` come from the closed form for all pairs
+    at once. Windows whose k ranges overlap form a cluster, and the clusters
+    are built one after another: each cluster's windows read their
+    log-factorials from two tables of its own, one over the union of their
+    k ranges and one over the union of their n - k ranges (see
+    :class:`_LogFactorial`), so windows far apart never share a table. A
+    cluster's windows are built in padded blocks of about _BLOCK doubles and
+    at most _MAX_ROWS rows, rows sorted by width; a window wider than a
+    block is a block of its own. A window whose edge check fails is built by
+    :func:`binomial_cdf` itself, as a block of one row. Any window holding
+    every non-zero term gives the same CDF values, so the draws do not
+    depend on which rows share a block.
     """
     if not n.size:
         return
@@ -269,80 +303,133 @@ def _cdfs(n: np.ndarray, p: float):
     lo = np.maximum(0, np.floor(mean - d)).astype(np.int64)
     hi = np.minimum(n, np.ceil(mean + d)).astype(np.int64)
     width = hi - lo + 1
-    budget = int(width.sum())
-    log_fact_k = _LogFactorial(lo.min(), hi.max(), budget)
-    log_fact_nk = _LogFactorial((n - hi).min(), (n - lo).max(), budget)
-    by_width = np.argsort(width, kind="stable")
-    start = 0
-    while start < n.size:
-        # The most rows whose padded block (rows x widest row) fits _BLOCK, at least one.
-        w = width[by_width[start:]]
-        count = max(1, np.searchsorted(np.arange(1, w.size + 1) * w, _BLOCK, side="right"))
-        rows = by_width[start : start + count]
-        start += count
-        f, ok = _cdf_block(n[rows], p, lo[rows], width[rows], log_fact_k, log_fact_nk)
-        for j, i in enumerate(rows):
-            if ok[j]:
-                yield i, lo[i], f[j, : width[i]]
-            else:
-                yield (i, *binomial_cdf(int(n[i]), p))
+    cluster, *_ = _runs(lo, hi)
+    by_cluster = np.argsort(cluster, kind="stable")
+    for members in np.split(by_cluster, np.flatnonzero(np.diff(cluster[by_cluster])) + 1):
+        log_fact_k = _LogFactorial(lo[members], hi[members])
+        log_fact_nk = _LogFactorial(n[members] - hi[members], n[members] - lo[members])
+        by_width = np.argsort(width[members], kind="stable")
+        start = 0
+        while start < members.size:
+            # The most rows, up to _MAX_ROWS, whose padded block (rows x
+            # widest row) fits _BLOCK; at least one.
+            w = width[members[by_width[start : start + _MAX_ROWS]]]
+            count = max(1, np.searchsorted(np.arange(1, w.size + 1) * w, _BLOCK, side="right"))
+            i = by_width[start : start + count]
+            start += count
+            rows = members[i]
+            f, ok = _cdf_block(
+                n[rows], p[rows], lo[rows], width[rows], i, log_fact_k, log_fact_nk
+            )
+            if not ok.all():
+                for r in rows[~ok]:
+                    low, g = binomial_cdf(int(n[r]), float(p[r]))
+                    yield np.array([r]), np.array([low]), g[None]
+                rows, f = rows[ok], f[ok]
+            if rows.size:
+                yield rows, lo[rows], f
+        # Freed before the next cluster's tables are built.
+        del f, log_fact_k, log_fact_nk
 
 
-def draw_binomial(n: np.ndarray, p: float, u: np.ndarray) -> np.ndarray:
-    """Invert Binomial(n_i, p) at uniform u_i in [0, 1) for each i.
+def _search_rows(f: np.ndarray, j: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(f[j[i]], u[i], side="left")`` for each i, in one search.
 
-    Each draw is the smallest k with F(k) >= u_i on the full CDF, found in
-    the window of :func:`binomial_cdf`; u_i == 0.0 gives 0, as it does on
-    the full CDF's leading zeros. The trial counts may differ across
-    entries; each distinct count's window is built once per call, in the
-    padded blocks of :func:`_cdfs`, wide windows as blocks of one row.
+    Row r of the block is keyed r * _ROW_SPAN + floor(F * 2**53), within
+    [r * _ROW_SPAN, r * _ROW_SPAN + 2**53], so the keys of the flattened
+    block ascend. For u = m * 2**-53 with an integer m in [0, 2**53), which
+    is every uniform :func:`uniforms` draws, F < u exactly when
+    floor(F * 2**53) < m (scaling by 2**53 is exact), so the query
+    j * _ROW_SPAN + m counts all the keys of the rows before j and those of
+    row j below u. Any other u is searched in its own row.
     """
-    n = np.asarray(n)
-    u = np.asarray(u)
-    out = np.zeros(n.shape, dtype=np.int64)
-    if p <= 0.0:
-        return out
-    if p >= 1.0:
-        return n.astype(np.int64)
-    values, row = np.unique(n, return_inverse=True)
-    order = np.argsort(row, kind="stable")
-    bounds = np.searchsorted(row[order], np.arange(values.size + 1))
-    for i, lo, f in _cdfs(values, p):
-        idx = order[bounds[i] : bounds[i + 1]]
-        out[idx] = lo + np.searchsorted(f, u[idx], side="left")
-    out[u == 0.0] = 0
+    m = u * 2.0**53
+    grid = (m == np.floor(m)) & (m >= 0.0) & (m < 2.0**53)
+    keys = np.floor(f * 2.0**53).astype(np.int64)
+    keys += np.arange(f.shape[0])[:, None] * _ROW_SPAN
+    k = np.searchsorted(keys.ravel(), j * _ROW_SPAN + np.where(grid, m, 0.0).astype(np.int64))
+    k -= j * f.shape[1]
+    for i in np.flatnonzero(~grid):
+        k[i] = np.searchsorted(f[j[i]], u[i], side="left")
+    return k
+
+
+def draw_binomial(n, p, u) -> np.ndarray:
+    """Invert Binomial(n_i, p_i) at uniform u_i in [0, 1) for each i.
+
+    ``n``, ``p`` and ``u`` broadcast against each other: trial counts and
+    probabilities may be one for all entries or one per entry. Each draw is
+    the smallest k with F(k) >= u_i on the full CDF, found in the window of
+    :func:`binomial_cdf`; u_i == 0.0 gives 0, as it does on the full CDF's
+    leading zeros, p_i <= 0 gives 0 and p_i >= 1 gives n_i. Each distinct
+    (n, p) pair's window is built once per call, in the padded blocks of
+    :func:`_cdf_blocks`. A block of one row, such as a wide window, is
+    searched alone; a block of several rows is inverted by one search over
+    all of them (:func:`_search_rows`), exact for the uniforms on the 53-bit
+    grid m * 2**-53, and any other u is searched in its own row.
+    """
+    n, p, u = np.broadcast_arrays(
+        np.asarray(n, dtype=np.int64), np.asarray(p, dtype=float), np.asarray(u, dtype=float)
+    )
+    out = np.where(p >= 1.0, n, 0)
+    live = (0.0 < p) & (p < 1.0) & (u != 0.0)
+    n, p, u = n[live], p[live], u[live]
+    # Entries sorted by pair: pair i holds the entries order[bounds[i]:bounds[i + 1]].
+    order = np.lexsort((n, p))
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = (np.diff(n[order]) != 0) | (np.diff(p[order]) != 0)
+    bounds = np.append(np.flatnonzero(first), order.size)
+    draws = np.empty(order.size, dtype=np.int64)
+    for rows, lo, f in _cdf_blocks(n[order[first]], p[order[first]]):
+        if rows.size == 1:
+            at = order[bounds[rows[0]] : bounds[rows[0] + 1]]
+            draws[at] = lo[0] + np.searchsorted(f[0], u[at], side="left")
+        else:
+            counts = bounds[rows + 1] - bounds[rows]
+            j = np.repeat(np.arange(rows.size), counts)
+            shift = bounds[rows] + counts - np.cumsum(counts)
+            at = order[np.arange(j.size) + shift[j]]
+            draws[at] = lo[j] + _search_rows(f, j, u[at])
+        # Freed before the next block is built.
+        del f
+    out[live] = draws
     return out
 
 
 def draw_tables(
-    n: int, cells: tuple[float, float, float, float], u: np.ndarray
+    n: int | np.ndarray, cells: tuple, u: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Draw incomplete 2x2 tables from cell probabilities by binomial chaining.
 
     Args:
-        n: population size (trials of the underlying multinomial).
-        cells: (p11, p10, p01, p00) summing to 1.
+        n: population size (trials of the underlying multinomial), one for
+            all rows or one per row.
+        cells: (p11, p10, p01, p00) summing to 1, each one for all rows or
+            one per row.
         u: uniforms of shape (count, >= 3); column j drives stage j.
 
     Returns:
         Arrays (x11, x10, x01) of shape (count,). The unobserved cell is
         n - x11 - x10 - x01 implicitly.
+
+    Each stage is one :func:`draw_binomial` call over all rows, so rows
+    drawn from different populations share the windows of equal
+    (trials, probability) pairs, and each row is drawn as it is alone.
     """
-    p11, p10, p01, _ = cells
+    p11, p10, p01, _ = (np.asarray(c, dtype=float) for c in cells)
     u = np.asarray(u)
-    count = u.shape[0]
-    x11 = draw_binomial(np.full(count, n, dtype=np.int64), p11, u[:, 0])
+    n = np.broadcast_to(np.asarray(n, dtype=np.int64), u.shape[:1])
+    x11 = draw_binomial(n, p11, u[:, 0])
     x10 = draw_binomial(n - x11, _cond_prob(p10, 1.0 - p11), u[:, 1])
     x01 = draw_binomial(n - x11 - x10, _cond_prob(p01, 1.0 - p11 - p10), u[:, 2])
     return x11, x10, x01
 
 
-def _cond_prob(num: float, denom: float) -> float:
-    """Conditional stage probability num/denom clipped to [0, 1].
+def _cond_prob(num: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """Conditional stage probability num/denom clipped to [0, 1], element-wise.
 
     A non-positive denominator means the earlier stages already exhaust the
     population, so no trials remain and the ratio value is irrelevant.
     """
-    if denom <= 0.0:
-        return 0.0
-    return min(max(num / denom, 0.0), 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(denom <= 0.0, 0.0, np.clip(num / denom, 0.0, 1.0))

@@ -15,12 +15,14 @@ three derived experiments:
 
 Everything is deterministic given the seed: replicate r of population i
 reads counter block r of the Philox stream keyed by (seed, purpose, i), so
-results are bit-identical across reruns. Each estimator solves the
-replicates of a stack of consecutive populations, at most
-max(replicates, STACK_ROWS) rows, together
-(:meth:`EstimatorSpec.estimate_batch`, each row at its own population's N),
-with row-by-row the same estimate as on that table alone, so a study's
-output does not depend on which replicates share a batch.
+results are bit-identical across reruns. The replicates of a stack of
+consecutive populations, at most max(replicates, STACK_ROWS) rows, are drawn
+together, one :func:`~dualrec.randomness.draw_tables` call whose every stage
+is one draw over the stack's rows, each row at its own population's N and
+cell probabilities; each estimator then solves the stack's rows together
+(:meth:`EstimatorSpec.estimate_batch`, each row at its own population's N).
+Each row is drawn and estimated as it would be alone, so a study's output
+does not depend on which replicates share a stack.
 Replicates on which an estimator fails (e.g. x11 = 0 making the dual-system
 estimate infinite) are excluded and counted; a cell losing more than 10% of
 its replicates is flagged invalid.
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import json
 import math
-import statistics
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -207,7 +209,9 @@ class StudyConfig:
         {"populations": [{"label", "N", "p1", "p_dot1", "phi"}, ...],
          "estimators": [str, ...], "replicates": int, "seed": int}
     An estimator runs in oracle delta mode when its descriptor ends in
-    ``@oracle``; there is no study-wide mode.
+    ``@oracle``; there is no study-wide mode. ``replicates`` and ``seed``
+    follow the JSON count rule in Python too: an integer (numpy's included)
+    or an integral float such as 1e3, never a bool.
     """
 
     populations: tuple[PopulationSpec, ...]
@@ -218,6 +222,11 @@ class StudyConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "populations", tuple(self.populations))
         object.__setattr__(self, "estimators", tuple(self.estimators))
+        for name in ("replicates", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, np.integer):
+                value = int(value)
+            object.__setattr__(self, name, _integer(value, name))
         if self.replicates < 2:
             raise ValidationError(f"replicates must be >= 2, got {self.replicates}")
         if not self.populations:
@@ -259,8 +268,8 @@ class StudyConfig:
         return cls(
             populations=tuple(PopulationSpec.from_json_dict(p) for p in populations),
             estimators=tuple(estimators),
-            replicates=_integer(data["replicates"], "replicates"),
-            seed=_integer(data["seed"], "seed"),
+            replicates=data["replicates"],
+            seed=data["seed"],
         )
 
 
@@ -303,6 +312,25 @@ def sample_tables(
     return draw_tables(spec.n, spec.cells(), u)
 
 
+def _exact_mean(values: np.ndarray) -> float:
+    """Mean of finite doubles, rounded once: the double ``statistics.mean`` gives.
+
+    Each value is m * 2**e with an integer mantissa m of at most 53 bits
+    (``np.frexp`` scaled by 2**53); shifted to the smallest exponent, the
+    mantissas sum exactly as Python integers, and the one int / int
+    division rounds correctly. A constant adjustment averages to itself with
+    no accumulation error in the reports.
+    """
+    fraction, exponent = np.frexp(values)
+    exponent -= 53
+    low = int(exponent.min())
+    mantissas = (fraction * 2.0**53).astype(np.int64).tolist()
+    total = sum(map(operator.lshift, mantissas, (exponent - low).tolist()))
+    if low >= 0:
+        return (total << low) / values.size
+    return total / (values.size << -low)
+
+
 def _summarize(
     population: str, estimator: str, batch: BatchEstimate, replicates: int, true_n: int
 ) -> StudySummary:
@@ -324,7 +352,7 @@ def _summarize(
             invalid=True,
             true_n=true_n,
         )
-    deltas = [] if batch.delta_used is None else batch.delta_used[ok].tolist()
+    deltas = None if batch.delta_used is None else batch.delta_used[ok]
     ci_low, ci_high = np.percentile(estimates, [2.5, 97.5])
     return StudySummary(
         population=population,
@@ -338,9 +366,7 @@ def _summarize(
         failures=failures,
         invalid=failures > 0.1 * replicates,
         true_n=true_n,
-        # Exact rational mean: a constant adjustment averages to
-        # itself with no accumulation error in the reports.
-        delta_used=float(statistics.mean(deltas)) if deltas else None,
+        delta_used=None if deltas is None else _exact_mean(deltas),
     )
 
 
@@ -350,10 +376,11 @@ def run_study(config: StudyConfig, *, purpose: int = PURPOSE_STUDY) -> list[Stud
     Summaries are emitted in population-major, estimator-minor order.
     Deterministic given (config.seed, purpose). Population i is sampled from
     stream unit i. Consecutive populations are stacked into groups of at
-    most max(replicates, STACK_ROWS) rows, and each estimator solves a
-    group's rows in one batch, each row at its own population's ``true_n``;
-    batch rows are independent, so the summaries do not depend on the
-    grouping, and estimation memory is bounded by the group size.
+    most max(replicates, STACK_ROWS) rows; a group's tables are drawn in one
+    ``draw_tables`` call over the group's uniforms, and each estimator
+    solves the group's rows in one batch, each row at its own population's
+    ``true_n``. Rows are drawn and solved independently, so the summaries
+    do not depend on the grouping, and memory is bounded by the group size.
     """
     specs = [parse_estimator(e) for e in config.estimators]
     r = config.replicates
@@ -361,11 +388,11 @@ def run_study(config: StudyConfig, *, purpose: int = PURPOSE_STUDY) -> list[Stud
     out: list[StudySummary] = []
     for first in range(0, len(config.populations), per_group):
         group = config.populations[first : first + per_group]
-        cells = [
-            sample_tables(pop, config.seed, purpose, first + j, r) for j, pop in enumerate(group)
-        ]
-        x11, x10, x01 = (np.concatenate(c) for c in zip(*cells))
+        units = range(first, first + len(group))
+        u = np.concatenate([uniforms(config.seed, purpose, unit, r) for unit in units])
         true_n = np.repeat([pop.n for pop in group], r)
+        cells = (np.repeat(c, r) for c in zip(*(pop.cells() for pop in group)))
+        x11, x10, x01 = draw_tables(true_n, tuple(cells), u)
         batches = [est.estimate_batch(x11, x10, x01, true_n=true_n) for est in specs]
         for j, pop in enumerate(group):
             rows = slice(j * r, (j + 1) * r)

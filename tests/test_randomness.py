@@ -243,35 +243,41 @@ class TestBinomialInversion:
     @pytest.mark.parametrize("p", [1e-6, 0.02, 0.3, 0.5, 0.98])
     def test_every_window_equals_binomial_cdf_bit_for_bit(self, p):
         # Each count alone (its window is the whole shared run) and all of
-        # them in one call (runs too spread out to evaluate, so looked up
-        # per window); windows above 2**14 points are blocks of one row.
+        # them in one call (windows far apart, each with runs of its own);
+        # windows above 2**14 points are blocks of one row.
         counts = (20_000, 200_000, 10**6, 10**7)
         for n in [np.array([c]) for c in counts] + [np.array(counts)]:
-            built = list(randomness._cdfs(n, p))
+            built = [
+                (i, lo[j], f[j])
+                for rows, lo, f in randomness._cdf_blocks(n, np.full(n.size, p))
+                for j, i in enumerate(rows)
+            ]
             assert sorted(i for i, _, _ in built) == list(range(n.size))
             for i, lo, f in built:
                 want_lo, want = binomial_cdf(int(n[i]), p)
                 assert lo == want_lo
-                assert np.array_equal(f, want)
+                assert np.array_equal(f[: want.size], want)
+                assert np.all(f[want.size :] == 1.0)
 
     def test_wide_windows_share_the_log_factorial_runs(self, monkeypatch):
         # One draw_tables call of a study at N = 1e6 (p1. = 0.6, p.1 = 0.7,
         # phi = 1.25), R = 50: 99 of its windows exceed a block. They read
         # the two runs of their stage; none is built by binomial_cdf.
         points, builds, widths = [], [], []
-        log_gamma, cdfs = randomness.gammaln, randomness._cdfs
+        log_gamma, blocks = randomness.gammaln, randomness._cdf_blocks
 
         def counted_gammaln(x):
             points.append(np.size(x))
             return log_gamma(x)
 
-        def recorded_cdfs(n, p):
-            for i, lo, f in cdfs(n, p):
-                widths.append(f.size)
-                yield i, lo, f
+        def recorded_blocks(n, p):
+            # Each row's padded width: its window's, or a narrower block's.
+            for rows, lo, f in blocks(n, p):
+                widths.extend([f.shape[1]] * rows.size)
+                yield rows, lo, f
 
         monkeypatch.setattr(randomness, "gammaln", counted_gammaln)
-        monkeypatch.setattr(randomness, "_cdfs", recorded_cdfs)
+        monkeypatch.setattr(randomness, "_cdf_blocks", recorded_blocks)
         monkeypatch.setattr(randomness, "binomial_cdf", lambda n, p: builds.append(n))
         spec = PopulationSpec("M", 1_000_000, 0.60, 0.70, 1.25)
         draw_tables(spec.n, spec.cells(), uniforms(7, PURPOSE_STUDY, 0, 50))
@@ -279,10 +285,59 @@ class TestBinomialInversion:
         assert sum(w > randomness._BLOCK for w in widths) == 99
         assert sum(points) < 8 * max(widths)
 
+    def test_far_apart_populations_keep_their_own_runs(self, monkeypatch):
+        # A stack group of N = 1e6 and N = 1e9 (p1. = 0.6, p.1 = 0.7,
+        # phi = 1.25) at R = 20, as run_study draws it. The two populations'
+        # windows lie far apart, so each builds its own log-factorial
+        # tables: the group's draw evaluates gammaln at exactly the points of
+        # the two populations drawn alone, and draws the same tables.
+        points = []
+        log_gamma = randomness.gammaln
+
+        def counted_gammaln(x):
+            points.append(np.size(x))
+            return log_gamma(x)
+
+        monkeypatch.setattr(randomness, "gammaln", counted_gammaln)
+        r = 20
+        specs = [PopulationSpec(f"N{n}", n, 0.60, 0.70, 1.25) for n in (10**6, 10**9)]
+        u = [uniforms(7, PURPOSE_STUDY, unit, r) for unit in range(len(specs))]
+        alone, per_spec = [], []
+        for spec, spec_u in zip(specs, u):
+            alone.append(draw_tables(spec.n, spec.cells(), spec_u))
+            per_spec.append(sum(points))
+            points.clear()
+        n = np.repeat([spec.n for spec in specs], r)
+        cells = tuple(np.repeat(c, r) for c in zip(*(spec.cells() for spec in specs)))
+        together = draw_tables(n, cells, np.concatenate(u))
+        assert sum(points) == sum(per_spec) == 5_893_094
+        for got, want in zip(together, zip(*alone)):
+            assert np.array_equal(got, np.concatenate(want))
+
+    def test_more_than_1023_windows_split_into_exact_blocks(self, monkeypatch):
+        # 1500 distinct pairs of windows at most 3 wide would fit one padded
+        # block; a block's merged search keys stay in int64 only up to 1023
+        # rows, so the call makes two blocks and every draw is exact.
+        sizes, blocks = [], randomness._cdf_blocks
+
+        def recorded_blocks(n, p):
+            for rows, lo, f in blocks(n, p):
+                sizes.append(rows.size)
+                yield rows, lo, f
+
+        monkeypatch.setattr(randomness, "_cdf_blocks", recorded_blocks)
+        count = 1500
+        n = 1 + np.arange(count) % 3
+        p = np.linspace(0.01, 0.99, count)
+        u = uniforms(DEFAULT_SEED, PURPOSE_STUDY, 6, count)[:, 0]
+        got = draw_binomial(n, p, u)
+        want = [reference_draw_binomial(n[i : i + 1], p[i], u[i : i + 1])[0] for i in range(count)]
+        assert sorted(sizes) == [count - 1023, 1023]
+        assert got.tolist() == want
+
     def test_spread_counts_do_not_share_a_run(self):
-        # A run over 0..1e9 would hold 8 GB; with these counts the runs are
-        # too spread out for the windows' total width, so each window
-        # evaluates gammaln over its own points.
+        # A run over 0..1e9 would hold 8 GB; these windows lie far apart,
+        # so each builds log-factorial tables over its own points only.
         n = np.array([10, 10**9, 5 * 10**8, 300_000])
         u = uniforms(DEFAULT_SEED, PURPOSE_STUDY, 5, 4)[:, 0]
         want = self._per_value_inversion(n, 0.3, u)
@@ -357,16 +412,65 @@ class TestTableDraws:
         x11, _, _ = draw_tables(100, (1.0, 0.0, 0.0, 0.0), u)
         assert np.all(x11 == 100)
 
+    @staticmethod
+    def _reference_tables(n, cells, u):
+        """One population's tables by full-CDF inversion, stage by stage."""
+        def cond(num, denom):
+            return 0.0 if denom <= 0.0 else min(max(num / denom, 0.0), 1.0)
+
+        p11, p10, p01, _ = cells
+        x11 = reference_draw_binomial(np.full(len(u), n), p11, u[:, 0])
+        x10 = reference_draw_binomial(n - x11, cond(p10, 1.0 - p11), u[:, 1])
+        x01 = reference_draw_binomial(n - x11 - x10, cond(p01, 1.0 - p11 - p10), u[:, 2])
+        return x11, x10, x01
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        populations=st.lists(
+            st.tuples(
+                st.sampled_from([0, 1, 7, 200, 500, 3000]),
+                # Shared designs, and stage probabilities at 0 and 1.
+                st.sampled_from([
+                    CELLS, (0.3, 0.3, 0.2, 0.2), (0.0, 0.5, 0.5, 0.0),
+                    (1.0, 0.0, 0.0, 0.0), (0.3, 0.7, 0.0, 0.0), (0.2, 0.0, 0.0, 0.8),
+                ]),
+                st.lists(
+                    st.one_of(
+                        st.integers(0, 2**53 - 1).map(lambda m: m * 2.0**-53),
+                        st.sampled_from(_EDGE_UNIFORMS),
+                        st.floats(0.0, 1.0, exclude_max=True),
+                    ),
+                    min_size=3,
+                    max_size=3 * 6,
+                ),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    @example(populations=[(500, CELLS, [0.5, 0.0, 0.3] * 4), (500, CELLS, [0.5, 0.1, 0.3] * 4)])
+    def test_per_row_populations_equal_full_cdf_inversion(self, populations):
+        # Rows of several populations in one call: each population's rows
+        # are drawn as that population alone, by full-CDF inversion.
+        blocks = []
+        for n, cells, u in populations:
+            u = np.array(u[: len(u) // 3 * 3]).reshape(-1, 3)
+            blocks.append((np.full(len(u), n), np.tile(cells, (len(u), 1)), u))
+        n, cells, u = (np.concatenate(parts) for parts in zip(*blocks))
+        got = draw_tables(n, tuple(cells.T), u)
+        start = 0
+        for (size, cells, _), (_, _, rows) in zip(populations, blocks):
+            want = self._reference_tables(size, cells, rows)
+            for drawn, ref in zip(got, want):
+                assert drawn[start : start + len(rows)].tolist() == ref.tolist()
+            start += len(rows)
+
     def test_large_population_replicates_equal_full_cdf_inversion(self):
         # The 50 replicate tables of a study at N = 1e6 (p1. = 0.6,
         # p.1 = 0.7, phi = 1.25) at the default seed, stage by stage.
         spec = PopulationSpec("L1", 1_000_000, 0.60, 0.70, 1.25)
-        p11, p10, p01, _ = spec.cells()
         u = uniforms(DEFAULT_SEED, PURPOSE_STUDY, 0, 50)
-        x11, x10, x01 = draw_tables(spec.n, spec.cells(), u)
-        r11 = reference_draw_binomial(np.full(50, spec.n), p11, u[:, 0])
-        r10 = reference_draw_binomial(spec.n - r11, p10 / (1.0 - p11), u[:, 1])
-        r01 = reference_draw_binomial(spec.n - r11 - r10, p01 / (1.0 - p11 - p10), u[:, 2])
-        assert np.array_equal(x11, r11)
-        assert np.array_equal(x10, r10)
-        assert np.array_equal(x01, r01)
+        got = draw_tables(spec.n, spec.cells(), u)
+        want = self._reference_tables(spec.n, spec.cells(), u)
+        for drawn, ref in zip(got, want):
+            assert np.array_equal(drawn, ref)

@@ -2,10 +2,13 @@
 
 import json
 import math
+import statistics
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dualrec import simulate
 from dualrec.estimators import EstimatorSpec
@@ -113,12 +116,64 @@ class TestStudyConfig:
             StudyConfig.from_json('{"estimators": ["dse"], "replicates": 5, "seed": 1}')
 
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("seed", 1.5), ("seed", True), ("seed", "7"), ("seed", None),
+         ("replicates", 2.5), ("replicates", False), ("replicates", "20")],
+    )
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+            _config([P1], ["dse"], **{"replicates": 20, "seed": 3, field: value})
+
+    def test_integral_floats_and_numpy_integers_are_the_integer(self):
+        want = run_study(_config([P1], ["dse", "adpl-mtb:scaled:1.25"], replicates=20, seed=3))
+        for replicates, seed in [(20.0, 3.0), (np.int64(20), np.uint32(3))]:
+            config = _config([P1], ["dse", "adpl-mtb:scaled:1.25"], replicates, seed)
+            assert (type(config.replicates), type(config.seed)) == (int, int)
+            assert run_study(config) == want
+
+
+class TestExactMean:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.floats(allow_nan=False, allow_infinity=False)
+            | st.floats(0.5, 1.0)
+            | st.floats(-1e-300, 1e-300),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    @example([0.1] * 200)
+    @example([5e-324, 1.7976931348623157e308, -1.7976931348623157e308])
+    def test_equals_statistics_mean(self, values):
+        assert simulate._exact_mean(np.array(values)) == statistics.mean(values)
+
+
 class TestSampling:
     def test_single_draw_equals_batch_row(self):
         x11, x10, x01 = sample_tables(P1, DEFAULT_SEED, PURPOSE_STUDY, 0, 10)
         for r in (0, 4, 9):
             one = sample_tables(P1, DEFAULT_SEED, PURPOSE_STUDY, 0, 1, start=r)
             assert tuple(int(c[0]) for c in one) == (int(x11[r]), int(x10[r]), int(x01[r]))
+
+    def test_study_draws_each_stack_group_at_once(self, monkeypatch):
+        # Two groups: 13 populations of 300 rows fill a group, the 14th makes
+        # another. Each group's single draw holds every population's rows as
+        # that population drawn alone from its own stream unit.
+        pops = [P1.with_n(n, label=f"A{i}|{n}") for i in range(4) for n in (200, 500, 1000)]
+        pops += [TABLE2_POPULATIONS[5].with_n(500, label="B"), P1.with_n(20, label="C")]
+        calls, draw = [], simulate.draw_tables
+        monkeypatch.setattr(
+            simulate, "draw_tables", lambda *a: calls.append(draw(*a)) or calls[-1]
+        )
+        run_study(_config(pops, ["dse"], replicates=300, seed=11))
+        assert len(calls) == 2
+        drawn = [np.concatenate(cells) for cells in zip(*calls)]
+        for i, pop in enumerate(pops):
+            alone = sample_tables(pop, 11, PURPOSE_STUDY, i, 300)
+            for got, want in zip(drawn, alone):
+                assert np.array_equal(got[i * 300 : (i + 1) * 300], want)
 
     def test_mean_distinct_count_matches_expectation(self):
         count = 20000
@@ -202,6 +257,27 @@ class TestRunStudy:
         assert peak < 64 * 2**20
         assert [s.replicate_count for s in summaries] == [20, 20]
         assert all(0.8 * 10**9 < s.mean < 10**9 for s in summaries)  # both biased low at phi > 1
+
+    def test_group_of_far_apart_populations_runs_in_bounded_memory(self):
+        # One stack group of N = 20 and N = 1e8 at R = 80: the large
+        # population's 80 stage-2 windows (about 255k points each) are wider
+        # in total than the gap of about 1.4e7 points between the two
+        # populations' windows, which a log-factorial table shared by the
+        # whole group would span (over 200 MB). Each population's windows
+        # keep tables of their own, as in a study of either alone.
+        pops = [
+            PopulationSpec("T", 20, 0.60, 0.70, 1.25),
+            PopulationSpec("H", 10**8, 0.60, 0.70, 1.25),
+        ]
+        config = _config(pops, ["dse"], replicates=80, seed=7)
+        tracemalloc.start()
+        try:
+            summaries = run_study(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert 0.8 * 10**8 < summaries[1].mean < 10**8  # biased low at phi > 1
 
     def test_study_csv_does_not_depend_on_the_stacking(self, monkeypatch):
         # Populations of different N, in candidate and oracle mode; groups of
