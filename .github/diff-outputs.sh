@@ -13,10 +13,13 @@
 # batch, estimate solves its table as a one-row batch, and the bootstrap
 # solves its fit as one row and its replicates as one batch; the tiny
 # population and the (0, 1, 3) table reach the 60-solve cap of the candidate
-# fixed point and fail there, and (2, 9007199254740985, 4) has the largest
-# total a table may have, 2**53 - 1. Every case whose outputs differ, and every
-# reproduce or simulate run that fails, is reported, and the script then
-# exits 1.
+# fixed point and fail there, (2, 9007199254740985, 4) has the largest
+# total a table may have, 2**53 - 1, and on the four tables from
+# (15000, 9000, 6000) to (400000, 240000, 320000) steps near the maximizers
+# fall on both sides of the double form's rounding bound, so some step signs
+# are decided in double and some again in decimal. Every case whose outputs
+# differ, and every reproduce or simulate run that fails, is reported, and
+# the script then exits 1.
 set -u
 
 base_src=$1
@@ -154,7 +157,8 @@ estimate_cases() {
   done
 }
 
-for cells in "50 30 20" "2 500 400" "0 0 5" "0 1 3" "2 9007199254740985 4"; do
+for cells in "50 30 20" "2 500 400" "0 0 5" "0 1 3" "2 9007199254740985 4" \
+  "15000 9000 6000" "25000 15000 20000" "250000 150000 200000" "400000 240000 320000"; do
   estimate_cases "$cells" "dse pl-mt mpl-mt pl-mtb \
     adpl-mtb:fixed:0.5 adpl-mtb:scaled:1.25 adpl-mtb:recapture:1.25 \
     adpl-mt:fixed:0.5 adpl-mt:scaled:1.25 adpl-mt:recapture:1.25 adpl-mt:scaled:4"

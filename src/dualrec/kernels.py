@@ -46,7 +46,10 @@ TableArrays whose rows match an array N element by element.
 The estimators report the smallest integer N at which the step stops being
 positive. The kernels they maximize are unimodal (the step changes sign at
 most once, from positive to non-positive; the tests check the result against
-a dense grid), so that N is the exact integer argmax.
+a dense grid), so that N is the exact integer argmax. step_sign reads the
+sign of the double step form s wherever |s| exceeds its rounding bound, a
+fixed multiple of the sum of its terms' magnitudes (see _C), and decides the
+rest again from the kernel's closed form in 60-digit decimal arithmetic.
 """
 
 from __future__ import annotations
@@ -79,12 +82,26 @@ __all__ = [
     "step_signs",
 ]
 
-# Steps of the double-precision forms closer to zero than this have their
-# sign decided again in decimal arithmetic at _DIGITS significant digits. The
-# double forms are sums of a handful of O(1) terms, each within a few ulps;
-# against the decimal form their error was at most 4e-15 up to N = 1e8. The
-# margin is generous because the re-check costs only time, near the maximizer.
-_STEP_TOL = 1e-10
+# Step signs. A double step form sums terms t_i into s; with m = sum |t_i|,
+# s lies within _C * _EPS * m of the exact step, so its sign is exact
+# wherever |s| exceeds that bound. The budget, in units of _EPS = 2**-52:
+# - log1p(1/k): 1/k rounds by 1/2, which log1p carries over (its condition
+#   number is below 1 for k > 0), and log1p itself is allowed 4 (numpy's
+#   SIMD log1p may be off by a few ulps);
+# - each further rounding in a term (k + 1/2 above 2**52, delta - 1, the sum
+#   inside the adjusted M_tb penalty, the product) adds 1/2; with at most
+#   three, a term is within 6 * |t_i|;
+# - the pl-mt ratio term is within 4 * |log1p(ratio)| + 2 * P, where P (see
+#   _mt_step) covers the rounding of the ratio's products, difference,
+#   denominator and quotient, and m counts |log1p(ratio)| + P for it;
+# - at most 7 additions each round a partial sum below m by 1/2: 3.5 * m.
+# So the error is below 9.5 * _EPS * m. C = 64 leaves a factor of about 6
+# for second-order terms and a coarser log1p. Against _decimal_step, over
+# about 8000 probes around the maximizers of random tables, the worst error
+# was 1.1 * _EPS * m. The rest, and a NaN or -inf step, are decided again in
+# decimal arithmetic at _DIGITS digits.
+_C = 64
+_EPS = 2.0**-52
 _DIGITS = 60
 
 
@@ -290,6 +307,18 @@ def _dlog(m):
         return np.log1p(1.0 / m)
 
 
+def _log1p(x):
+    """log1p(x), -inf at x = -1 and NaN below, for a scalar as for an array.
+
+    The pl-mt ratio exceeds -1, but rounded it can reach -1 or below when
+    its products lie beyond 2**53 and N is near x0.
+    """
+    if isinstance(x, float):
+        return math.log1p(x) if x > -1.0 else -math.inf if x == -1.0 else math.nan
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.log1p(x)
+
+
 def _g(m):
     """m * log1p(1/m) with the continuous extension g(0) = 0."""
     if isinstance(m, float):
@@ -306,15 +335,11 @@ def log_profile_mt_step(n, table: DualRecordTable):
 
     Reduces to log1p((x1.*x.1 - (N+1)*x11) / ((N+1)(N+1-x0)))
     + g(N-x1.) + g(N-x.1) - 2g(N) with g(m) = m*log1p(1/m): the lgamma step
-    and the ln(N+1) parts of the v*ln(v) steps combine into one ratio whose
-    numerator is exact in integers.
+    and the ln(N+1) parts of the v*ln(v) steps combine into one ratio. Its
+    numerator is exact while both products stay below 2**53; above, they
+    round, and near the maximizer they cancel.
     """
-    n = _step_arg(n, table.x0, strict=False, what="log_profile_mt_step")
-    n1 = n + 1.0
-    # (N+1-x1.)(N+1-x.1) - (N+1)(N+1-x0) = x1.*x.1 - (N+1)*x11
-    ratio = (table.x1_dot * table.x_dot1 - n1 * table.x11) / (n1 * (n1 - table.x0))
-    log1p = math.log1p if isinstance(ratio, float) else np.log1p
-    return log1p(ratio) + _g(n - table.x1_dot) + _g(n - table.x_dot1) - 2.0 * _g(n)
+    return _step("pl-mt", n, table, None)[0]
 
 
 def log_mpl_mt_step(n, table: DualRecordTable):
@@ -323,13 +348,7 @@ def log_mpl_mt_step(n, table: DualRecordTable):
     Equals log_profile_mt_step + (1/2)log1p(1/(N-x1.)) + (1/2)log1p(1/(N-x.1))
     - log1p(1/N); +inf where N equals a margin (the hard zero at N).
     """
-    n = _step_arg(n, table.x0, strict=False, what="log_mpl_mt_step")
-    return (
-        log_profile_mt_step(n, table)
-        + 0.5 * _dlog(n - table.x1_dot)
-        + 0.5 * _dlog(n - table.x_dot1)
-        - _dlog(n)
-    )
+    return _step("mpl-mt", n, table, None)[0]
 
 
 def log_adpl_mt_step(n, table: DualRecordTable, delta):
@@ -337,8 +356,7 @@ def log_adpl_mt_step(n, table: DualRecordTable, delta):
 
     Equals log_mpl_mt_step + 2(delta-1)log1p(1/N).
     """
-    n = _step_arg(n, table.x0, strict=False, what="log_adpl_mt_step")
-    return log_mpl_mt_step(n, table) + 2.0 * (delta - 1.0) * _dlog(n)
+    return _step("adpl-mt", n, table, delta)[0]
 
 
 def log_profile_mtb_step(n, x0: int):
@@ -371,23 +389,66 @@ def log_adpl_mtb_step(n, table: DualRecordTable, delta):
 
     Equals log_mpl_mtb_step + (delta-1)[log1p(1/N) + log1p(1/(N-x1.))].
     """
-    n = _step_arg(n, table.x0, strict=True, what="log_adpl_mtb_step")
-    return log_mpl_mtb_step(n, table.x0) + (delta - 1.0) * (
-        _dlog(n) + _dlog(n - table.x1_dot)
-    )
+    return _step("adpl-mtb", n, table, delta)[0]
+
+
+def _mt_step(kind: str, n, table, delta):
+    """The M_t step of ``kind`` ("pl-mt", "mpl-mt" or "adpl-mt") and its magnitude.
+
+    Returns (s, m): s as the public step form sums it, m the sum of its
+    terms' magnitudes (see _C). The ratio term's magnitude adds to
+    |log1p(ratio)| the bound P = (x1.*x.1 + (N+1)*x11) / ((N+1-x1.)(N+1-x.1))
+    on its rounding: the two products round above 2**53, and the derivative
+    1/(1+ratio) of log1p turns their error, relative to the denominator
+    (N+1)(N+1-x0), into one relative to (N+1-x1.)(N+1-x.1).
+    """
+    a, b = table.x1_dot, table.x_dot1
+    n1 = n + 1.0
+    # (N+1-x1.)(N+1-x.1) - (N+1)(N+1-x0) = x1.*x.1 - (N+1)*x11
+    ab, nx = a * b, n1 * table.x11
+    log_ratio = _log1p((ab - nx) / (n1 * (n1 - table.x0)))
+    ga, gb, gn = _g(n - a), _g(n - b), 2.0 * _g(n)
+    s = log_ratio + ga + gb - gn
+    m = abs(log_ratio) + (ab + nx) / ((n1 - a) * (n1 - b)) + ga + gb + gn
+    if kind == "pl-mt":
+        return s, m
+    ha, hb, hn = 0.5 * _dlog(n - a), 0.5 * _dlog(n - b), _dlog(n)
+    s = s + ha + hb - hn
+    m = m + ha + hb + hn
+    if kind == "mpl-mt":
+        return s, m
+    penalty = 2.0 * (delta - 1.0) * hn
+    return s + penalty, m + abs(penalty)
+
+
+def _mtb_step(n, table, delta):
+    """The adjusted M_tb step and its magnitude (s, m), as :func:`_mt_step`."""
+    hn = _dlog(n)
+    rest = n - table.x0
+    fr, fn = (rest + 0.5) * _dlog(rest), (n + 0.5) * hn
+    penalty = (delta - 1.0) * (hn + _dlog(n - table.x1_dot))
+    return fr - fn + penalty, fr + fn + abs(penalty)
+
+
+_STEP_FORMS = {
+    "pl-mt": "log_profile_mt_step",
+    "mpl-mt": "log_mpl_mt_step",
+    "adpl-mt": "log_adpl_mt_step",
+    "adpl-mtb": "log_adpl_mtb_step",
+}
 
 
 def _step(kind: str, n, table, delta):
-    """The double step form of the kernel that estimator ``kind`` maximizes."""
-    if kind == "pl-mt":
-        return log_profile_mt_step(n, table)
-    if kind == "mpl-mt":
-        return log_mpl_mt_step(n, table)
-    if kind == "adpl-mt":
-        return log_adpl_mt_step(n, table, delta)
-    if kind == "adpl-mtb":
-        return log_adpl_mtb_step(n, table, delta)
-    raise ValueError(f"unknown kernel kind {kind!r}")
+    """The double step form of the kernel that estimator ``kind`` maximizes.
+
+    Returns (s, m): the step l(N+1) - l(N) and the sum of its terms'
+    magnitudes, which bounds its rounding error by _C * _EPS * m.
+    """
+    if kind not in _STEP_FORMS:
+        raise ValueError(f"unknown kernel kind {kind!r}")
+    strict = kind == "adpl-mtb"
+    n = _step_arg(n, table.x0, strict, what=_STEP_FORMS[kind])
+    return _mtb_step(n, table, delta) if strict else _mt_step(kind, n, table, delta)
 
 
 def step_sign(kind: str, n: int, table: DualRecordTable, delta: float = 1.0) -> int:
@@ -395,14 +456,15 @@ def step_sign(kind: str, n: int, table: DualRecordTable, delta: float = 1.0) -> 
 
     ``kind`` names the kernel by the estimator that maximizes it: "pl-mt",
     "mpl-mt", "adpl-mt" or "adpl-mtb" (``delta`` applies to the last two).
-    The double-precision step form decides wherever it lies at least
-    _STEP_TOL from zero. Closer to zero the sign is decided again from the
-    step's closed form in decimal arithmetic: near the maximizer of a large
-    table the true steps (about 1e-17 at N = 8e5) fall below the rounding
-    error of the double form.
+    The double-precision step form s decides wherever |s| exceeds its
+    rounding bound _C * _EPS * m, with m the sum of its terms' magnitudes,
+    and at +inf (N on a margin). Elsewhere, near the maximizer of a large
+    table where the true step (about 1e-17 at N = 8e5) is below the bound,
+    and where s is NaN or -inf, the sign is decided again from the step's
+    closed form in decimal arithmetic.
     """
-    s = _step(kind, n, table, delta)
-    if abs(s) >= _STEP_TOL:
+    s, m = _step(kind, n, table, delta)
+    if abs(s) > _C * _EPS * m or s == math.inf:
         return 1 if s > 0 else -1
     exact = _decimal_step(kind, int(n), table, delta)
     return (exact > 0) - (exact < 0)
@@ -411,16 +473,17 @@ def step_sign(kind: str, n: int, table: DualRecordTable, delta: float = 1.0) -> 
 def step_signs(kind: str, n, tables: TableArrays, delta=1.0) -> np.ndarray:
     """:func:`step_sign` of every row: N[i] on table i at delta[i].
 
-    One array evaluation of the double step form decides every element at
-    least _STEP_TOL from zero; each of the others is decided again in
-    decimal, one at a time. Since both forms give the exact sign, the result
-    equals step_sign row by row.
+    One array evaluation of the double step form decides every element
+    outside its rounding bound, as step_sign does; each of the others is
+    decided again in decimal, one at a time. Since both forms give the exact
+    sign, the result equals step_sign row by row.
     """
     n = np.asarray(n, dtype=float)
-    s = _step(kind, n, tables, delta)
+    with np.errstate(invalid="ignore"):  # a NaN step is decided in decimal
+        s, m = _step(kind, n, tables, delta)
     signs = np.where(s > 0, 1, -1)
     deltas = np.broadcast_to(delta, n.shape)
-    for i in np.flatnonzero(np.abs(s) < _STEP_TOL):
+    for i in np.flatnonzero(~((np.abs(s) > _C * _EPS * m) | (s == math.inf))):
         exact = _decimal_step(kind, int(n[i]), tables.row(i), float(deltas[i]))
         signs[i] = (exact > 0) - (exact < 0)
     return signs

@@ -331,10 +331,29 @@ def _exact_mean(values: np.ndarray) -> float:
     return total / (values.size << -low)
 
 
+def _intervals(n_hat: np.ndarray) -> np.ndarray:
+    """2.5/97.5 percentiles of each row of a (populations, R) matrix of estimates.
+
+    One ``np.percentile`` call covers a stack group. A row of it equals the
+    1-D call on that row bit for bit, and is NaN where the row holds a
+    failure (NaN); that row's summary takes the percentiles of the rest.
+    """
+    return np.percentile(n_hat, [2.5, 97.5], axis=1).T
+
+
 def _summarize(
-    population: str, estimator: str, batch: BatchEstimate, replicates: int, true_n: int
+    population: str,
+    estimator: str,
+    batch: BatchEstimate,
+    replicates: int,
+    true_n: int,
+    interval: np.ndarray,
 ) -> StudySummary:
-    """Summary of one estimator's replicate estimates; failed rows are counted."""
+    """Summary of one estimator's replicate estimates; failed rows are counted.
+
+    ``interval`` is the row's entry of :func:`_intervals`, used when no
+    replicate failed.
+    """
     ok = batch.ok
     estimates = batch.n_hat[ok]
     failures = replicates - estimates.size
@@ -353,7 +372,7 @@ def _summarize(
             true_n=true_n,
         )
     deltas = None if batch.delta_used is None else batch.delta_used[ok]
-    ci_low, ci_high = np.percentile(estimates, [2.5, 97.5])
+    ci_low, ci_high = np.percentile(estimates, [2.5, 97.5]) if failures else interval
     return StudySummary(
         population=population,
         estimator=estimator,
@@ -394,10 +413,13 @@ def run_study(config: StudyConfig, *, purpose: int = PURPOSE_STUDY) -> list[Stud
         cells = (np.repeat(c, r) for c in zip(*(pop.cells() for pop in group)))
         x11, x10, x01 = draw_tables(true_n, tuple(cells), u)
         batches = [est.estimate_batch(x11, x10, x01, true_n=true_n) for est in specs]
+        intervals = [_intervals(batch.n_hat.reshape(len(group), r)) for batch in batches]
         for j, pop in enumerate(group):
             rows = slice(j * r, (j + 1) * r)
-            for est, batch in zip(specs, batches):
-                out.append(_summarize(pop.label, est.label, batch.take(rows), r, pop.n))
+            for est, batch, interval in zip(specs, batches, intervals):
+                out.append(
+                    _summarize(pop.label, est.label, batch.take(rows), r, pop.n, interval[j])
+                )
     return out
 
 

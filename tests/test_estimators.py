@@ -643,12 +643,14 @@ EDGE_ROWS = (
     (50, 0, 20),  # x10 = 0
     (0, 0, 7),  # x1. = 0
     (0, 0, 0),  # all-zero
-    (2, 500, 400),  # M_t steps decided in decimal
-    (15000, 9000, 6000),  # M_tb steps decided in decimal, here and below
-    (250000, 150000, 200000),
+    (2, 500, 400),
+    (1, 3000, 3000),  # steps of all four kernels decided in decimal
+    (15000, 9000, 6000),
+    (250000, 150000, 200000),  # M_tb steps decided in decimal
     ANCHOR_ROW,
     (7, 3 * 10**9, 5 * 10**9),  # x1.*x.1 beyond 64-bit integers
     (2, 2**53 - 4, 1),  # the largest total a table may have
+    (95000001, 0, 0),  # x1.*x.1 rounds: the pl-mt ratio at N = x0 rounds to -1
 )
 
 
@@ -724,6 +726,18 @@ class TestBatchEstimates:
         assert round(a * b / x11) == sum(ANCHOR_ROW) + 2
         batch = parse_estimator("dse").estimate_batch([x11], [x10], [x01])
         assert batch.n_hat[0] == a * b / x11 != float(a) * float(b) / x11
+
+    def test_the_rounding_bound_leaves_few_probes_to_decimal(self, monkeypatch):
+        # 86 of this estimate's probes fall inside their rounding bound; an
+        # absolute tolerance of 1e-10 sent all 142 to decimal.
+        calls = []
+        decimal_step = kernels._decimal_step
+        monkeypatch.setattr(
+            kernels, "_decimal_step", lambda *args: calls.append(1) or decimal_step(*args)
+        )
+        table = DualRecordTable(250000, 150000, 200000)
+        assert parse_estimator("adpl-mtb:recapture:1.25").estimate(table).n_hat == 784337
+        assert len(calls) == 86
 
     def test_one_pass_advances_every_row_along_its_scalar_path(self, monkeypatch):
         passes = []

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualrec import kernels
+from dualrec.estimators import HARD_CEILING, _argmax
 from dualrec.kernels import (
     log_adpl_mt,
     log_adpl_mt_step,
@@ -27,7 +28,13 @@ from dualrec.kernels import (
     step_sign,
     step_signs,
 )
-from dualrec.tables import DomainError, DualRecordTable, MtParams, TableArrays
+from dualrec.tables import (
+    DomainError,
+    DualRecordTable,
+    MtParams,
+    NoFiniteMaximumError,
+    TableArrays,
+)
 
 T = DualRecordTable(50, 30, 20)  # x1. = 80, x.1 = 70, x0 = 100
 SMALL = DualRecordTable(7, 5, 3)  # x0 = 15
@@ -209,10 +216,72 @@ class TestStableSteps:
         if math.isinf(double):  # N on a margin: the kernel is -inf at N
             assert double > 0 and exact == double
             return
-        assert abs(double - float(exact)) < kernels._STEP_TOL
-        if abs(double) >= kernels._STEP_TOL:
+        s, m = kernels._step(kind, n, t, delta)
+        assert s == double
+        bound = kernels._C * kernels._EPS * m
+        assert abs(double - float(exact)) <= bound
+        if abs(double) > bound:
             assert (double > 0) == (exact > 0)
         assert step_sign(kind, n, t, delta) == (exact > 0) - (exact < 0)
+
+    # x1.*x.1 is at least (95e6)**2 > 2**53 in the second family, so the
+    # pl-mt ratio's products round, and its maximizers lie near x0 <= 99e6.
+    @settings(max_examples=80, deadline=None)
+    @given(
+        cells=st.tuples(st.integers(1, 4 * 10**6), *[st.integers(0, 3 * 10**6)] * 2)
+        | st.tuples(st.integers(95 * 10**6, 97 * 10**6), *[st.integers(0, 10**6)] * 2),
+        delta=st.floats(-1.0, 1.0, exclude_max=True) | st.floats(0.999, 1.0, exclude_max=True),
+        kind=st.sampled_from(["pl-mt", "mpl-mt", "adpl-mt", "adpl-mtb"]),
+    )
+    def test_rounding_bound_holds_around_the_argmax(self, cells, delta, kind):
+        # Where the step changes sign it is smallest: probe argmax - 1,
+        # argmax and argmax + 1 (the ceiling when no maximum is found).
+        t = DualRecordTable(*cells)
+        lower = t.x0 + (kind == "adpl-mtb")
+        try:
+            center = _argmax(lambda m: step_sign(kind, m, t, delta), lower, kind)
+        except NoFiniteMaximumError:
+            center = HARD_CEILING
+        probes = [m for m in (center - 1, center, center + 1) if m >= lower]
+        rows = TableArrays.from_cells(*([c] * len(probes) for c in cells))
+        exact_signs = []
+        for n in probes:
+            s, m = kernels._step(kind, n, t, delta)
+            exact = kernels._decimal_step(kind, n, t, delta)
+            exact_signs.append((exact > 0) - (exact < 0))
+            bound = kernels._C * kernels._EPS * m
+            if math.isfinite(s):  # see the test of a ratio rounded to -1 below
+                assert abs(s - float(exact)) <= bound
+            if abs(s) > bound:
+                assert (s > 0) == (exact > 0)
+        assert [step_sign(kind, n, t, delta) for n in probes] == exact_signs
+        assert list(step_signs(kind, probes, rows, delta)) == exact_signs
+
+    def test_a_near_tie_the_double_form_can_tell_skips_the_decimal_form(self, monkeypatch):
+        # The step is -8.9e-11 here: within the absolute 1e-10 that once sent
+        # it to decimal, and far outside its rounding bound.
+        t, n, delta = DualRecordTable(266, 126, 68), 538, 0.9984756097560976
+        assert -1e-10 < log_adpl_mtb_step(n, t, delta) < -8e-11
+        monkeypatch.setattr(kernels, "_decimal_step", lambda *args: pytest.fail("decimal"))
+        assert step_sign("adpl-mtb", n, t, delta) == -1
+        rows = TableArrays.from_cells([266], [126], [68])
+        assert list(step_signs("adpl-mtb", [n], rows, delta)) == [-1]
+
+    def test_a_ratio_rounded_to_minus_one_is_decided_in_decimal(self):
+        # x1.*x.1 = 95000001**2 rounds down to an even double, so at N = x0
+        # the pl-mt ratio -1 + 1/(x0+1) rounds to -1: the double step is -inf
+        # (pl-mt) or NaN (with the +inf margin terms), and both go to decimal.
+        t = DualRecordTable(95000001, 0, 0)
+        n = t.x0
+        assert log_profile_mt_step(n, t) == -math.inf
+        rows = TableArrays.from_cells([t.x11] * 2, [0, 0], [0, 0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kind in ("pl-mt", "mpl-mt", "adpl-mt"):
+                exact = kernels._decimal_step(kind, n, t, 0.5)
+                want = (exact > 0) - (exact < 0)
+                assert step_sign(kind, n, t, 0.5) == want
+                assert step_signs(kind, [n, n], rows, 0.5).tolist() == [want, want]
 
     def test_step_sign_rejects_unknown_kernels(self):
         with pytest.raises(ValueError):

@@ -150,6 +150,28 @@ class TestExactMean:
         assert simulate._exact_mean(np.array(values)) == statistics.mean(values)
 
 
+class TestIntervals:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 5), st.integers(1, 300)),
+        spread=st.integers(2, 10**9),  # narrow spreads make ties
+        fraction=st.sampled_from([0.0, 1.0]),  # integer argmaxes, or DSE-like values
+        seed=st.integers(0, 2**32 - 1),
+        failed=st.lists(st.booleans(), min_size=5, max_size=5),
+    )
+    def test_group_call_equals_the_per_summary_call(self, shape, spread, fraction, seed, failed):
+        rng = np.random.default_rng(seed)
+        n_hat = rng.integers(1, spread, shape) + fraction * rng.random(shape)
+        failed = np.array(failed[: shape[0]])
+        n_hat[failed, 0] = math.nan  # a failed replicate
+        got = simulate._intervals(n_hat)
+        for row, interval, row_failed in zip(n_hat, got, failed):
+            if row_failed:
+                assert np.isnan(interval).all()
+            else:
+                np.testing.assert_array_equal(interval, np.percentile(row, [2.5, 97.5]))
+
+
 class TestSampling:
     def test_single_draw_equals_batch_row(self):
         x11, x10, x01 = sample_tables(P1, DEFAULT_SEED, PURPOSE_STUDY, 0, 10)
