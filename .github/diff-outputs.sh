@@ -5,11 +5,11 @@
 #
 # BASE_SRC is the src directory of the base commit's checkout; the head side
 # is the src directory next to this script. Outputs go to WORK_DIR. Every
-# reproduce target, a simulate study of every method and policy in both
-# delta modes, large-N and mixed-N studies, a study of two stack groups that
-# share sampling windows across populations, single-table estimate reports
-# (stdout, stderr and exit code), and estimate reports with a parametric
-# bootstrap run on both sides. reproduce and simulate solve many rows per
+# reproduce target (with the --svg plot of each figure), a simulate study of
+# every method and policy in both delta modes, large-N, window-edge and
+# mixed-N studies, a study of two stack groups that share sampling windows
+# across populations, single-table estimate reports (stdout, stderr and exit
+# code), and estimate reports with a parametric bootstrap run on both sides. reproduce and simulate solve many rows per
 # batch, estimate solves its table as a one-row batch, and the bootstrap
 # solves its fit as one row and its replicates as one batch; the tiny
 # population and the (0, 1, 3) table reach the 60-solve cap of the candidate
@@ -54,11 +54,15 @@ compare() {
 }
 
 for target in table2 table3 table4 fig1 fig2 fig3 fig4; do
+  files=("$target.csv")
+  case $target in fig*) files+=("$target.svg") ;; esac
   for side in base head; do
-    run "$side" "$work/$side-$target.csv" reproduce --target "$target" --replicates 20 ||
+    args=(reproduce --target "$target" --replicates 20)
+    case $target in fig*) args+=(--svg "$work/$side-$target.svg") ;; esac
+    run "$side" "$work/$side-$target.csv" "${args[@]}" ||
       report "fails on $side: reproduce $target"
   done
-  compare "reproduce $target" "$target.csv"
+  compare "reproduce $target" "${files[@]}"
 done
 
 cat > "$work/study.json" <<'JSON'
@@ -78,17 +82,29 @@ cat > "$work/study.json" <<'JSON'
    "adpl-mt:scaled:1.25@oracle", "adpl-mt:recapture:1.25@oracle"],
  "replicates": 20, "seed": 7}
 JSON
-# Large-N draws: at N <= 500 every CDF window spans [0, n], so only these
-# populations exercise the window bound; the closed forms keep the study to
-# sampling. At seed 7, 7 of the 20 stage-3 windows of "straddle" are wider
-# than a padded block (_BLOCK) and 13 are not, so one draw_binomial call has
-# windows on both sides of that size.
+# Large-N draws: at N <= 500 every CDF window starts at 0, so only these
+# populations exercise the window's left bound; the closed forms keep the
+# study to sampling. At seed 7, 10 of the 19 distinct stage-3 windows of
+# "straddle" are wider than a padded block (_BLOCK) and 9 are not, so one
+# draw_binomial call has windows on both sides of that size.
 cat > "$work/large.json" <<'JSON'
 {"populations": [
    {"label": "M", "N": 1000000, "p1": 0.6, "p_dot1": 0.7, "phi": 1.25},
    {"label": "G", "N": 1000000000, "p1": 0.6, "p_dot1": 0.7, "phi": 1.25},
    {"label": "skewed", "N": 1000000, "p1": 0.02, "p_dot1": 0.3, "phi": 1.0},
-   {"label": "straddle", "N": 340000, "p1": 0.5, "p_dot1": 0.65, "phi": 1.25}],
+   {"label": "straddle", "N": 887500, "p1": 0.5, "p_dot1": 0.65, "phi": 1.25}],
+ "estimators": ["dse", "pl-mtb"],
+ "replicates": 20, "seed": 7}
+JSON
+# Window ends: at p1 = 0.98, p.1 = 0.97 (N = 2000) every stage's window ends
+# at n; at N = 1e7 every window is still wider than a padded block, so each
+# is a block of one row that reads its log-factorials as slices; N = 3 has
+# windows of a few points.
+cat > "$work/ends.json" <<'JSON'
+{"populations": [
+   {"label": "high", "N": 2000, "p1": 0.98, "p_dot1": 0.97, "phi": 1.0},
+   {"label": "wide", "N": 10000000, "p1": 0.6, "p_dot1": 0.7, "phi": 1.25},
+   {"label": "three", "N": 3, "p1": 0.5, "p_dot1": 0.65, "phi": 1.25}],
  "estimators": ["dse", "pl-mtb"],
  "replicates": 20, "seed": 7}
 JSON
@@ -123,7 +139,7 @@ JSON
   printf ' "estimators": ["dse", "pl-mtb", "adpl-mtb:scaled:1.25"],\n'
   printf ' "replicates": 300, "seed": 7}\n'
 } > "$work/group.json"
-for study in study large mixed group; do
+for study in study large ends mixed group; do
   for side in base head; do
     run "$side" "$work/$side-$study.csv" simulate --config "$work/$study.json" ||
       report "fails on $side: simulate $study"

@@ -19,10 +19,12 @@ CDF in double precision (within about 4e-12 of the exact CDF at n = 2e5; see
 :func:`binomial_cdf`). Inversion makes the draw a pure function of the
 uniforms, so results do not depend on execution order or on the library
 version of a rejection sampler. Each CDF is built only over a window sized by
-a Bernstein tail bound (about 39.2 sd either side of the mean at large n)
-outside which it is exactly 0.0 or 1.0 in double, so a draw at n = 1e9 holds
-about a million doubles, not a billion, and the draws equal inversion of the
-full n + 1 point CDF bit for bit. Each stage of :func:`draw_tables` is one
+Bernstein tail bounds, outside which it is exactly 0.0 or 1.0 in double: about
+39.2 sd left of the mean at large n, where the terms underflow to 0.0, and
+about 10 sd right of it, where they fall below 2**-53 and no longer change a
+running sum of at least 1. So a draw at n = 1e9 holds about 800 000 doubles,
+not a billion, and the draws equal inversion of the full n + 1 point CDF bit
+for bit. Each stage of :func:`draw_tables` is one
 :func:`draw_binomial` call over every row, and a study draws all the rows of
 a stack group of populations in one such call, so a stage holds many
 (trials, probability) pairs at once. :func:`draw_binomial` builds one window
@@ -39,9 +41,9 @@ several rows is inverted by one search over all of its rows, whose keys
 place each row's CDF on the 53-bit grid of the uniforms, so it is exact for
 every uniform :func:`uniforms` draws. :func:`binomial_cdf` stays the
 reference, and builds the rare window whose edge check fails. Nothing is kept
-from one call to the next: the populations of a study share pairs within a
-stack group (about 15% of the windows in the small-N figure studies), and
-the group's one call builds each of them once.
+from one call to the next: the populations of a study share pairs only within
+a stack group (14-16% of the windows of the fig1-fig3 studies at R = 200),
+and the group's one call builds each of them once.
 """
 
 from __future__ import annotations
@@ -71,8 +73,8 @@ __all__ = [
 DEFAULT_SEED = 20260823
 
 # The largest population size drawn from: the range over which the CDF
-# windows and their accuracy are documented (a draw at 1e9 holds about a
-# million doubles; the windows grow as sqrt(N)).
+# windows and their accuracy are documented (a draw at 1e9 holds about
+# 800 000 doubles; the windows grow as sqrt(N)).
 MAX_N = 10**9
 
 PURPOSE_STUDY = 0
@@ -115,9 +117,24 @@ def uniforms(seed: int, purpose: int, unit: int, count: int, start: int = 0) -> 
 
 
 # exp(x) is exactly 0.0 in double for x < ln(2**-1075), about -745.13. The
-# CDF window excludes only terms at least this far below the largest one; the
-# margin of 0.87 covers the log-pmf's rounding, about 1e-5 at n = 1e9.
+# CDF window excludes on its left only terms at least this far below the
+# largest one; the margin of 0.87 covers the log-pmf's rounding, about 1e-5
+# at n = 1e9.
 _UNDERFLOW_LOG = 746.0
+# On its right the window stops where the terms can no longer change the
+# running sum. The largest term is exp(0) = 1.0 exactly, so from it on the
+# running sum is at least 1, and a term below 2**-53 (half the spacing of the
+# doubles in [1, 2)) added to it leaves it unchanged. With
+# c = _ABSORBED_LOG + ln(n + 1), the Bernstein bound of _reach gives
+# pmf(k) <= P(X >= hi) <= exp(-c) = e**-37 / (n + 1) for every k >= hi, and
+# the pmf at the mode is at least 1/(n + 1), so every term from hi on is at
+# most e**-37 times the largest: below 2**-53 (ln 2**53 = 36.74) with a log
+# margin of 0.26, far above the log-pmf's rounding. hi lies right of the
+# mode, because the half-width is at least 2c/3 > 1, so each such term is
+# added to a sum >= 1 and leaves it unchanged. The total is then that of the
+# window, the full CDF is exactly 1.0 from hi on, and the window is the
+# slice [lo, hi] of the full n + 1 point CDF bit for bit.
+_ABSORBED_LOG = 37.0
 # Doubles per padded block of CDF windows in draw_binomial (128 KiB).
 _BLOCK = 2**14
 # A block's merged search keys row r's CDF values as r * _ROW_SPAN +
@@ -139,16 +156,23 @@ def _logpmf(n: int, p: float, k: np.ndarray) -> np.ndarray:
 
 
 def _reach(n, p: float):
-    """Mean and half-width d of the closed-form window of Binomial(n, p); n may be an array.
+    """Mean and the two half-widths of the closed-form window of Binomial(n, p); n may be an array.
 
-    Bernstein: P(|X - np| >= t) <= exp(-t**2 / (2(np(1 - p) + t/3))), which
-    is exp(-c) at t = d; the pmf at the mode is at least 1/(n + 1), so every k
-    at distance d or more lies _UNDERFLOW_LOG or more below the largest
-    log-pmf.
+    Bernstein, one-sided: P(X - np >= t) and P(np - X >= t) are each at most
+    exp(-t**2 / (2(np(1 - p) + t/3))), which is exp(-c) at
+    t = c/3 + sqrt(c**2/9 + 2c np(1 - p)). The pmf at the mode is at least
+    1/(n + 1), so every k at distance t or more on that side lies
+    c - ln(n + 1) or more below the largest log-pmf. The left half-width takes
+    c = _UNDERFLOW_LOG + ln(n + 1), where every term beyond it underflows to
+    0.0; the right one c = _ABSORBED_LOG + ln(n + 1), where every term beyond
+    it is below 2**-53.
     """
     mean = n * p
-    c = _UNDERFLOW_LOG + np.log(n + 1.0)
-    return mean, c / 3.0 + np.sqrt(c * c / 9.0 + 2.0 * c * mean * (1.0 - p))
+    left, right = (
+        c / 3.0 + np.sqrt(c * c / 9.0 + 2.0 * c * mean * (1.0 - p))
+        for c in (_UNDERFLOW_LOG + np.log(n + 1.0), _ABSORBED_LOG + np.log(n + 1.0))
+    )
+    return mean, left, right
 
 
 def binomial_cdf(n: int, p: float) -> tuple[int, np.ndarray]:
@@ -163,30 +187,35 @@ def binomial_cdf(n: int, p: float) -> tuple[int, np.ndarray]:
     neighbour of the exact quantile.
 
     Returns ``(lo, f)`` with ``f[j]`` the CDF at ``k = lo + j`` for
-    ``lo <= k <= hi``. The window is [np - d, np + d] clipped to [0, n],
-    with c = 746 + ln(n + 1) and d = c/3 + sqrt(c**2/9 + 2c np(1 - p)):
-    about 39.2 sd either side of the mean at large n, so it costs
-    O(sqrt(n p (1 - p))) memory, not O(n). Every term exp(logpmf(k) - max)
-    outside it underflows to exactly 0.0, which makes ``f`` bit for bit the
+    ``lo <= k <= hi``. The window is [np - d_left, np + d_right] clipped to
+    [0, n], with d = c/3 + sqrt(c**2/9 + 2c np(1 - p)) for c = 746 + ln(n + 1)
+    on the left and c = 37 + ln(n + 1) on the right: about 39.2 sd left and
+    10 sd right of the mean at large n, so it costs O(sqrt(n p (1 - p)))
+    memory, not O(n). Every term exp(logpmf(k) - max) left of it underflows
+    to exactly 0.0, and every term from ``hi`` on is below 2**-53 and right of
+    the largest term, so it leaves the running sum, which is at least 1
+    there, unchanged (see ``_ABSORBED_LOG``). That makes ``f`` bit for bit the
     slice [lo, hi] of the full n + 1 point CDF built the same way (log
     probabilities, one cumulative sum, division by the total, last value
     pinned to 1): the full CDF is exactly 0.0 below ``lo`` and 1.0 from
-    ``hi`` on. Each edge term is checked to be 0.0 (unless the edge is 0 or
-    n), and d doubled until it is; by the bound, one build is enough.
+    ``hi`` on. The first term is checked to be 0.0 (unless lo is 0) and the
+    last to be below 2**-53 (unless hi is n), and both half-widths doubled
+    until they are; by the bound, one build is enough.
 
     Raises:
         ValueError: unless 0 < p < 1 (``draw_binomial`` handles the ends).
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1), got {p!r}")
-    mean, d = _reach(n, p)
+    mean, left, right = _reach(n, p)
     while True:
-        lo, hi = max(0, math.floor(mean - d)), min(n, math.ceil(mean + d))
+        lo, hi = max(0, math.floor(mean - left)), min(n, math.ceil(mean + right))
         logpmf = _logpmf(n, p, np.arange(lo, hi + 1, dtype=float))
         terms = np.exp(logpmf - logpmf.max())
-        if (lo == 0 or terms[0] == 0.0) and (hi == n or terms[-1] == 0.0):
+        if (lo == 0 or terms[0] == 0.0) and (hi == n or terms[-1] < 2.0**-53):
             break
-        d *= 2.0
+        left *= 2.0
+        right *= 2.0
     f = np.cumsum(terms)
     f /= f[-1]
     f[-1] = 1.0
@@ -244,8 +273,9 @@ def _cdf_block(n, p, lo, width, i, log_fact_k, log_fact_nk):
     1.0: the log-pmf is computed element-wise as :func:`_logpmf` does and
     padded with -inf, whose exact 0.0 terms leave each row's cumulative sum
     and total as they are. Row r reads interval i[r] of the two
-    log-factorial tables. Returns the rows and a mask of the rows whose
-    edge terms are 0.0 (or at 0 or n), as :func:`binomial_cdf` checks.
+    log-factorial tables. Returns the rows and a mask of the rows that pass
+    the edge check of :func:`binomial_cdf`: first term 0.0 (or lo at 0),
+    last term below 2**-53 (or hi at n).
     """
     hi = lo + width - 1
     if n.size == 1:
@@ -271,7 +301,7 @@ def _cdf_block(n, p, lo, width, i, log_fact_k, log_fact_nk):
     f -= f.max(axis=1, keepdims=True)
     np.exp(f, out=f)
     last = f[np.arange(n.size), width - 1]
-    ok = ((lo == 0) | (f[:, 0] == 0.0)) & ((hi == n) | (last == 0.0))
+    ok = ((lo == 0) | (f[:, 0] == 0.0)) & ((hi == n) | (last < 2.0**-53))
     np.cumsum(f, axis=1, out=f)
     # Each row's total is its last column; total / total is exactly 1.0, so
     # every column from the window's last on holds 1.0, as pinned in binomial_cdf.
@@ -293,15 +323,15 @@ def _cdf_blocks(n: np.ndarray, p: np.ndarray):
     cluster's windows are built in padded blocks of about _BLOCK doubles and
     at most _MAX_ROWS rows, rows sorted by width; a window wider than a
     block is a block of its own. A window whose edge check fails is built by
-    :func:`binomial_cdf` itself, as a block of one row. Any window holding
-    every non-zero term gives the same CDF values, so the draws do not
-    depend on which rows share a block.
+    :func:`binomial_cdf` itself, as a block of one row. Every window that
+    passes the edge check is the same slice of the full CDF, so the draws do
+    not depend on which rows share a block.
     """
     if not n.size:
         return
-    mean, d = _reach(n, p)
-    lo = np.maximum(0, np.floor(mean - d)).astype(np.int64)
-    hi = np.minimum(n, np.ceil(mean + d)).astype(np.int64)
+    mean, left, right = _reach(n, p)
+    lo = np.maximum(0, np.floor(mean - left)).astype(np.int64)
+    hi = np.minimum(n, np.ceil(mean + right)).astype(np.int64)
     width = hi - lo + 1
     cluster, *_ = _runs(lo, hi)
     by_cluster = np.argsort(cluster, kind="stable")

@@ -18,6 +18,12 @@ asserting what the package itself promises:
   square-root rate, and the adjusted spread is strictly below the
   dual-system spread at every grid point; the pointwise ln(sd)/ln(N) at
   the smallest N is printed.
+
+A fourth checks the published case studies, whose raw cells were not
+published: a table consistent with the urban summaries reproduces the urban
+adjusted estimate, and for the rural and drug-user cases the estimates over
+every table consistent with the summaries are printed, none of which gives
+the published pair.
 """
 
 import math
@@ -32,6 +38,7 @@ from dualrec.estimators import (
     _var_dse_first_order,
     bias_dse_under_mtb,
     parse_estimator,
+    recover_nuisance,
     var_dse_under_mtb,
 )
 from dualrec.randomness import DEFAULT_SEED, PURPOSE_STUDY
@@ -177,6 +184,78 @@ def test_adjustment_regime_boundaries_and_goldens():
         if not int(r_high.n_hat) > t.x0 + 1:
             failures.append(f"delta=0.99 on {t}: not strictly interior")
     _verdict("adjustment regime suite", failures)
+
+
+def _consistent_tables(c_hat: float, dse: int) -> list[tuple[int, int, int]]:
+    """Every table (x11, x10, x01) whose summaries print as the published ones.
+
+    That is round(x11/x1., 3) == c_hat, and the DSE x1.*x.1/x11 floors or
+    rounds to dse. x.1 >= x11 puts x1. at most the DSE.
+    """
+    out = []
+    for x1 in range(1, dse + 2):
+        low, high = math.floor((c_hat - 1e-3) * x1), math.ceil((c_hat + 1e-3) * x1)
+        for x11 in range(max(1, low), min(x1, high) + 1):
+            if round(x11 / x1, 3) != c_hat:
+                continue
+            first, last = math.floor((dse - 0.5) * x11 / x1), math.ceil((dse + 1) * x11 / x1)
+            for xd1 in range(max(x11, first), last + 1):
+                value = x1 * xd1 / x11
+                if math.floor(value) == dse or round(value) == dse:
+                    out.append((x11, x1 - x11, xd1 - x11))
+    return out
+
+
+def test_case_studies_urban_reproduced_rural_and_drug_user_printed():
+    """The published urban adjusted estimate is reproduced on a consistent table.
+
+    The case studies give c_hat = x11/x1. to three decimals, the DSE, and the
+    ``adpl-mtb`` estimate under delta = 1 - 4(1 - c_hat)/N
+    (``adpl-mtb:recapture:4``), not the cells. (1646, 316, 804) prints as the
+    urban summaries and gives the published 3428 and phi 1.53. For the rural
+    and drug-user cases every table consistent with the summaries is
+    estimated in one batch; the printed ranges and nearest tables show that
+    none gives the published pair.
+    """
+    cases = load_published_reference()["case_studies"]
+    regions = cases["death-registration"]["regions"]
+    spec = parse_estimator("adpl-mtb:recapture:4")
+    failures = []
+    urban = regions["urban-area"]
+    cells = (1646, 316, 804)
+    table = DualRecordTable(*cells)
+    c_hat = round(table.x11 / table.x1_dot, 3)
+    dse = parse_estimator("dse").estimate(table).n_hat
+    adpl = spec.estimate(table)
+    phi_hat = round(adpl.phi_hat, 2)
+    print(
+        f"  urban-area {cells}: c_hat {c_hat} (published {urban['c_hat']}), DSE {dse:.2f} "
+        f"(published {urban['dse']}), adpl-mtb {adpl.n_hat:.0f} phi {adpl.phi_hat:.4f} "
+        f"(published {urban['adpl-mtb']['n_hat']} phi {urban['adpl-mtb']['phi_hat']})"
+    )
+    if c_hat != urban["c_hat"] or round(dse) != urban["dse"]:
+        failures.append(f"{cells} does not print as the urban summaries")
+    if cells not in _consistent_tables(urban["c_hat"], urban["dse"]):
+        failures.append(f"{cells} is not among the tables consistent with the urban summaries")
+    if adpl.n_hat != urban["adpl-mtb"]["n_hat"] or phi_hat != urban["adpl-mtb"]["phi_hat"]:
+        failures.append(f"urban adpl-mtb: got {adpl.n_hat} phi {phi_hat}")
+    # Printed, not asserted: the published rural and drug-user pairs.
+    others = {"rural-area": regions["rural-area"], "drug-user-cohort": cases["drug-user-cohort"]}
+    for label, case in others.items():
+        tables = _consistent_tables(case["c_hat"], case["dse"])
+        n_hat = spec.estimate_batch(*(np.array(c) for c in zip(*tables))).n_hat
+        want = case["adpl-mtb"]
+        nearest = sorted(zip(np.abs(n_hat - want["n_hat"]), tables, n_hat))[:2]
+        near = ", ".join(
+            f"{t} -> {n:.0f} phi {recover_nuisance(n, DualRecordTable(*t))[3]:.3f}"
+            for _, t, n in nearest
+        )
+        print(
+            f"  {label}: published adpl-mtb {want['n_hat']} phi {want['phi_hat']}; "
+            f"{len(tables)} tables consistent with c_hat {case['c_hat']} and DSE {case['dse']} "
+            f"give {np.min(n_hat):.0f}-{np.max(n_hat):.0f}; nearest {near}"
+        )
+    _verdict("published case studies", failures)
 
 
 def test_desk_scale_study_reproduces_published_cells():

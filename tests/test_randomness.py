@@ -101,17 +101,89 @@ class TestBinomialInversion:
     @example(n=10**9, p=0.5)
     @example(n=10**9, p=1e-9)
     def test_closed_form_window_is_built_once(self, n, p):
-        # The Bernstein window holds every non-zero term, so the edge check
+        # The Bernstein window holds every non-zero term on its left and ends
+        # where the terms fall below 2**-53 on its right, so the edge check
         # passes on the first build: _logpmf runs once.
         with pytest.MonkeyPatch.context() as mp:
             calls = self._count_builds(mp)
             lo, f = binomial_cdf(n, p)
         assert len(calls) == 1
-        c = randomness._UNDERFLOW_LOG + math.log(n + 1.0)
-        d = c / 3 + math.sqrt(c * c / 9 + 2 * c * n * p * (1 - p))
-        assert lo == max(0, math.floor(n * p - d))
-        assert lo + len(f) - 1 == min(n, math.ceil(n * p + d))
+
+        def half_width(log):
+            c = log + math.log(n + 1.0)
+            return c / 3 + math.sqrt(c * c / 9 + 2 * c * n * p * (1 - p))
+
+        assert lo == max(0, math.floor(n * p - half_width(randomness._UNDERFLOW_LOG)))
+        assert lo + len(f) - 1 == min(n, math.ceil(n * p + half_width(randomness._ABSORBED_LOG)))
         assert f[-1] == 1.0 and np.all(np.diff(f) >= 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pairs=st.lists(
+            st.tuples(
+                st.integers(0, 200) | st.integers(0, 200_000),
+                st.one_of(
+                    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                    st.floats(0.0, 1e-6, exclude_min=True),
+                    st.floats(1.0 - 1e-6, 1.0, exclude_max=True),
+                ),
+            ),
+            min_size=1,
+            max_size=4,
+            unique=True,
+        )
+    )
+    @example(pairs=[(200_000, 1e-9), (200_000, 1.0 - 1e-9), (200_000, 0.5)])
+    @example(pairs=[(0, 0.3), (1, 0.5), (3, 0.97), (2000, 0.98)])
+    def test_windows_are_slices_of_the_full_cdf_that_ends_in_ones(self, pairs):
+        # Right of the window every term is below 2**-53 and adds nothing to
+        # a running sum of at least 1: the full CDF is exactly 1.0 from the
+        # window's last point on, and binomial_cdf and every _cdf_blocks row
+        # are its slice bit for bit.
+        n = np.array([pair[0] for pair in pairs])
+        p = np.array([pair[1] for pair in pairs])
+        blocks = {
+            int(i): (lo[j], f[j])
+            for rows, lo, f in randomness._cdf_blocks(n, p)
+            for j, i in enumerate(rows)
+        }
+        assert sorted(blocks) == list(range(n.size))
+        for i, (n_i, p_i) in enumerate(pairs):
+            full = full_binomial_cdf(n_i, p_i)
+            lo, f = binomial_cdf(n_i, p_i)
+            hi = lo + f.size - 1
+            assert np.array_equal(f, full[lo : hi + 1])
+            assert np.all(full[:lo] == 0.0) and np.all(full[hi:] == 1.0)
+            block_lo, g = blocks[i]
+            assert block_lo == lo
+            assert np.array_equal(g[: f.size], f) and np.all(g[f.size :] == 1.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 10**9),
+        p=st.one_of(
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+            st.floats(0.0, 1e-6, exclude_min=True),
+            st.floats(1.0 - 1e-6, 1.0, exclude_max=True),
+        ),
+    )
+    @example(n=10**9, p=0.5)
+    @example(n=10**9, p=1e-9)
+    @example(n=10**9, p=1.0 - 1e-9)
+    @example(n=2000, p=0.98)
+    def test_terms_from_the_right_end_on_are_below_half_an_ulp_of_one(self, n, p):
+        # The window's right end lies right of the mode, and its term, the
+        # largest of those from it on, is more than 53 ln 2 below the largest
+        # term (scipy's log-pmf, not the window's arithmetic). So every term
+        # from the right end on is below 2**-53 of it.
+        lo, f = binomial_cdf(n, p)
+        hi = lo + f.size - 1
+        if hi == n:
+            return
+        mode = min(n, math.floor((n + 1) * p))
+        assert mode < hi
+        gap = stats.binom.logpmf(hi, n, p) - stats.binom.logpmf(mode, n, p)
+        assert gap < -53 * math.log(2.0)
 
     def test_zero_trials_draw_zero(self):
         # Bin(0, p) has the one-point window [0, 0] with F = [1.0].
@@ -120,17 +192,22 @@ class TestBinomialInversion:
         u = np.array(_EDGE_UNIFORMS)
         assert draw_binomial(np.zeros(u.shape, dtype=np.int64), 0.3, u).tolist() == [0, 0, 0]
 
-    def test_narrow_first_window_is_widened_to_the_exact_cdf(self, monkeypatch):
-        monkeypatch.setattr(randomness, "_UNDERFLOW_LOG", 5.0)
-        calls = self._count_builds(monkeypatch)
-        for n, p in [(3000, 0.3), (100_000, 0.9), (5000, 1e-3)]:
-            calls.clear()
-            lo, f = binomial_cdf(n, p)
-            assert len(calls) > 1  # the first window left a non-zero edge term
-            full = full_binomial_cdf(n, p)
-            hi = lo + len(f) - 1
-            assert np.array_equal(f, full[lo : hi + 1])
-            assert np.all(full[:lo] == 0.0) and np.all(full[hi:] == 1.0)
+    def test_narrow_first_window_is_widened_to_the_exact_cdf(self):
+        # Either edge alone fails the check, and both half-widths are doubled.
+        left, right = "_UNDERFLOW_LOG", "_ABSORBED_LOG"
+        for narrowed in [(left,), (right,), (left, right)]:
+            with pytest.MonkeyPatch.context() as mp:
+                for name in narrowed:
+                    mp.setattr(randomness, name, 1.0)
+                calls = self._count_builds(mp)
+                for n, p in [(3000, 0.3), (100_000, 0.9), (50_000, 1e-3)]:
+                    calls.clear()
+                    lo, f = binomial_cdf(n, p)
+                    assert len(calls) > 1  # the first window failed an edge check
+                    full = full_binomial_cdf(n, p)
+                    hi = lo + len(f) - 1
+                    assert np.array_equal(f, full[lo : hi + 1])
+                    assert np.all(full[:lo] == 0.0) and np.all(full[hi:] == 1.0)
 
     def test_probability_outside_the_open_interval_is_rejected(self):
         for p in (0.0, 1.0, -0.1, 1.5):
@@ -220,25 +297,28 @@ class TestBinomialInversion:
             mp.setattr(randomness, "_BLOCK", block)
             if widen:
                 mp.setattr(randomness, "_UNDERFLOW_LOG", 5.0)
+                mp.setattr(randomness, "_ABSORBED_LOG", 1.0)
             got = draw_binomial(n, p, u)
             want = self._per_value_inversion(n, p, u)
         assert got.tolist() == want
 
-    def test_block_rows_failing_the_edge_check_are_widened(self, monkeypatch):
+    def test_block_rows_failing_the_edge_check_are_widened(self):
         # With a narrowed closed form the first windows of these counts leave
-        # a non-zero edge term; the rows are rebuilt by binomial_cdf, which
-        # widens them to the exact CDF.
-        monkeypatch.setattr(randomness, "_UNDERFLOW_LOG", 5.0)
-        rebuilt = []
-        build = randomness.binomial_cdf
-        monkeypatch.setattr(
-            randomness, "binomial_cdf", lambda n, p: rebuilt.append(n) or build(n, p)
-        )
+        # a non-zero first term or a last term of 2**-53 or more; the rows are
+        # rebuilt by binomial_cdf, which widens them to the exact CDF.
         n = np.array([3000, 3001, 3000, 2500])
         u = uniforms(DEFAULT_SEED, PURPOSE_STUDY, 4, 4)[:, 0]
-        got = draw_binomial(n, 0.3, u)
-        assert sorted(rebuilt) == [2500, 3000, 3001]
-        assert np.array_equal(got, reference_draw_binomial(n, 0.3, u))
+        for narrowed in ("_UNDERFLOW_LOG", "_ABSORBED_LOG"):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(randomness, narrowed, 1.0)
+                rebuilt = []
+                build = randomness.binomial_cdf
+                mp.setattr(
+                    randomness, "binomial_cdf", lambda n, p: rebuilt.append(n) or build(n, p)
+                )
+                got = draw_binomial(n, 0.3, u)
+            assert sorted(rebuilt) == [2500, 3000, 3001]
+            assert np.array_equal(got, reference_draw_binomial(n, 0.3, u))
 
     @pytest.mark.parametrize("p", [1e-6, 0.02, 0.3, 0.5, 0.98])
     def test_every_window_equals_binomial_cdf_bit_for_bit(self, p):
@@ -260,9 +340,9 @@ class TestBinomialInversion:
                 assert np.all(f[want.size :] == 1.0)
 
     def test_wide_windows_share_the_log_factorial_runs(self, monkeypatch):
-        # One draw_tables call of a study at N = 1e6 (p1. = 0.6, p.1 = 0.7,
-        # phi = 1.25), R = 50: 99 of its windows exceed a block. They read
-        # the two runs of their stage; none is built by binomial_cdf.
+        # One draw_tables call of a study at N = 2e6 (p1. = 0.6, p.1 = 0.7,
+        # phi = 1.25), R = 50: all 101 of its windows exceed a block. They
+        # read the two runs of their stage; none is built by binomial_cdf.
         points, builds, widths = [], [], []
         log_gamma, blocks = randomness.gammaln, randomness._cdf_blocks
 
@@ -279,10 +359,10 @@ class TestBinomialInversion:
         monkeypatch.setattr(randomness, "gammaln", counted_gammaln)
         monkeypatch.setattr(randomness, "_cdf_blocks", recorded_blocks)
         monkeypatch.setattr(randomness, "binomial_cdf", lambda n, p: builds.append(n))
-        spec = PopulationSpec("M", 1_000_000, 0.60, 0.70, 1.25)
+        spec = PopulationSpec("M", 2_000_000, 0.60, 0.70, 1.25)
         draw_tables(spec.n, spec.cells(), uniforms(7, PURPOSE_STUDY, 0, 50))
         assert builds == []
-        assert sum(w > randomness._BLOCK for w in widths) == 99
+        assert sum(w > randomness._BLOCK for w in widths) == len(widths) == 101
         assert sum(points) < 8 * max(widths)
 
     def test_far_apart_populations_keep_their_own_runs(self, monkeypatch):
@@ -310,7 +390,7 @@ class TestBinomialInversion:
         n = np.repeat([spec.n for spec in specs], r)
         cells = tuple(np.repeat(c, r) for c in zip(*(spec.cells() for spec in specs)))
         together = draw_tables(n, cells, np.concatenate(u))
-        assert sum(points) == sum(per_spec) == 5_893_094
+        assert sum(points) == sum(per_spec) == 3_788_852
         for got, want in zip(together, zip(*alone)):
             assert np.array_equal(got, np.concatenate(want))
 

@@ -266,8 +266,8 @@ class TestRunStudy:
         assert math.isnan(s.mean) and math.isnan(s.rmse)
 
     def test_study_at_a_billion_runs_in_bounded_memory(self):
-        # Sampling holds a window of about 78 sd per CDF (39.2 sd either side
-        # of the mean), never n + 1 points.
+        # Sampling holds a window of about 50 sd per CDF (39.2 sd left of the
+        # mean, 10.7 sd right of it), never n + 1 points.
         huge = PopulationSpec("G", 10**9, 0.60, 0.70, 1.25)
         config = _config([huge], ["dse", "pl-mtb"], replicates=20)
         tracemalloc.start()
@@ -282,11 +282,11 @@ class TestRunStudy:
 
     def test_group_of_far_apart_populations_runs_in_bounded_memory(self):
         # One stack group of N = 20 and N = 1e8 at R = 80: the large
-        # population's 80 stage-2 windows (about 255k points each) are wider
-        # in total than the gap of about 1.4e7 points between the two
-        # populations' windows, which a log-factorial table shared by the
-        # whole group would span (over 200 MB). Each population's windows
-        # keep tables of their own, as in a study of either alone.
+        # population's 80 stage-2 windows (about 161k points each, 1.29e7 in
+        # all) lie about 1.4e7 points from the small population's, a gap
+        # that a log-factorial table shared by the whole group would span
+        # (over 200 MB). Each population's windows keep tables of their own,
+        # as in a study of either alone.
         pops = [
             PopulationSpec("T", 20, 0.60, 0.70, 1.25),
             PopulationSpec("H", 10**8, 0.60, 0.70, 1.25),
