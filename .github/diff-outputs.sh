@@ -8,8 +8,10 @@
 # reproduce target (with the --svg plot of each figure), a simulate study of
 # every method and policy in both delta modes, large-N, window-edge and
 # mixed-N studies, a study of two stack groups that share sampling windows
-# across populations, single-table estimate reports (stdout, stderr and exit
-# code), and estimate reports with a parametric bootstrap run on both sides. reproduce and simulate solve many rows per
+# across populations, a study at N = 1e5 whose fixed-point iterates rise on
+# one population and fall on the other, single-table estimate reports
+# (stdout, stderr and exit code, two of them on candidate maps with two fixed
+# points), and estimate reports with a parametric bootstrap run on both sides. reproduce and simulate solve many rows per
 # batch, estimate solves its table as a one-row batch, and the bootstrap
 # solves its fit as one row and its replicates as one batch; the tiny
 # population and the (0, 1, 3) table reach the 60-solve cap of the candidate
@@ -139,7 +141,22 @@ JSON
   printf ' "estimators": ["dse", "pl-mtb", "adpl-mtb:scaled:1.25"],\n'
   printf ' "replicates": 300, "seed": 7}\n'
 } > "$work/group.json"
-for study in study large ends mixed group; do
+# Candidate fixed points at N = 1e5: at seed 7 the iterates of
+# adpl-mtb:scaled:1.25 and adpl-mtb:recapture:1.25 rise from the anchor on
+# all 20 rows of "rise" and fall on all 20 rows of "fall", so the searches
+# started from each solve's current iterate gallop both ways; the other
+# estimators start from round(DSE) (pl-mt, mpl-mt) or the DSE anchor
+# (fixed delta, @oracle).
+cat > "$work/gallop.json" <<'JSON'
+{"populations": [
+   {"label": "rise", "N": 100000, "p1": 0.5, "p_dot1": 0.65, "phi": 1.25},
+   {"label": "fall", "N": 100000, "p1": 0.1, "p_dot1": 0.2, "phi": 1.0}],
+ "estimators": [
+   "pl-mt", "mpl-mt", "adpl-mtb:scaled:1.25", "adpl-mtb:recapture:1.25",
+   "adpl-mt:fixed:0.5", "adpl-mtb:scaled:1.25@oracle"],
+ "replicates": 20, "seed": 7}
+JSON
+for study in study large ends mixed group gallop; do
   for side in base head; do
     run "$side" "$work/$side-$study.csv" simulate --config "$work/$study.json" ||
       report "fails on $side: simulate $study"
@@ -183,6 +200,10 @@ for cells in "50 30 20" "2 500 400"; do
   estimate_cases "$cells" "dse pl-mt adpl-mtb:recapture:1.25 adpl-mt:scaled:1.25" \
     --bootstrap 40 --seed 7
 done
+# Candidate maps with two fixed points each (13122788 and 13122794, then
+# 15442161 and 15442168): the iteration returns the first.
+estimate_cases "205177 1307 37712" "adpl-mtb:recapture:0.25"
+estimate_cases "178155 270 162507" "adpl-mtb:recapture:1.25"
 
 echo "${#bad[@]} cases differ or fail"
 for line in "${bad[@]}"; do

@@ -3,10 +3,11 @@
 Each estimator takes an observed :class:`~dualrec.tables.DualRecordTable` and
 returns an :class:`EstimateReport`. Likelihood-based estimators return the
 exact integer argmax of their kernel: the first N at which the step
-l(N+1) - l(N) stops being positive, found by bisection on the exact step
-signs of :func:`dualrec.kernels.step_sign` up to a hard ceiling beyond which
-"no finite maximum" is reported; the dual-system estimator and the
-behavioral boundary estimate are closed-form.
+l(N+1) - l(N) stops being positive, found on the exact step signs of
+:func:`dualrec.kernels.step_sign` by a search that starts from a guess,
+gallops away from it until the sign flips and bisects the last gap, up to a
+hard ceiling beyond which "no finite maximum" is reported; the dual-system
+estimator and the behavioral boundary estimate are closed-form.
 
 Estimator catalogue (descriptor strings in parentheses):
     dse                 x1.*x.1/x11, the classical dual-system / independence
@@ -42,10 +43,13 @@ where a batch leaves the failed row NaN, and then only build the report
 estimator's rules (its closed form or search, its guards, its failures and
 their messages, the fixed-point iteration) are written once. A table's
 total x0 stays below 2**53, so every count, margin and x0 + 1 the solvers
-read is an exact double. The argmax search picks its engine by row count:
-one row is bisected on exact scalar step signs, more rows advance together,
-one array pass per probe. Row by row the two give the same estimates,
-adjustments and failures.
+read is an exact double. Each search starts from a guess: round(DSE) for
+pl-mt and mpl-mt, the current iterate in a candidate fixed-point solve (so
+a settled row costs two probes), and the DSE anchor for fixed and oracle
+deltas. The guess changes the path, never the answer. The search picks its
+engine by row count: one row is searched on exact scalar step signs, more
+rows advance together, one array pass per probe, along the same probes.
+Row by row the two give the same estimates, adjustments and failures.
 """
 
 from __future__ import annotations
@@ -236,14 +240,23 @@ def _raise(rows, error) -> None:
         raise error()
 
 
-def _argmax(step, lower: int, what: str) -> int:
+def _argmax(step, lower: int, guess: int, what: str) -> int:
     """Smallest integer N in [lower, HARD_CEILING] with step(N) <= 0.
 
     With step(N) the sign of l(N+1) - l(N) of a kernel whose step changes
     sign at most once (positive, then non-positive), that N is the kernel's
-    exact integer argmax (its first maximizer on a tie). Doubling the
-    distance from ``lower`` brackets it; bisection then finds it in
-    O(log N) step evaluations.
+    exact integer argmax (its first maximizer on a tie). The search probes
+    ``guess`` (clamped to [lower, HARD_CEILING]), gallops away from it in
+    steps of 1, 2, 4, ... (to guess +- 1, 3, 7, ..., clamped likewise) until
+    the sign flips, then bisects the last gap: at most about
+    2 + 2*log2(d + 1) step evaluations for an answer d away from the guess,
+    and 2 for an answer above ``lower`` that the guess hits. The guess
+    changes only the path, never the answer.
+
+    The bracket (lo, hi] holds the answer: step(lo) > 0, or lo = lower - 1
+    before a positive step is seen, and step(hi) <= 0, or hi = HARD_CEILING
+    + 1 before a non-positive one is; :func:`_next_probe` picks each probe
+    from it alone, for this search and the vectorized one alike.
 
     Raises:
         NoFiniteMaximumError: if the step is still positive at HARD_CEILING
@@ -251,75 +264,93 @@ def _argmax(step, lower: int, what: str) -> int:
             when ``lower`` exceeds HARD_CEILING: the step forms are checked
             only up to it.
     """
-    lo, hi = lower - 1, max(lower, min(2 * lower, HARD_CEILING))
-    while lower > HARD_CEILING or step(hi) > 0:
-        if hi >= HARD_CEILING:
-            raise _no_maximum(what)
-        lo, hi = hi, min(lower + 2 * (hi - lower), HARD_CEILING)
+    lo, hi = lower - 1, HARD_CEILING + 1
+    guess = min(max(guess, lower), HARD_CEILING)
     while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if step(mid) > 0:
-            lo = mid
+        n = _next_probe(lo, hi, guess, lower)
+        if step(n) > 0:
+            lo = n
         else:
-            hi = mid
+            hi = n
+    if hi > HARD_CEILING:
+        raise _no_maximum(what)
     return hi
 
 
-# The vectorized search state spans at least this many rows. numpy keeps
-# freed buffers under 1 KiB in a cache of up to 7 per byte size, so boolean
-# masks of every row count below 1024 would ratchet resident memory up by
-# megabytes over a long run; masks this long bypass that cache.
-_MIN_STATE_ROWS = 1024
+def _next_probe(lo, hi, guess, lower):
+    """The next probe of :func:`_argmax` in the bracket (lo, hi], per element for arrays."""
+    if isinstance(lo, int):
+        if hi > HARD_CEILING:
+            return guess if lo < lower else min(2 * lo - guess + 1, HARD_CEILING)
+        return max(2 * hi - guess - 1, lower) if lo < lower else (lo + hi) // 2
+    lo_open = lo < lower
+    return np.where(
+        hi > HARD_CEILING,
+        np.where(lo_open, guess, np.minimum(lo + lo - guess + 1, HARD_CEILING)),
+        np.where(lo_open, np.maximum(hi + hi - guess - 1, lower), (lo + hi) >> 1),
+    )
 
 
-def _argmax_batch(kind: str, tables: TableArrays, lower, delta, fail=_ignore) -> np.ndarray:
+# Each pass of the vectorized search evaluates a multiple of _PAD_ROWS rows:
+# the rows still searching, led and followed by copies of the pad row. numpy
+# keeps up to 7 freed buffers of each byte size under 1 KiB, so masks of every
+# row count below 1024 would ratchet resident memory up over a long run; these
+# take 7 such sizes, and 8-byte arrays none. The pad row is the table (1, 0, 0)
+# in the closed bracket (2, 3] at delta 0.5: it never searches, and its step
+# at N = 2, below -0.3 for each kind, is decided in double.
+_PAD_ROWS = 128
+_PAD_ROW = (2, 3, 2, 1, 0.5, 1.0, 1.0, 1.0, 1.0)  # lo, hi, guess, lower, delta, table
+
+
+def _argmax_batch(kind: str, tables: TableArrays, lower, delta, guess, fail=_ignore) -> np.ndarray:
     """:func:`_argmax` of kernel ``kind`` (see :func:`kernels.step_sign`) on every row.
 
-    Row i searches from lower[i] at delta[i]. One row is searched by
-    :func:`_argmax` itself on exact :func:`kernels.step_sign`. More rows
-    follow the scalar search's own path, with the same brackets and the same
-    midpoints: each pass evaluates the next probe of every row still
-    searching in one :func:`kernels.step_signs` call and updates the
-    brackets of all rows under masks. Returns the argmax per row, or -1
-    where :func:`_argmax` raises NoFiniteMaximumError, and tells ``fail``
-    those rows (rows with lower[i] above HARD_CEILING are never probed).
+    Row i searches from guess[i] in [lower[i], HARD_CEILING] at delta[i].
+    One row is searched by :func:`_argmax` itself on exact
+    :func:`kernels.step_sign`. More rows follow the scalar search's own
+    path, probe by probe: each pass evaluates the next probe of every row
+    still searching in one :func:`kernels.step_signs` call. The state
+    (brackets, guesses, lower bounds, deltas and tables) holds only those
+    rows, padded (see _PAD_ROWS), and drops each row as its bracket closes.
+    Returns the argmax per row, or -1 where :func:`_argmax` raises
+    NoFiniteMaximumError, and tells ``fail`` those rows (rows with lower[i]
+    above HARD_CEILING are never probed).
     """
     lower = np.minimum(lower, HARD_CEILING + 1).astype(np.int64)
-    size = lower.size
-    if size == 1:
+    guess = np.minimum(np.maximum(guess, lower), HARD_CEILING).astype(np.int64)
+    if lower.size == 1:
         table, d, low = tables.row(0), float(np.ravel(delta)[0]), lower.item()
         try:
-            hi = np.array([_argmax(lambda m: kernels.step_sign(kind, m, table, d), low, kind)])
+            hi = np.array([_argmax(lambda m: kernels.step_sign(kind, m, table, d),
+                                   low, guess.item(), kind)])
         except NoFiniteMaximumError:
             hi = np.array([-1])
     else:
-        delta = np.broadcast_to(np.asarray(delta, dtype=float), (size,))
-        if size < _MIN_STATE_ROWS:
-            lower = np.concatenate([lower, np.full(_MIN_STATE_ROWS - size, HARD_CEILING + 1)])
-        lo = lower - 1
-        hi = np.maximum(lower, np.minimum(2 * lower, HARD_CEILING))
-        searching = lower <= HARD_CEILING
-        hi[~searching] = -1
-        bracketing = np.ones(lower.shape, dtype=bool)
-        up = np.zeros(lower.shape, dtype=bool)
-        while searching.any():
-            rows = np.flatnonzero(searching)
-            if rows.size == size:
-                rows = slice(size)  # every row: views, not copies
-            probe = np.where(bracketing, hi, (lo + hi) // 2)
-            up[rows] = kernels.step_signs(kind, probe[rows], tables.take(rows), delta[rows]) > 0
-            br = searching & bracketing
-            halving = searching & ~bracketing
-            stuck = br & up & (probe >= HARD_CEILING)
-            grow = br & up & ~stuck
-            lo[grow] = hi[grow]
-            hi[grow] = np.minimum(lower[grow] + 2 * (hi[grow] - lower[grow]), HARD_CEILING)
-            bracketing &= ~br | up
-            np.copyto(lo, probe, where=halving & up)
-            np.copyto(hi, probe, where=halving & ~up)
-            np.copyto(hi, -1, where=stuck)
-            searching &= ~stuck & (bracketing | (hi - lo > 1))
-        hi = hi[:size]
+        n = lower.size
+        hi = np.full(n + 1, HARD_CEILING + 1)  # hi[n] takes the pad rows' answers
+        rows, lo, top, guess, low, delta, *cells = (
+            np.concatenate([[pad], values]) for pad, values in zip(
+                (n, *_PAD_ROW), (np.arange(n), lower - 1, hi[:n], guess, lower,
+                                 np.broadcast_to(delta, lower.shape), *tables)))
+        searching, active = top - lo > 1, -1
+        while True:
+            live = np.count_nonzero(searching)
+            if live != active:  # rows closed their brackets: keep the others and the pads
+                hi[rows] = top  # a searching row's entry is written again later
+                if not live:
+                    break
+                keep = np.zeros(-(-(live + 1) // _PAD_ROWS) * _PAD_ROWS, dtype=np.intp)
+                keep[1:live + 1] = np.flatnonzero(searching)  # row 0 is a pad row
+                rows, lo, top, guess, low, delta, *cells = (
+                    v[keep] for v in (rows, lo, top, guess, low, delta, *cells))
+                active = live
+            probe = _next_probe(lo, top, guess, low)
+            up = kernels.step_signs(kind, probe, TableArrays(*cells), delta) > 0
+            lo = np.where(up, probe, lo)
+            top = np.where(up, top, probe)
+            searching = top - lo > 1
+        hi = hi[:n]
+        hi[hi > HARD_CEILING] = -1
     fail(hi < 0, lambda: _no_maximum(kind))
     return hi
 
@@ -451,8 +482,8 @@ def dse(table: DualRecordTable) -> EstimateReport:
 def mle_profile_mt(table: DualRecordTable) -> EstimateReport:
     """Integer maximizer of the independence-model profile likelihood.
 
-    The maximizer is located by bisection on the exact kernel steps. It lies
-    near the dual-system ratio r = x1.*x.1/x11 (exactly r - 1 when r is an
+    The maximizer is searched for from round(x1.*x.1/x11) on the exact
+    kernel steps. It lies near the dual-system ratio r = x1.*x.1/x11 (exactly r - 1 when r is an
     integer and the overlap correction is negligible) but can drift several
     units below floor(r) - 1 on tables with small x11 and large overlap x0,
     where the score correction -x0 / (2N(N - x0)) is non-negligible. When
@@ -468,8 +499,8 @@ def mle_profile_mt(table: DualRecordTable) -> EstimateReport:
 def mle_mpl_mt(table: DualRecordTable) -> EstimateReport:
     """Integer maximizer of the independence-model modified profile likelihood.
 
-    The maximizer is located by bisection on the exact kernel steps. The
-    half-log correction terms are strictly increasing in N, so this estimate
+    The maximizer is searched for from round(x1.*x.1/x11) on the exact
+    kernel steps. The half-log correction terms are strictly increasing in N, so this estimate
     is never below the plain profile maximizer; in practice it lands within
     a unit of round(x1.*x.1/x11). When x10*x01 = 0 the correction is -inf at
     the lower bound and the maximizer sits strictly above x0.
@@ -601,7 +632,8 @@ def _mt_batch(kind: str, tables: TableArrays, *_, fail=_ignore) -> BatchEstimate
     fail(tables.x11 == 0, lambda: UndefinedEstimateError(error))
     n_hat = np.full(tables.x11.size, np.nan)
     rows = np.flatnonzero(tables.x11 > 0)
-    found = _argmax_batch(kind, tables.take(rows), tables.x0[rows], 1.0, fail)
+    t = tables.take(rows)
+    found = _argmax_batch(kind, t, t.x0, 1.0, np.rint(_dse_values(t)), fail)
     n_hat[rows] = np.where(found >= 0, found, np.nan)
     return BatchEstimate(n_hat)
 
@@ -664,26 +696,31 @@ def _adpl_batch(
     rows = np.flatnonzero(ok & ~empty)
     t = tables.take(rows)
     lower = t.x0 + (kind == "adpl-mtb")
+    anchor = 2.0 * t.x0
+    overlap = t.x11 > 0
+    anchor[overlap] = np.rint(_dse_values(t.take(overlap)))
+    start = np.minimum(np.maximum(anchor, lower + 1), HARD_CEILING).astype(np.int64)
 
-    def solve(idx: np.ndarray, n: np.ndarray) -> np.ndarray:
-        d = policy.deltas(n, t.take(idx))
+    def solve(idx: np.ndarray, n: np.ndarray, guess: np.ndarray) -> np.ndarray:
+        """T at delta(n[j]) for row idx[j], searched from guess[j]; -1 where it fails."""
+        sub = t.take(idx)
+        d = policy.deltas(n, sub)
         good = (d < 1.0) | (kind == "adpl-mt")
         fail(~good, lambda: NoFiniteMaximumError(f"adjustment delta = {d[~good][0]:.6g} violates "
                                                  "the finite-maximum requirement delta < 1"))
         found = np.full(idx.size, -1, dtype=np.int64)
-        found[good] = _argmax_batch(kind, t.take(idx[good]), lower[idx[good]], d[good], fail)
+        found[good] = _argmax_batch(
+            kind, sub.take(good), lower[idx[good]], d[good], guess[good], fail)
         return found
 
     if oracle_n is not None or not policy.requires_n():
         at = np.ones(rows.size) if oracle_n is None else oracle_n[rows]
-        found = solve(np.arange(rows.size), at)
+        found = solve(np.arange(rows.size), at, start)
     else:
-        anchor = 2.0 * t.x0
-        overlap = t.x11 > 0
-        anchor[overlap] = np.rint(_dse_values(t.take(overlap)))
-        start = np.minimum(np.maximum(anchor, lower + 1), HARD_CEILING).astype(np.int64)
-        found = _fixed_point_batch(solve, start, fail, lambda: NoFiniteMaximumError(
-            f"{kind}: no fixed point of the candidate map in 60 solves"))
+        # Each solve starts from its current iterate, so a settled row costs two probes.
+        found = _fixed_point_batch(lambda idx, n: solve(idx, n, n), start, fail,
+                                   lambda: NoFiniteMaximumError(
+                                       f"{kind}: no fixed point of the candidate map in 60 solves"))
         at = found.astype(float)
     n_hat = np.full(tables.x11.size, np.nan)
     delta_used = np.full(tables.x11.size, np.nan)
@@ -840,8 +877,9 @@ class EstimatorSpec:
         :meth:`estimate` runs this same solver on its table as a one-row
         batch and adds the report, so it costs about the same (about 0.2 ms
         for ``adpl-mtb:scaled:1.25`` on (50, 30, 20)). The closed forms are
-        array expressions; each argmax search advances every row per pass,
-        and a single row takes the scalar search. Each row keeps the count
+        array expressions; each argmax search advances every row still
+        searching by one probe per pass, on a state that holds only those
+        rows, and a single row takes the scalar search. Each row keeps the count
         rule of a table: a row whose total x0 is 2**53 or more raises
         ValidationError, as :class:`~dualrec.tables.DualRecordTable` does.
         """

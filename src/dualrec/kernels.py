@@ -116,7 +116,7 @@ def _ret(values: np.ndarray, scalar: bool):
 
 def _check_domain(n: np.ndarray, bound: float, strict: bool, what: str) -> None:
     bad = n <= bound if strict else n < bound
-    if np.any(bad):
+    if bad.any():
         op = ">" if strict else ">="
         raise DomainError(f"{what} requires N {op} {bound}; got N as low as {np.min(n)}")
 
@@ -300,34 +300,47 @@ def _step_arg(n, bound: float, strict: bool, what: str):
 
 
 def _dlog(m):
-    """ln(m+1) - ln(m) = log1p(1/m), with the limit +inf at m = 0."""
+    """ln(m+1) - ln(m) = log1p(1/m), with the limit +inf at m = 0.
+
+    An array m of zeros divides by zero: array callers hold the ``errstate``
+    that :func:`_step` enters.
+    """
     if isinstance(m, float):
         return math.log1p(1.0 / m) if m > 0 else math.inf
-    with np.errstate(divide="ignore"):
-        return np.log1p(1.0 / m)
+    return np.log1p(1.0 / m)
 
 
 def _log1p(x):
     """log1p(x), -inf at x = -1 and NaN below, for a scalar as for an array.
 
     The pl-mt ratio exceeds -1, but rounded it can reach -1 or below when
-    its products lie beyond 2**53 and N is near x0.
+    its products lie beyond 2**53 and N is near x0. Arrays are evaluated
+    under :func:`_step`'s ``errstate``.
     """
     if isinstance(x, float):
         return math.log1p(x) if x > -1.0 else -math.inf if x == -1.0 else math.nan
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.log1p(x)
+    return np.log1p(x)
 
 
 def _g(m):
-    """m * log1p(1/m) with the continuous extension g(0) = 0."""
+    """m * log1p(1/m) with the continuous extension g(0) = 0.
+
+    An array m of zeros gives 0 * inf there, so array callers with zeros
+    hold :func:`_step`'s ``errstate``.
+    """
     if isinstance(m, float):
         return m * math.log1p(1.0 / m) if m > 0 else 0.0
-    m = np.asarray(m, dtype=float)
-    out = np.zeros_like(m)
-    pos = m > 0
-    out[pos] = m[pos] * np.log1p(1.0 / m[pos])
-    return out
+    return np.where(m > 0, m * np.log1p(1.0 / m), 0.0)
+
+
+def _at_margin(margin, s):
+    """s, or +inf where ``margin`` is +inf: N on a margin, the hard zero at N.
+
+    There the pl-mt ratio term can round to -inf, which would make s NaN.
+    """
+    if isinstance(s, float):
+        return math.inf if margin == math.inf else s
+    return np.where(margin == math.inf, math.inf, s)
 
 
 def log_profile_mt_step(n, table: DualRecordTable):
@@ -337,7 +350,10 @@ def log_profile_mt_step(n, table: DualRecordTable):
     + g(N-x1.) + g(N-x.1) - 2g(N) with g(m) = m*log1p(1/m): the lgamma step
     and the ln(N+1) parts of the v*ln(v) steps combine into one ratio. Its
     numerator is exact while both products stay below 2**53; above, they
-    round, and near the maximizer they cancel.
+    round, and near the maximizer they cancel. Near x0 the rounded ratio can
+    reach -1, and the form then gives -inf (at N = x0 on (95000001, 0, 0),
+    where the exact step is about -20.37); :func:`step_sign` decides such a
+    step again in decimal.
     """
     return _step("pl-mt", n, table, None)[0]
 
@@ -346,7 +362,8 @@ def log_mpl_mt_step(n, table: DualRecordTable):
     """Exact first difference log_mpl_mt(N+1) - log_mpl_mt(N), N >= x0.
 
     Equals log_profile_mt_step + (1/2)log1p(1/(N-x1.)) + (1/2)log1p(1/(N-x.1))
-    - log1p(1/N); +inf where N equals a margin (the hard zero at N).
+    - log1p(1/N); +inf where N equals a margin (the hard zero at N), also
+    where the profile step's rounded ratio term is -inf there.
     """
     return _step("mpl-mt", n, table, None)[0]
 
@@ -354,7 +371,8 @@ def log_mpl_mt_step(n, table: DualRecordTable):
 def log_adpl_mt_step(n, table: DualRecordTable, delta):
     """Exact first difference log_adpl_mt(N+1) - log_adpl_mt(N), N >= x0.
 
-    Equals log_mpl_mt_step + 2(delta-1)log1p(1/N).
+    Equals log_mpl_mt_step + 2(delta-1)log1p(1/N); +inf where N equals a
+    margin, as log_mpl_mt_step.
     """
     return _step("adpl-mt", n, table, delta)[0]
 
@@ -415,10 +433,10 @@ def _mt_step(kind: str, n, table, delta):
     ha, hb, hn = 0.5 * _dlog(n - a), 0.5 * _dlog(n - b), _dlog(n)
     s = s + ha + hb - hn
     m = m + ha + hb + hn
-    if kind == "mpl-mt":
-        return s, m
-    penalty = 2.0 * (delta - 1.0) * hn
-    return s + penalty, m + abs(penalty)
+    if kind == "adpl-mt":
+        penalty = 2.0 * (delta - 1.0) * hn
+        s, m = s + penalty, m + abs(penalty)
+    return _at_margin(ha + hb, s), m
 
 
 def _mtb_step(n, table, delta):
@@ -442,13 +460,18 @@ def _step(kind: str, n, table, delta):
     """The double step form of the kernel that estimator ``kind`` maximizes.
 
     Returns (s, m): the step l(N+1) - l(N) and the sum of its terms'
-    magnitudes, which bounds its rounding error by _C * _EPS * m.
+    magnitudes, which bounds its rounding error by _C * _EPS * m. Arrays are
+    evaluated under one ``errstate``: a margin divides by zero, and a NaN or
+    -inf step is left to :func:`step_sign`'s decimal recheck.
     """
     if kind not in _STEP_FORMS:
         raise ValueError(f"unknown kernel kind {kind!r}")
     strict = kind == "adpl-mtb"
     n = _step_arg(n, table.x0, strict, what=_STEP_FORMS[kind])
-    return _mtb_step(n, table, delta) if strict else _mt_step(kind, n, table, delta)
+    if isinstance(n, float):
+        return _mtb_step(n, table, delta) if strict else _mt_step(kind, n, table, delta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _mtb_step(n, table, delta) if strict else _mt_step(kind, n, table, delta)
 
 
 def step_sign(kind: str, n: int, table: DualRecordTable, delta: float = 1.0) -> int:
@@ -479,13 +502,14 @@ def step_signs(kind: str, n, tables: TableArrays, delta=1.0) -> np.ndarray:
     sign, the result equals step_sign row by row.
     """
     n = np.asarray(n, dtype=float)
-    with np.errstate(invalid="ignore"):  # a NaN step is decided in decimal
-        s, m = _step(kind, n, tables, delta)
+    s, m = _step(kind, n, tables, delta)
     signs = np.where(s > 0, 1, -1)
-    deltas = np.broadcast_to(delta, n.shape)
-    for i in np.flatnonzero(~((np.abs(s) > _C * _EPS * m) | (s == math.inf))):
-        exact = _decimal_step(kind, int(n[i]), tables.row(i), float(deltas[i]))
-        signs[i] = (exact > 0) - (exact < 0)
+    decided = (np.abs(s) > _C * _EPS * m) | (s == math.inf)
+    if not decided.all():
+        deltas = np.broadcast_to(delta, n.shape)
+        for i in np.flatnonzero(~decided):
+            exact = _decimal_step(kind, int(n[i]), tables.row(i), float(deltas[i]))
+            signs[i] = (exact > 0) - (exact < 0)
     return signs
 
 

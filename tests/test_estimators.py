@@ -1,10 +1,12 @@
 """Point-estimator behavior: exact argmaxes, policies, moments, bootstrap."""
 
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import dualrec.estimators as est_module
@@ -274,7 +276,7 @@ class TestCandidateFixedPoint:
             return math.inf
         lower = table.x0 + (kind == "adpl-mtb")
         try:
-            return _argmax(lambda n: kernels.step_sign(kind, n, table, d), lower, kind)
+            return _argmax(lambda n: kernels.step_sign(kind, n, table, d), lower, m, kind)
         except NoFiniteMaximumError:
             return math.inf
 
@@ -304,15 +306,47 @@ class TestCandidateFixedPoint:
         assert np.isnan(spec.estimate_batch([0], [1], [3]).n_hat[0])
         assert self._map("adpl-mt", spec.policy, table, 1358086) > 1358086
 
-    def test_iteration_returns_the_least_fixed_point_above_the_anchor(self):
+    @pytest.mark.parametrize(
+        "cells, descriptor, first, second",
+        [
+            ((205177, 1307, 37712), "adpl-mtb:recapture:0.25", 13122788, 13122794),
+            ((178155, 270, 162507), "adpl-mtb:recapture:1.25", 15442161, 15442168),
+        ],
+    )
+    def test_iteration_returns_the_least_fixed_point_above_the_anchor(
+        self, cells, descriptor, first, second
+    ):
         # delta(N) is one double over runs of N near 1e7, so T is flat there
-        # and holds two fixed points; the iterates rise to the first.
-        spec = parse_estimator("adpl-mtb:recapture:0.25")
-        table = DualRecordTable(205177, 1307, 37712)
-        assert spec.estimate(table).n_hat_integer == 13122788
-        assert spec.estimate_batch([205177], [1307], [37712]).n_hat[0] == 13122788
-        for fixed in (13122788, 13122794):
+        # and holds two fixed points; the iterates rise to the first, on the
+        # scalar search (one row) and on the vectorized passes (two rows).
+        spec = parse_estimator(descriptor)
+        table = DualRecordTable(*cells)
+        assert spec.estimate(table).n_hat_integer == first
+        assert spec.estimate_batch(*([c] for c in cells)).n_hat[0] == first
+        assert list(spec.estimate_batch(*([c, c] for c in cells)).n_hat) == [first, first]
+        for fixed in (first, second):
             assert self._map("adpl-mtb", spec.policy, table, fixed) == fixed
+
+    def test_a_settled_solve_costs_two_probes(self, monkeypatch):
+        # The anchor 112 of (50, 30, 20) moves to 114 in four probes; the
+        # solve at delta(114) starts from 114 and confirms it with
+        # step(114) <= 0 < step(113). Both engines probe the same N.
+        spec = parse_estimator("adpl-mtb:scaled:1.25")
+        probes = []
+        step_sign, step_signs = kernels.step_sign, kernels.step_signs
+        monkeypatch.setattr(
+            kernels, "step_sign", lambda kind, n, *a: probes.append(n) or step_sign(kind, n, *a)
+        )
+        monkeypatch.setattr(
+            kernels, "step_signs",
+            lambda kind, n, *a: probes.append(list(n)) or step_signs(kind, n, *a),
+        )
+        assert spec.estimate(T).n_hat == 114
+        assert probes == [112, 113, 115, 114, 114, 113]
+        probes.clear()
+        assert list(spec.estimate_batch([50, 50], [30, 30], [20, 20]).n_hat) == [114, 114]
+        pad = [2] * (est_module._PAD_ROWS - 3)  # pad rows lead and follow the two rows
+        assert probes == [[2, n, n] + pad for n in (112, 113, 115, 114, 114, 113)]
 
 
 class TestRecoverNuisance:
@@ -498,11 +532,99 @@ class TestDescriptors:
         assert DeltaPolicy.parse("recapture:4.0").delta(112.0, T) == 1.0 - 1.5 / 112.0
 
 
+# Guesses of the argmax search: (where, offset) relative to the row's domain
+# and answer.
+_GUESSES = (
+    st.tuples(st.just("below lower"), st.integers(1, 10**6))
+    | st.tuples(st.just("at lower"), st.just(0))
+    | st.tuples(st.just("near the answer"), st.integers(-40, 40))
+    | st.tuples(st.just("at the ceiling"), st.just(0))
+    | st.tuples(st.just("above the ceiling"), st.integers(1, 10**9))
+)
+_KERNELS = {
+    "pl-mt": lambda ns, t, d: log_profile_mt(ns, t),
+    "mpl-mt": lambda ns, t, d: log_mpl_mt(ns, t),
+    "adpl-mt": log_adpl_mt,
+    "adpl-mtb": log_adpl_mtb,
+}
+
+
 class TestArgmax:
+    @pytest.mark.parametrize("kind", list(_KERNELS))
+    @settings(
+        max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.tuples(*[st.integers(0, 60)] * 3), st.floats(-1.0, 0.99), _GUESSES
+            ),
+            min_size=2,
+            max_size=5,
+        )
+    )
+    def test_any_guess_gives_the_oracle_answer_on_one_probe_path(self, kind, rows, grid_argmax):
+        # Each row is searched alone by _argmax and all together by the
+        # vectorized passes: both give the brute-force argmax, or fail where
+        # the step is still positive at HARD_CEILING, and pass k of the
+        # batch probes the k-th probe of every row still searching, in row
+        # order.
+        assume(all(cells[0] + cells[1] for cells, _, _ in rows))  # x1. >= 1
+        tables = [DualRecordTable(*cells) for cells, _, _ in rows]
+        deltas = [d if kind.startswith("adpl") else 1.0 for _, d, _ in rows]
+        lowers = [t.x0 + (kind == "adpl-mtb") for t in tables]
+        paths, found, guesses = [], [], []
+        for t, d, low, (_, _, (where, offset)) in zip(tables, deltas, lowers, rows):
+            def step(n, t=t, d=d):
+                return kernels.step_sign(kind, n, t, d)
+
+            try:
+                answer = _argmax(step, low, low, kind)
+            except NoFiniteMaximumError:
+                answer = None
+            guess = {
+                "below lower": low - offset,
+                "at lower": low,
+                "near the answer": (HARD_CEILING if answer is None else answer) + offset,
+                "at the ceiling": HARD_CEILING,
+                "above the ceiling": HARD_CEILING + offset,
+            }[where]
+            path = []
+            try:
+                got = _argmax(lambda n: path.append(n) or step(n), low, guess, kind)
+            except NoFiniteMaximumError:
+                got = None
+            assert got == answer
+            if answer is None:
+                assert step(HARD_CEILING) > 0
+                assert path[-1] == HARD_CEILING
+            else:
+                window = grid_argmax(lambda ns: _KERNELS[kind](ns, t, d), low, 2 * answer + 100)
+                assert answer == window
+            paths.append(path)
+            found.append(-1 if answer is None else answer)
+            guesses.append(guess)
+        passes = []
+        step_signs = kernels.step_signs
+        with mock.patch.object(
+            kernels, "step_signs",
+            lambda k, n, *a: passes.append(list(n)) or step_signs(k, n, *a),
+        ):
+            cells = TableArrays.from_cells(*zip(*(cells for cells, _, _ in rows)))
+            got = est_module._argmax_batch(kind, cells, np.array(lowers), np.array(deltas),
+                                           np.array(guesses))
+        assert list(got) == found
+        assert len(passes) == max(map(len, paths))
+        for k, probes in enumerate(passes):
+            # The rows still searching, between pad rows probed at N = 2.
+            want = [path[k] for path in paths if len(path) > k]
+            assert len(probes) % est_module._PAD_ROWS == 0
+            assert probes == [2] + want + [2] * (len(probes) - 1 - len(want))
+
     def test_reports_unbounded_growth_at_the_ceiling(self, monkeypatch):
         monkeypatch.setattr(est_module, "HARD_CEILING", 10**4)
         with pytest.raises(NoFiniteMaximumError):
-            _argmax(lambda n: 1e-3, 10, "test")
+            _argmax(lambda n: 1e-3, 10, 10, "test")
 
     def test_finds_an_interior_maximum_of_a_step_function(self):
         calls = []
@@ -511,11 +633,11 @@ class TestArgmax:
             calls.append(n)
             return 4999.5 - n
 
-        assert _argmax(step, 10, "test") == 5000
+        assert _argmax(step, 10, 10, "test") == 5000
         assert len(calls) <= 2 * math.log2(HARD_CEILING)
-        assert _argmax(lambda n: 77 - n, 10, "test") == 77  # first of a tie
-        assert _argmax(lambda n: -1.0, 10, "test") == 10
-        assert _argmax(lambda n: HARD_CEILING - n, 10, "test") == HARD_CEILING
+        assert _argmax(lambda n: 77 - n, 10, 10, "test") == 77  # first of a tie
+        assert _argmax(lambda n: -1.0, 10, 10, "test") == 10
+        assert _argmax(lambda n: HARD_CEILING - n, 10, 10, "test") == HARD_CEILING
 
     def test_maximizer_beyond_the_ceiling_fails_at_once(self):
         # The dual-system estimate is 100001**2 = 1.00002e10.
@@ -654,6 +776,30 @@ EDGE_ROWS = (
 )
 
 
+def test_step_forms_give_values_without_warnings_on_edge_rows():
+    # N = x0 and x0 + 1 (adpl-mtb: x0 + 1 only), scalar and array forms.
+    # At N = x0 the pl-mt ratio of (95000001, 0, 0) rounds to -1: the
+    # profile step is -inf there, and the forms with margin terms are +inf.
+    forms = {
+        "pl-mt": kernels.log_profile_mt_step,
+        "mpl-mt": kernels.log_mpl_mt_step,
+        "adpl-mt": lambda n, t: kernels.log_adpl_mt_step(n, t, 0.5),
+        "adpl-mtb": lambda n, t: kernels.log_adpl_mtb_step(n, t, 0.5),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for cells in filter(sum, EDGE_ROWS):  # the all-zero row is no table
+            t = DualRecordTable(*cells)
+            rows = TableArrays.from_cells(*([c, c] for c in cells))
+            for kind, form in forms.items():
+                for n in (t.x0, t.x0 + 1)[kind == "adpl-mtb":]:
+                    value = form(n, t)
+                    array = form(np.array([n, n], dtype=float), rows)
+                    np.testing.assert_array_equal(array, [value, value])
+                    if cells == (95000001, 0, 0) and n == t.x0:
+                        assert value == (-math.inf if kind == "pl-mt" else math.inf)
+
+
 class TestBatchEstimates:
     """``estimate_batch`` equals ``estimate`` row by row."""
 
@@ -728,8 +874,8 @@ class TestBatchEstimates:
         assert batch.n_hat[0] == a * b / x11 != float(a) * float(b) / x11
 
     def test_the_rounding_bound_leaves_few_probes_to_decimal(self, monkeypatch):
-        # 86 of this estimate's probes fall inside their rounding bound; an
-        # absolute tolerance of 1e-10 sent all 142 to decimal.
+        # 78 of this estimate's 112 probes fall inside their rounding bound;
+        # an absolute tolerance of 1e-10 sent every probe to decimal.
         calls = []
         decimal_step = kernels._decimal_step
         monkeypatch.setattr(
@@ -737,7 +883,7 @@ class TestBatchEstimates:
         )
         table = DualRecordTable(250000, 150000, 200000)
         assert parse_estimator("adpl-mtb:recapture:1.25").estimate(table).n_hat == 784337
-        assert len(calls) == 86
+        assert len(calls) == 78
 
     def test_one_pass_advances_every_row_along_its_scalar_path(self, monkeypatch):
         passes = []

@@ -239,7 +239,7 @@ class TestStableSteps:
         t = DualRecordTable(*cells)
         lower = t.x0 + (kind == "adpl-mtb")
         try:
-            center = _argmax(lambda m: step_sign(kind, m, t, delta), lower, kind)
+            center = _argmax(lambda m: step_sign(kind, m, t, delta), lower, lower, kind)
         except NoFiniteMaximumError:
             center = HARD_CEILING
         probes = [m for m in (center - 1, center, center + 1) if m >= lower]
@@ -269,8 +269,9 @@ class TestStableSteps:
 
     def test_a_ratio_rounded_to_minus_one_is_decided_in_decimal(self):
         # x1.*x.1 = 95000001**2 rounds down to an even double, so at N = x0
-        # the pl-mt ratio -1 + 1/(x0+1) rounds to -1: the double step is -inf
-        # (pl-mt) or NaN (with the +inf margin terms), and both go to decimal.
+        # the pl-mt ratio -1 + 1/(x0+1) rounds to -1: the double pl-mt step
+        # is -inf and goes to decimal; the mpl-mt and adpl-mt steps, whose
+        # margin terms are +inf at N = x0, are +inf.
         t = DualRecordTable(95000001, 0, 0)
         n = t.x0
         assert log_profile_mt_step(n, t) == -math.inf
