@@ -190,8 +190,13 @@ estimate_cases() {
   done
 }
 
+# (1, 3000, 3000) and (95000001, 0, 0) take the decimal recheck in all four
+# kernels; (95000001, 0, 0) also reaches the search ceiling (adpl-mtb:scaled),
+# delta = 1 (adpl-mtb:recapture, as (5, 0, 3) does) and the nuisance edges
+# c_hat = 1, p_hat = 0 and phi_hat = inf, or none at all where N_hat = x1.
 for cells in "50 30 20" "2 500 400" "0 0 5" "0 1 3" "2 9007199254740985 4" \
-  "15000 9000 6000" "25000 15000 20000" "250000 150000 200000" "400000 240000 320000"; do
+  "15000 9000 6000" "25000 15000 20000" "250000 150000 200000" "400000 240000 320000" \
+  "1 3000 3000" "95000001 0 0" "5 0 3"; do
   estimate_cases "$cells" "dse pl-mt mpl-mt pl-mtb \
     adpl-mtb:fixed:0.5 adpl-mtb:scaled:1.25 adpl-mtb:recapture:1.25 \
     adpl-mt:fixed:0.5 adpl-mt:scaled:1.25 adpl-mt:recapture:1.25 adpl-mt:scaled:4"

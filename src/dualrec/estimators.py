@@ -39,7 +39,10 @@ solver of replicate cell arrays. :meth:`EstimatorSpec.estimate_batch` runs
 it on many rows. :meth:`EstimatorSpec.estimate` and the public functions
 run it on a single table as a one-row batch whose failure rule raises,
 where a batch leaves the failed row NaN, and then only build the report
-(nuisance values, the plug-in se of dse, flags and notes). So each
+(nuisance values, the plug-in se of dse, flags and notes). A selection of
+every row gives back the arrays it was given, and the scalar search reads
+the row's four counts as integers, so the one-row batch copies no table
+arrays and validates no table again. So each
 estimator's rules (its closed form or search, its guards, its failures and
 their messages, the fixed-point iteration) are written once. A table's
 total x0 stays below 2**53, so every count, margin and x0 + 1 the solvers
@@ -55,7 +58,7 @@ Row by row the two give the same estimates, adjustments and failures.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -202,7 +205,7 @@ class DeltaPolicy:
             n: candidate population size (required for scaled/recapture).
             table: observed table (required for recapture, to form c_hat).
         """
-        if self.variant != "fixed" and (n is None or n <= 0):
+        if self.variant != "fixed" and (n is None or not n > 0):  # NaN too
             raise ValidationError(f"{self.variant} policy requires a positive N, got {n}")
         if self.variant == "recapture":
             if table is None:
@@ -213,7 +216,8 @@ class DeltaPolicy:
 
     def deltas(self, n: np.ndarray, tables: TableArrays) -> np.ndarray:
         """:meth:`delta` at N = n[i] on row i, for rows with x1. >= 1."""
-        return np.full(np.shape(n), self._formula(n, tables))
+        d = self._formula(n, tables)
+        return d if self.requires_n() else np.full(len(n), d)
 
     def _formula(self, n, cells):
         """delta at N = n for the cells of a table, or of TableArrays row by row."""
@@ -236,7 +240,7 @@ def _ignore(rows, error) -> None:
 
 def _raise(rows, error) -> None:
     """The failure rule of a single table, solved as a one-row batch: raise for its row."""
-    if rows.any():
+    if np.count_nonzero(rows):
         raise error()
 
 
@@ -316,22 +320,22 @@ def _argmax_batch(kind: str, tables: TableArrays, lower, delta, guess, fail=_ign
     NoFiniteMaximumError, and tells ``fail`` those rows (rows with lower[i]
     above HARD_CEILING are never probed).
     """
-    lower = np.minimum(lower, HARD_CEILING + 1).astype(np.int64)
-    guess = np.minimum(np.maximum(guess, lower), HARD_CEILING).astype(np.int64)
-    if lower.size == 1:
-        table, d, low = tables.row(0), float(np.ravel(delta)[0]), lower.item()
+    if len(lower) == 1:
+        table, d = tables.row(0), float(delta[0])
         try:
-            hi = np.array([_argmax(lambda m: kernels.step_sign(kind, m, table, d),
-                                   low, guess.item(), kind)])
+            return np.array([_argmax(lambda m: kernels.step_sign(kind, m, table, d),
+                                     int(lower[0]), int(guess[0]), kind)])
         except NoFiniteMaximumError:
             hi = np.array([-1])
     else:
+        lower = np.minimum(lower, HARD_CEILING + 1).astype(np.int64)
+        guess = np.minimum(np.maximum(guess, lower), HARD_CEILING).astype(np.int64)
         n = lower.size
         hi = np.full(n + 1, HARD_CEILING + 1)  # hi[n] takes the pad rows' answers
         rows, lo, top, guess, low, delta, *cells = (
             np.concatenate([[pad], values]) for pad, values in zip(
                 (n, *_PAD_ROW), (np.arange(n), lower - 1, hi[:n], guess, lower,
-                                 np.broadcast_to(delta, lower.shape), *tables)))
+                                 delta, *tables)))
         searching, active = top - lo > 1, -1
         while True:
             live = np.count_nonzero(searching)
@@ -601,16 +605,17 @@ def _dse_values(tables: TableArrays) -> np.ndarray:
     """
     num = tables.x1_dot * tables.x_dot1
     r = num / tables.x11
-    for i in np.flatnonzero(num >= 2.0**53):
+    for i in (num >= 2.0**53).nonzero()[0]:
         r[i] = int(tables.x1_dot[i]) * int(tables.x_dot1[i]) / int(tables.x11[i])
     return r
 
 
 def _dse_batch(tables: TableArrays, *_, fail=_ignore) -> BatchEstimate:
     """Row-by-row :func:`dse`; ``fail`` is as in :func:`_mt_batch`."""
-    rows = tables.x11 > 0
-    fail(~rows, lambda: UndefinedEstimateError("dual-system estimate undefined: x11 = 0"))
-    n_hat = np.full(tables.x11.size, np.nan)
+    undefined = tables.x11 == 0
+    fail(undefined, lambda: UndefinedEstimateError("dual-system estimate undefined: x11 = 0"))
+    rows = (~undefined).nonzero()[0]
+    n_hat = np.full(len(undefined), np.nan)
     n_hat[rows] = _dse_values(tables.take(rows))
     return BatchEstimate(n_hat)
 
@@ -628,12 +633,12 @@ def _mt_batch(kind: str, tables: TableArrays, *_, fail=_ignore) -> BatchEstimate
     raises it.
     """
     likelihood = "modified profile likelihood" if kind == "mpl-mt" else "profile likelihood"
-    error = f"{likelihood} has no finite maximizer: x11 = 0"
-    fail(tables.x11 == 0, lambda: UndefinedEstimateError(error))
-    n_hat = np.full(tables.x11.size, np.nan)
-    rows = np.flatnonzero(tables.x11 > 0)
+    undefined = tables.x11 == 0
+    fail(undefined, lambda: UndefinedEstimateError(f"{likelihood} has no finite maximizer: x11 = 0"))
+    n_hat = np.full(len(undefined), np.nan)
+    rows = (~undefined).nonzero()[0]
     t = tables.take(rows)
-    found = _argmax_batch(kind, t, t.x0, 1.0, np.rint(_dse_values(t)), fail)
+    found = _argmax_batch(kind, t, t.x0, np.ones(len(rows)), np.rint(_dse_values(t)), fail)
     n_hat[rows] = np.where(found >= 0, found, np.nan)
     return BatchEstimate(n_hat)
 
@@ -642,7 +647,8 @@ def _fixed_point_batch(solve, start: np.ndarray, fail=_ignore, capped=None) -> n
     """The candidate fixed-point iteration of the adjusted estimators, per row.
 
     ``solve(rows, n)`` returns T(n[j]), the argmax at delta(n[j]), for each
-    row rows[j], or -1 where the solve fails. Row i iterates N -> T(N) from
+    row rows[j] (increasing indices of the rows still moving), or -1 where
+    the solve fails. Row i iterates N -> T(N) from
     its anchor a = start[i] and ends in one of two ways: at a fixed point, or
     failed (-1) when a solve fails or the row is still moving after 60 solves;
     ``fail(rows, capped)`` is told the rows of the latter.
@@ -657,14 +663,14 @@ def _fixed_point_batch(solve, start: np.ndarray, fail=_ignore, capped=None) -> n
     the double delta(N) is constant over runs of N.
     """
     cur = start.copy()
-    moving = np.ones(start.size, dtype=bool)
+    moving = np.ones(len(start), dtype=bool)
     for _ in range(60):
-        rows = np.flatnonzero(moving)
-        if not rows.size:
+        rows = moving.nonzero()[0]
+        if not len(rows):
             break
-        nxt = solve(rows, cur[rows].astype(float))
-        moving[rows] = (nxt >= 0) & (nxt != cur[rows])
-        cur[rows] = nxt
+        n = cur[rows]
+        cur[rows] = nxt = solve(rows, n)
+        moving[rows] = (nxt >= 0) & (nxt != n)
     fail(moving, capped)
     cur[moving] = -1
     return cur
@@ -681,61 +687,69 @@ def _adpl_batch(
     x1. = 0, and then at the first solve that finds delta >= 1 (adpl-mtb)
     or no maximum below HARD_CEILING, or at the 60-solve cap.
     """
-    if oracle_n is not None and policy.requires_n() and np.any(oracle_n <= 0):
-        bad = oracle_n[oracle_n <= 0][0]
+    if oracle_n is not None and policy.requires_n() and not (oracle_n > 0).all():  # NaN too
+        bad = oracle_n[~(oracle_n > 0)][0]
         raise ValidationError(f"{policy.variant} policy requires a positive N, got {bad:g}")
-    ok = np.ones(tables.x11.size, dtype=bool)
+    ok = tables.x1_dot > 0
+    empty = ~ok
     if kind == "adpl-mt" and not policy.requires_n():
-        ok = 2.0 * (policy.value - 1.0) < tables.x11
-        fail(~ok, lambda: NoFiniteMaximumError(
+        finite = 2.0 * (policy.value - 1.0) < tables.x11
+        fail(~finite, lambda: NoFiniteMaximumError(
             f"adjustment delta = {policy.value:.6g} is at or above the divergence threshold "
-            f"1 + x11/2 = {1.0 + tables.x11[~ok][0] / 2.0:.6g}: the adjusted kernel increases "
+            f"1 + x11/2 = {1.0 + tables.x11[~finite][0] / 2.0:.6g}: the adjusted kernel increases "
             "without bound"))
-    empty = ok & (tables.x1_dot == 0)
+        empty &= finite  # a row fails once, at its first rule
+        ok &= finite
     fail(empty, lambda: UndefinedEstimateError("adjusted profile estimation requires x1. >= 1"))
-    rows = np.flatnonzero(ok & ~empty)
+    rows = ok.nonzero()[0]
     t = tables.take(rows)
-    lower = t.x0 + (kind == "adpl-mtb")
+    lower = t.x0 + 1.0 if kind == "adpl-mtb" else t.x0
     anchor = 2.0 * t.x0
-    overlap = t.x11 > 0
+    overlap = (t.x11 > 0).nonzero()[0]
     anchor[overlap] = np.rint(_dse_values(t.take(overlap)))
-    start = np.minimum(np.maximum(anchor, lower + 1), HARD_CEILING).astype(np.int64)
+    start = np.minimum(np.maximum(anchor, lower + 1), HARD_CEILING)
+    delta = np.empty(len(rows))  # each row's delta at its latest solve; every row has one
 
     def solve(idx: np.ndarray, n: np.ndarray, guess: np.ndarray) -> np.ndarray:
         """T at delta(n[j]) for row idx[j], searched from guess[j]; -1 where it fails."""
         sub = t.take(idx)
-        d = policy.deltas(n, sub)
+        delta[idx] = d = policy.deltas(n, sub)
         good = (d < 1.0) | (kind == "adpl-mt")
         fail(~good, lambda: NoFiniteMaximumError(f"adjustment delta = {d[~good][0]:.6g} violates "
                                                  "the finite-maximum requirement delta < 1"))
-        found = np.full(idx.size, -1, dtype=np.int64)
-        found[good] = _argmax_batch(
-            kind, sub.take(good), lower[idx[good]], d[good], guess[good], fail)
+        searched = good.nonzero()[0]
+        if len(searched) == len(idx):  # every row searches: nothing to leave at -1
+            return _argmax_batch(kind, sub, lower[idx], d, guess, fail)
+        found = np.full(len(idx), -1, dtype=np.int64)
+        found[searched] = _argmax_batch(kind, sub.take(searched), lower[idx[searched]],
+                                        d[searched], guess[searched], fail)
         return found
 
     if oracle_n is not None or not policy.requires_n():
-        at = np.ones(rows.size) if oracle_n is None else oracle_n[rows]
-        found = solve(np.arange(rows.size), at, start)
+        at = start if oracle_n is None else oracle_n[rows]  # a fixed delta ignores N
+        found = solve(np.arange(len(rows)), at, start)
     else:
-        # Each solve starts from its current iterate, so a settled row costs two probes.
+        # Each solve starts from its current iterate, so a settled row costs
+        # two probes; a row's last solve was at its fixed point.
         found = _fixed_point_batch(lambda idx, n: solve(idx, n, n), start, fail,
                                    lambda: NoFiniteMaximumError(
                                        f"{kind}: no fixed point of the candidate map in 60 solves"))
-        at = found.astype(float)
-    n_hat = np.full(tables.x11.size, np.nan)
-    delta_used = np.full(tables.x11.size, np.nan)
     good = found >= 0
-    n_hat[rows[good]] = found[good]
-    delta_used[rows[good]] = policy.deltas(at, t)[good]
+    n_hat = np.full(len(tables.x11), np.nan)
+    delta_used = n_hat.copy()
+    n_hat[rows] = np.where(good, found, np.nan)
+    delta_used[rows] = np.where(good, delta, np.nan)
     return BatchEstimate(n_hat, delta_used)
 
 
-def _attach_nuisance(report: EstimateReport, table: DualRecordTable) -> EstimateReport:
+def _report(method: str, table: DualRecordTable, n_hat: float, n_int: int, **fields) -> EstimateReport:
+    """The report of n_hat (integer n_int) with ``fields``, and the nuisance values where defined."""
     try:
-        p1_hat, p_hat, c_hat, phi_hat = recover_nuisance(report.n_hat, table)
+        fields["p1_hat"], fields["p_hat"], fields["c_hat"], fields["phi_hat"] = recover_nuisance(
+            n_hat, table)
     except EstimationError:
-        return report
-    return replace(report, p1_hat=p1_hat, p_hat=p_hat, c_hat=c_hat, phi_hat=phi_hat)
+        pass
+    return EstimateReport(method, n_hat, n_int, **fields)
 
 
 def _dse_report(method: str, table: DualRecordTable, batch: BatchEstimate) -> EstimateReport:
@@ -746,7 +760,7 @@ def _dse_report(method: str, table: DualRecordTable, batch: BatchEstimate) -> Es
     p2 = table.x_dot1 / r
     if 0.0 < p1 < 1.0 and 0.0 < p2 < 1.0:
         se = math.sqrt(_var_dse(r, p1, p2, 1.0))
-    return _attach_nuisance(EstimateReport(method, r, math.floor(r), se=se), table)
+    return _report(method, table, r, math.floor(r), se=se)
 
 
 def _argmax_report(
@@ -754,7 +768,7 @@ def _argmax_report(
 ) -> EstimateReport:
     """The report of an integer estimate, with ``fields`` and the nuisance values at it."""
     n = int(batch.n_hat[0])
-    return _attach_nuisance(EstimateReport(method, float(n), n, **fields), table)
+    return _report(method, table, float(n), n, **fields)
 
 
 def _boundary_report(method: str, table: DualRecordTable, batch: BatchEstimate) -> EstimateReport:
@@ -804,8 +818,8 @@ def _estimate(
     oracle_n: float | None = None,
 ) -> EstimateReport:
     """``method`` on one table: its solver on a one-row batch that raises, then its report."""
-    cells = (table.x11, table.x1_dot, table.x_dot1, table.x0)  # exact doubles: x0 < 2**53
-    row = TableArrays(*(np.array([float(v)]) for v in cells))
+    cells = np.array([table.x11, table.x1_dot, table.x_dot1, table.x0], dtype=float)  # x0 < 2**53
+    row = TableArrays(cells[0:1], cells[1:2], cells[2:3], cells[3:4])
     at = None if oracle_n is None else np.array([float(oracle_n)])
     solve_batch, report, _ = _METHODS[method]
     return report(method, table, solve_batch(row, policy, at, fail=_raise))
@@ -875,8 +889,11 @@ class EstimatorSpec:
         row's ``true_n``: the same n_hat and delta_used, and a failure (NaN)
         exactly where it raises EstimationError or the table is all-zero.
         :meth:`estimate` runs this same solver on its table as a one-row
-        batch and adds the report, so it costs about the same (about 0.2 ms
-        for ``adpl-mtb:scaled:1.25`` on (50, 30, 20)). The closed forms are
+        batch and adds the report, so it costs about the same: about 0.1 ms
+        for ``adpl-mtb:scaled:1.25`` on (50, 30, 20) on a 2-core Xeon, of
+        which its six scalar step signs take about 15 us. A batch of one row
+        reads its counts without validating a table again, and a solve in
+        which every row takes part selects none. The closed forms are
         array expressions; each argmax search advances every row still
         searching by one probe per pass, on a state that holds only those
         rows, and a single row takes the scalar search. Each row keeps the count

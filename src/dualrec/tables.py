@@ -206,7 +206,8 @@ class TableArrays(NamedTuple):
     """Replicate tables as parallel float arrays: row i is one table.
 
     The fields mirror the :class:`DualRecordTable` attributes that the kernel
-    step forms read, so their array branches accept either. Every row keeps
+    step forms read, so their array branches accept either, and the scalar
+    forms accept a :meth:`row` of Python integers as a table. Every row keeps
     the count rule of a table, a total x0 below 2**53, so its counts, margins
     and x0 + 1 are exact doubles, and sums and products of them round
     exactly as the same Python integer expressions do when converted.
@@ -239,14 +240,22 @@ class TableArrays(NamedTuple):
         _require_total(x0)
         return cls(a, a + b, a + d, x0)
 
-    def take(self, rows) -> "TableArrays":
-        """The tables at the given row indices (or boolean mask)."""
+    def take(self, rows: np.ndarray) -> "TableArrays":
+        """The tables at the given increasing row indices.
+
+        Indices of every row give back these arrays themselves: the solvers
+        only read a TableArrays, so sharing its arrays is safe.
+        """
+        if len(rows) == len(self.x11):
+            return self
         return TableArrays(*(field[rows] for field in self))
 
-    def row(self, i: int) -> DualRecordTable:
-        """Row ``i`` as a :class:`DualRecordTable`."""
-        x11 = int(self.x11[i])
-        return DualRecordTable(x11, int(self.x1_dot[i]) - x11, int(self.x_dot1[i]) - x11)
+    def row(self, i: int) -> "TableArrays":
+        """Row ``i`` as Python integers, one table that the kernels read as a DualRecordTable.
+
+        The row is not validated again: it already keeps the count rule.
+        """
+        return TableArrays(*(int(field[i]) for field in self))
 
 
 @dataclass(frozen=True)

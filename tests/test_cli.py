@@ -293,6 +293,23 @@ class TestEstimateCommand:
         assert code == 1
         assert "error" in err
 
+    def test_help_names_the_reproduced_case_study(self, tmp_path, capsys):
+        # The epilog agrees with case_studies.note in the bundled reference
+        # data: the urban-area estimate is reproduced on one consistent table.
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["estimate", "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "(1646, 316, 804) under --method adpl-mtb --delta recapture:4 gives 3428" in text
+        assert "cannot be recomputed" not in text
+        note = cli.load_published_reference()["case_studies"]["note"]
+        assert "(1646, 316, 804)" in note and "n_hat = 3428" in note
+        path = tmp_path / "urban.json"
+        path.write_text('{"x11": 1646, "x10": 316, "x01": 804}\n')
+        code, out, _ = run_cli(["estimate", "--table", str(path), "--method", "adpl-mtb",
+                                "--delta", "recapture:4", "--json"], capsys)
+        assert code == 0 and json.loads(out)["n_hat"] == 3428
+
 
 class TestSimulateCommand:
     def _config_path(self, tmp_path, replicates=30):

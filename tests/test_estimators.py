@@ -735,6 +735,30 @@ class TestFailures:
             spec.estimate_batch([50], [30], [20], true_n=-3)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("method", ["adpl-mtb", "adpl-mt"])
+    @pytest.mark.parametrize("variant", ["scaled", "recapture"])
+    def test_a_nan_oracle_size_is_rejected_on_both_paths(self, method, variant):
+        # NaN passes a test of N <= 0: it reached the decimal recheck
+        # (decimal.InvalidOperation) or the delta >= 1 rule ("delta = nan").
+        spec = parse_estimator(f"{method}:{variant}:1.25@oracle")
+        message = f"{variant} policy requires a positive N, got nan"
+        with pytest.raises(ValidationError) as exc:
+            spec.estimate(T, true_n=math.nan)
+        assert str(exc.value) == message
+        with pytest.raises(ValidationError) as exc:
+            spec.estimate_batch([50, 60], [30, 30], [20, 20], true_n=[500, math.nan])
+        assert str(exc.value) == message
+        with pytest.raises(ValidationError) as exc:
+            spec.policy.delta(math.nan, T)
+        assert str(exc.value) == message
+        # An infinite size stays accepted: its delta is exactly 1.
+        assert spec.policy.delta(math.inf, T) == 1.0
+        if method == "adpl-mt":
+            assert spec.estimate(T, true_n=math.inf).delta_used == 1.0
+        else:
+            with pytest.raises(NoFiniteMaximumError, match="delta = 1 violates"):
+                spec.estimate(T, true_n=math.inf)
+
     @pytest.mark.parametrize("descriptor", [d for d in DESCRIPTORS if d not in ("dse", "pl-mtb")])
     def test_the_search_engine_follows_the_row_count(self, descriptor, monkeypatch):
         # One row is searched by the scalar bisection, two or more by the
@@ -754,6 +778,30 @@ class TestFailures:
         two = spec.estimate_batch([50, 50], [30, 30], [20, 20])
         assert passes
         assert list(two.n_hat) == [want.n_hat] * 2
+
+
+@pytest.mark.parametrize("descriptor", DESCRIPTORS)
+def test_a_single_table_builds_no_table_and_evaluates_each_probe_once(descriptor, monkeypatch):
+    # The one-row solve reads its counts without validating a table again,
+    # and calls step_sign once per probe of the scalar search. (1, 3000, 3000)
+    # takes the decimal recheck in every kernel, which reads the row too.
+    tables = [T, DualRecordTable(1, 3000, 3000)]
+    spec = parse_estimator(descriptor)
+    built, probes, signs = [], [], []
+    post_init, next_probe, step_sign = DualRecordTable.__post_init__, est_module._next_probe, kernels.step_sign
+    monkeypatch.setattr(DualRecordTable, "__post_init__", lambda self: built.append(1) or post_init(self))
+    monkeypatch.setattr(est_module, "_next_probe", lambda *args: probes.append(1) or next_probe(*args))
+    monkeypatch.setattr(kernels, "step_sign", lambda *args: signs.append(1) or step_sign(*args))
+    monkeypatch.setattr(kernels, "step_signs", None)  # the vectorized engine is not run
+    for table in tables:
+        spec.estimate(table)
+    assert not built
+    assert len(signs) == len(probes)
+    assert (len(signs) > 0) == (descriptor not in ("dse", "pl-mtb"))
+    if descriptor == "adpl-mtb:scaled:1.25":
+        signs.clear()
+        spec.estimate(T)
+        assert len(signs) == 6
 
 
 # x1.*x.1 > 2**53 and DSE = x0 + 2.5: the double quotient rounds to x0 + 3
