@@ -7,8 +7,9 @@
 # is the src directory next to this script. Outputs go to WORK_DIR. Every
 # reproduce target (with the --svg plot of each figure), a simulate study of
 # every method and policy in both delta modes, large-N, window-edge and
-# mixed-N studies, a study of two stack groups that share sampling windows
-# across populations, a study at N = 1e5 whose fixed-point iterates rise on
+# mixed-N studies, the benchmark's N = 1e6 sampling study at two seeds, a
+# study of two stack groups that share sampling windows across populations,
+# a study at N = 1e5 whose fixed-point iterates rise on
 # one population and fall on the other, single-table estimate reports
 # (stdout, stderr and exit code, two of them on candidate maps with two fixed
 # points), and estimate reports with a parametric bootstrap run on both sides. reproduce and simulate solve many rows per
@@ -85,23 +86,24 @@ cat > "$work/study.json" <<'JSON'
  "replicates": 20, "seed": 7}
 JSON
 # Large-N draws: at N <= 500 every CDF window starts at 0, so only these
-# populations exercise the window's left bound; the closed forms keep the
-# study to sampling. At seed 7, 10 of the 19 distinct stage-3 windows of
-# "straddle" are wider than a padded block (_BLOCK) and 9 are not, so one
-# draw_binomial call has windows on both sides of that size.
+# populations exercise the window's left bound and the trimmed rows; the
+# closed forms keep the study to sampling. At seed 7, 10 of the 19 distinct
+# stage-3 rows of "straddle" are at least _ALONE wide, each a block of its
+# own, and 9 are narrower and share padded blocks, so one draw_binomial
+# call has rows on both sides of that size.
 cat > "$work/large.json" <<'JSON'
 {"populations": [
    {"label": "M", "N": 1000000, "p1": 0.6, "p_dot1": 0.7, "phi": 1.25},
    {"label": "G", "N": 1000000000, "p1": 0.6, "p_dot1": 0.7, "phi": 1.25},
    {"label": "skewed", "N": 1000000, "p1": 0.02, "p_dot1": 0.3, "phi": 1.0},
-   {"label": "straddle", "N": 887500, "p1": 0.5, "p_dot1": 0.65, "phi": 1.25}],
+   {"label": "straddle", "N": 328000, "p1": 0.5, "p_dot1": 0.65, "phi": 1.25}],
  "estimators": ["dse", "pl-mtb"],
  "replicates": 20, "seed": 7}
 JSON
 # Window ends: at p1 = 0.98, p.1 = 0.97 (N = 2000) every stage's window ends
-# at n; at N = 1e7 every window is still wider than a padded block, so each
-# is a block of one row that reads its log-factorials as slices; N = 3 has
-# windows of a few points.
+# at n; at N = 1e7 every row is at least _ALONE wide, so each is a block of
+# one row that reads its log-factorials as slices; N = 3 has windows of a
+# few points.
 cat > "$work/ends.json" <<'JSON'
 {"populations": [
    {"label": "high", "N": 2000, "p1": 0.98, "p_dot1": 0.97, "phi": 1.0},
@@ -156,7 +158,17 @@ cat > "$work/gallop.json" <<'JSON'
    "adpl-mt:fixed:0.5", "adpl-mtb:scaled:1.25@oracle"],
  "replicates": 20, "seed": 7}
 JSON
-for study in study large ends mixed group gallop; do
+# The benchmark's sample-large-n study (N = 1e6, R = 50, the closed forms)
+# at two seeds.
+for seed in 4 5; do
+  cat > "$work/sample$seed.json" <<JSON
+{"populations": [
+   {"label": "L1", "N": 1000000, "p1": 0.6, "p_dot1": 0.7, "phi": 1.25}],
+ "estimators": ["dse", "pl-mtb"],
+ "replicates": 50, "seed": $seed}
+JSON
+done
+for study in study large ends mixed group gallop sample4 sample5; do
   for side in base head; do
     run "$side" "$work/$side-$study.csv" simulate --config "$work/$study.json" ||
       report "fails on $side: simulate $study"

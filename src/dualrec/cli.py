@@ -20,6 +20,7 @@ bundled reference file, never computed here.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -403,9 +404,14 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser of :func:`main`, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except EstimationError as exc:

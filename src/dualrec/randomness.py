@@ -18,32 +18,42 @@ of conditional binomials (x11, then x10, then x01), each inverted through its
 CDF in double precision (within about 4e-12 of the exact CDF at n = 2e5; see
 :func:`binomial_cdf`). Inversion makes the draw a pure function of the
 uniforms, so results do not depend on execution order or on the library
-version of a rejection sampler. Each CDF is built only over a window sized by
-Bernstein tail bounds, outside which it is exactly 0.0 or 1.0 in double: about
-39.2 sd left of the mean at large n, where the terms underflow to 0.0, and
-about 10 sd right of it, where they fall below 2**-53 and no longer change a
-running sum of at least 1. So a draw at n = 1e9 holds about 800 000 doubles,
-not a billion, and the draws equal inversion of the full n + 1 point CDF bit
-for bit. Each stage of :func:`draw_tables` is one
+version of a rejection sampler. The reference CDF, :func:`binomial_cdf`, is
+built only over a window sized by Bernstein tail bounds, outside which it is
+exactly 0.0 or 1.0 in double: about 39.2 sd left of the mean at large n,
+where the terms underflow to 0.0, and about 10 sd right of it, where they
+fall below 2**-53 and no longer change a running sum of at least 1. Its
+inversion equals that of the full n + 1 point CDF bit for bit. The rows
+:func:`draw_binomial` searches start where a uniform can land instead, about
+10.6 sd left of the mean at n = 1e6, where the terms left of the row hold at
+most e**-42 of the largest: so a draw at n = 1e9 holds about 350 000 doubles,
+not a billion. A trimmed row holds the window's terms, but its running sum
+starts later, so its CDF may differ from the window's in the low bits, by
+at most a bound B of about 4W * 2**-53 for a window of W points. Each draw
+from a trimmed row is kept only where its uniform lies more than B from the
+row's CDF steps on either side, which proves it the full CDF's draw; the
+rare other draws (about 4B of them) are inverted again on
+:func:`binomial_cdf`, the fallback. So the draws equal inversion of the full
+CDF bit for bit. Each stage of :func:`draw_tables` is one
 :func:`draw_binomial` call over every row, and a study draws all the rows of
 a stack group of populations in one such call, so a stage holds many
-(trials, probability) pairs at once. :func:`draw_binomial` builds one window
-per distinct pair of the call and sizes all the windows in closed form.
-Windows whose ranges overlap, such as those of one population in one stage,
+(trials, probability) pairs at once. :func:`draw_binomial` builds one row
+per distinct pair of the call and sizes all the rows in closed form.
+Rows whose ranges overlap, such as those of one population in one stage,
 form a cluster that evaluates ``gammaln`` once over the union of its
-windows, and the clusters are built one after another, so populations far
-apart never share, or hold at once, a log-factorial table. A cluster's
-windows are built as rows of padded blocks of about 2**14 doubles, each with
-one row-wise cumulative sum; a window wider than that is a block of one row
-that reads the cluster's log-factorials as slices, so the nearly overlapping
-windows of one stage evaluate ``gammaln`` about once, not once each. A block of
-several rows is inverted by one search over all of its rows, whose keys
-place each row's CDF on the 53-bit grid of the uniforms, so it is exact for
-every uniform :func:`uniforms` draws. :func:`binomial_cdf` stays the
-reference, and builds the rare window whose edge check fails. Nothing is kept
-from one call to the next: the populations of a study share pairs only within
-a stack group (14-16% of the windows of the fig1-fig3 studies at R = 200),
-and the group's one call builds each of them once.
+rows, and the clusters are built one after another, so populations far
+apart never share, or hold at once, a log-factorial table. A row of 2**12
+points or more is a block of its own that reads the cluster's
+log-factorials as slices, so the nearly overlapping rows of one stage
+evaluate ``gammaln`` about once, not once each; narrower rows are built in
+padded blocks of about 2**14 doubles, each with one row-wise cumulative sum.
+A block of several rows is inverted by one search over all of its rows,
+whose keys place each row's CDF on the 53-bit grid of the uniforms, so it
+is exact for every uniform :func:`uniforms` draws. :func:`binomial_cdf` also
+builds the rare row whose edge check fails. Nothing is kept from one call to
+the next: the populations of a study share pairs only within a stack group
+(14-16% of the windows of the fig1-fig3 studies at R = 200), and the group's
+one call builds each of them once.
 """
 
 from __future__ import annotations
@@ -73,8 +83,9 @@ __all__ = [
 DEFAULT_SEED = 20260823
 
 # The largest population size drawn from: the range over which the CDF
-# windows and their accuracy are documented (a draw at 1e9 holds about
-# 800 000 doubles; the windows grow as sqrt(N)).
+# windows and their accuracy are documented (at 1e9 a draw's row holds about
+# 350 000 doubles and binomial_cdf's window about 800 000; both grow as
+# sqrt(N)).
 MAX_N = 10**9
 
 PURPOSE_STUDY = 0
@@ -135,8 +146,39 @@ _UNDERFLOW_LOG = 746.0
 # window, the full CDF is exactly 1.0 from hi on, and the window is the
 # slice [lo, hi] of the full n + 1 point CDF bit for bit.
 _ABSORBED_LOG = 37.0
-# Doubles per padded block of CDF windows in draw_binomial (128 KiB).
+# The rows draw_binomial searches start further right, where a uniform can
+# land: at c = _TRIM_LOG + ln(n + 1), about 10.6 sd left of the mean at
+# n = 1e6, and never left of the full window's lo. Every term left of the
+# row lies at least 42 below the largest log-pmf (the pmf at the mode is at
+# least 1/(n + 1), as in _reach), far beyond the log-pmf's rounding, so both
+# windows subtract the same largest log-pmf and a trimmed row holds the
+# full window's terms from its own lo on; only where the running sum starts
+# differs. The omitted terms sum to m <= 1.01 e**-42: their pmf sums to at
+# most e**-42 / (n + 1) by the bound of _reach, and the log-pmf's rounding
+# (about 1e-5 at n = 1e9) moves them by a factor below 1.01.
+#
+# Bound. Let F and F' be the full window's and the trimmed row's CDF
+# doubles at k, s and s' the exact sums of the terms from each one's lo to
+# k, t and t' their totals, eps = 2**-53 and W the full window's width
+# (W <= 2**25 up to MAX_N). Both cumulative sums are recursive sums of at
+# most W nonnegative doubles, so each sum and total is within
+# W eps / (1 - W eps) of its exact value, relatively; with the division's
+# rounding and s/t <= 1, |F - s/t| <= (2W + 3) eps, and the same for F'.
+# Both totals hold the term 1.0, so t' >= 1 and |s/t - s'/t'| <= m/t' <= m.
+# Hence |F' - F| <= (4W + 6) eps + m. The draw's check compares F' with
+# u - B and u + B rounded to double, each within half an ulp (at most
+# eps/2) of its exact value, and B itself is rounded by a few ulps;
+# B = (4W + 8) eps + 3 e**-42 covers all of it. So F'(k - 1) < u - B and
+# F'(k) >= u + B give F(k - 1) < u <= F(k): k is the draw on the full CDF.
+# Before the row's first point F' counts as 0 and F is at most
+# (4W + 6) eps + m < B, so there the check is u > B. A draw that fails the
+# check is inverted on binomial_cdf.
+_TRIM_LOG = 42.0
+# Doubles per padded block of CDF rows in draw_binomial (128 KiB).
 _BLOCK = 2**14
+# A row at least this wide is a block of its own, which reads its
+# log-factorials as slices rather than gathering them.
+_ALONE = 2**12
 # A block's merged search keys row r's CDF values as r * _ROW_SPAN +
 # floor(F * 2**53) (see _search_rows), so a block holds at most the 1023
 # rows whose keys stay below 2**63.
@@ -155,24 +197,25 @@ def _logpmf(n: int, p: float, k: np.ndarray) -> np.ndarray:
     )
 
 
-def _reach(n, p: float):
-    """Mean and the two half-widths of the closed-form window of Binomial(n, p); n may be an array.
+def _reach(n, p: float, logs):
+    """Mean and the half-widths of the closed-form windows of Binomial(n, p); n may be an array.
 
     Bernstein, one-sided: P(X - np >= t) and P(np - X >= t) are each at most
     exp(-t**2 / (2(np(1 - p) + t/3))), which is exp(-c) at
     t = c/3 + sqrt(c**2/9 + 2c np(1 - p)). The pmf at the mode is at least
     1/(n + 1), so every k at distance t or more on that side lies
-    c - ln(n + 1) or more below the largest log-pmf. The left half-width takes
-    c = _UNDERFLOW_LOG + ln(n + 1), where every term beyond it underflows to
-    0.0; the right one c = _ABSORBED_LOG + ln(n + 1), where every term beyond
-    it is below 2**-53.
+    c - ln(n + 1) or more below the largest log-pmf. Returns one half-width
+    for each L of ``logs``, at c = L + ln(n + 1): _UNDERFLOW_LOG on the left
+    of the full window, where every term beyond it underflows to 0.0;
+    _TRIM_LOG on the left of a trimmed row, where the terms beyond it hold
+    at most e**-42 of the largest; _ABSORBED_LOG on the right, where every
+    term beyond it is below 2**-53.
     """
     mean = n * p
-    left, right = (
+    return mean, *(
         c / 3.0 + np.sqrt(c * c / 9.0 + 2.0 * c * mean * (1.0 - p))
-        for c in (_UNDERFLOW_LOG + np.log(n + 1.0), _ABSORBED_LOG + np.log(n + 1.0))
+        for c in (log + np.log(n + 1.0) for log in logs)
     )
-    return mean, left, right
 
 
 def binomial_cdf(n: int, p: float) -> tuple[int, np.ndarray]:
@@ -202,12 +245,15 @@ def binomial_cdf(n: int, p: float) -> tuple[int, np.ndarray]:
     last to be below 2**-53 (unless hi is n), and both half-widths doubled
     until they are; by the bound, one build is enough.
 
+    It is the reference that the trimmed rows of :func:`draw_binomial` are
+    checked against, and the fallback that inverts a draw whose check fails.
+
     Raises:
         ValueError: unless 0 < p < 1 (``draw_binomial`` handles the ends).
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1), got {p!r}")
-    mean, left, right = _reach(n, p)
+    mean, left, right = _reach(n, p, (_UNDERFLOW_LOG, _ABSORBED_LOG))
     while True:
         lo, hi = max(0, math.floor(mean - left)), min(n, math.ceil(mean + right))
         logpmf = _logpmf(n, p, np.arange(lo, hi + 1, dtype=float))
@@ -266,16 +312,18 @@ class _LogFactorial:
         return self.table[start - self.base[i] : stop - self.base[i]]
 
 
-def _cdf_block(n, p, lo, width, i, log_fact_k, log_fact_nk):
+def _cdf_block(n, p, lo, width, cut, i, log_fact_k, log_fact_nk):
     """CDF windows of Binomial(n[r], p[r]) over [lo[r], lo[r] + width[r]) as rows of one array.
 
-    Row r is the ``f`` of :func:`binomial_cdf` on that window, padded with
-    1.0: the log-pmf is computed element-wise as :func:`_logpmf` does and
-    padded with -inf, whose exact 0.0 terms leave each row's cumulative sum
-    and total as they are. Row r reads interval i[r] of the two
-    log-factorial tables. Returns the rows and a mask of the rows that pass
-    the edge check of :func:`binomial_cdf`: first term 0.0 (or lo at 0),
-    last term below 2**-53 (or hi at n).
+    Row r is built as the ``f`` of :func:`binomial_cdf` is, over its own
+    window, padded with 1.0: the log-pmf is computed element-wise as
+    :func:`_logpmf` does and padded with -inf, whose exact 0.0 terms leave
+    each row's cumulative sum and total as they are. Row r reads interval
+    i[r] of the two log-factorial tables. Rows with ``cut[r]`` start right of
+    the full window's lo (see ``_TRIM_LOG``); the others are that window.
+    Returns the rows and a mask of the rows that pass the edge check of
+    :func:`binomial_cdf`: first term 0.0 (or lo at 0, or a cut row), last
+    term below 2**-53 (or hi at n).
     """
     hi = lo + width - 1
     if n.size == 1:
@@ -301,7 +349,7 @@ def _cdf_block(n, p, lo, width, i, log_fact_k, log_fact_nk):
     f -= f.max(axis=1, keepdims=True)
     np.exp(f, out=f)
     last = f[np.arange(n.size), width - 1]
-    ok = ((lo == 0) | (f[:, 0] == 0.0)) & ((hi == n) | (last < 2.0**-53))
+    ok = ((lo == 0) | cut | (f[:, 0] == 0.0)) & ((hi == n) | (last < 2.0**-53))
     np.cumsum(f, axis=1, out=f)
     # Each row's total is its last column; total / total is exactly 1.0, so
     # every column from the window's last on holds 1.0, as pinned in binomial_cdf.
@@ -310,29 +358,37 @@ def _cdf_block(n, p, lo, width, i, log_fact_k, log_fact_nk):
 
 
 def _cdf_blocks(n: np.ndarray, p: np.ndarray):
-    """(rows, lo, f) blocks of the windows of the distinct pairs (n[i], p[i]).
+    """(rows, lo, f, bound) blocks of the CDF rows of the distinct pairs (n[i], p[i]).
 
-    ``f[j]`` is ``binomial_cdf(n[i], p[i])[1]`` for ``i = rows[j]``, padded
-    with 1.0 to the block's width, and ``lo[j]`` is its lower end. The
-    windows of :func:`binomial_cdf` come from the closed form for all pairs
-    at once. Windows whose k ranges overlap form a cluster, and the clusters
-    are built one after another: each cluster's windows read their
-    log-factorials from two tables of its own, one over the union of their
-    k ranges and one over the union of their n - k ranges (see
-    :class:`_LogFactorial`), so windows far apart never share a table. A
-    cluster's windows are built in padded blocks of about _BLOCK doubles and
-    at most _MAX_ROWS rows, rows sorted by width; a window wider than a
-    block is a block of its own. A window whose edge check fails is built by
-    :func:`binomial_cdf` itself, as a block of one row. Every window that
-    passes the edge check is the same slice of the full CDF, so the draws do
-    not depend on which rows share a block.
+    ``f[j]`` is the CDF of pair ``i = rows[j]`` from ``lo[j]`` to the right
+    end of the window of :func:`binomial_cdf`, padded with 1.0 to the
+    block's width, and ``bound[j]`` is how far it may lie from
+    ``binomial_cdf(n[i], p[i])[1]`` (see ``_TRIM_LOG``). Its left end is at
+    c = _TRIM_LOG + ln(n + 1), about 10.6 sd left of the mean at large n,
+    where the full window's is at about 39.2 sd. Where that is not right of
+    the full window's lo, the row is that window bit for bit and its bound
+    is 0.0. All the windows come from the closed form at once. Rows whose k
+    ranges overlap form a cluster, and the clusters are built one after
+    another: each cluster's rows read their log-factorials from two tables
+    of its own, one over the union of their k ranges and one over the union
+    of their n - k ranges (see :class:`_LogFactorial`), so rows far apart
+    never share a table. A row of _ALONE points or more is a block of its
+    own, which reads its log-factorials as slices; narrower rows are built
+    in padded blocks of at most _BLOCK doubles and _MAX_ROWS rows, sorted
+    by width. A row whose edge check fails is built by :func:`binomial_cdf`
+    itself, as a block of one row. A row's doubles do not depend on which
+    rows share its block.
     """
     if not n.size:
         return
-    mean, left, right = _reach(n, p)
-    lo = np.maximum(0, np.floor(mean - left)).astype(np.int64)
+    mean, left, trim, right = _reach(n, p, (_UNDERFLOW_LOG, _TRIM_LOG, _ABSORBED_LOG))
+    full = np.maximum(0, np.floor(mean - left)).astype(np.int64)
+    lo = np.maximum(full, np.floor(mean - trim).astype(np.int64))
     hi = np.minimum(n, np.ceil(mean + right)).astype(np.int64)
     width = hi - lo + 1
+    cut = lo > full
+    bound = (4.0 * (hi - full + 1) + 8.0) * 2.0**-53 + 3.0 * math.exp(-_TRIM_LOG)
+    bound[~cut] = 0.0
     cluster, *_ = _runs(lo, hi)
     by_cluster = np.argsort(cluster, kind="stable")
     for members in np.split(by_cluster, np.flatnonzero(np.diff(cluster[by_cluster])) + 1):
@@ -342,22 +398,24 @@ def _cdf_blocks(n: np.ndarray, p: np.ndarray):
         start = 0
         while start < members.size:
             # The most rows, up to _MAX_ROWS, whose padded block (rows x
-            # widest row) fits _BLOCK; at least one.
+            # widest row) fits _BLOCK and whose rows are narrower than
+            # _ALONE; at least one.
             w = width[members[by_width[start : start + _MAX_ROWS]]]
-            count = max(1, np.searchsorted(np.arange(1, w.size + 1) * w, _BLOCK, side="right"))
+            fits = (np.arange(1, w.size + 1) * w <= _BLOCK) & (w < _ALONE)
+            count = max(1, np.count_nonzero(fits))
             i = by_width[start : start + count]
             start += count
             rows = members[i]
             f, ok = _cdf_block(
-                n[rows], p[rows], lo[rows], width[rows], i, log_fact_k, log_fact_nk
+                n[rows], p[rows], lo[rows], width[rows], cut[rows], i, log_fact_k, log_fact_nk
             )
             if not ok.all():
                 for r in rows[~ok]:
                     low, g = binomial_cdf(int(n[r]), float(p[r]))
-                    yield np.array([r]), np.array([low]), g[None]
+                    yield np.array([r]), np.array([low]), g[None], np.zeros(1)
                 rows, f = rows[ok], f[ok]
             if rows.size:
-                yield rows, lo[rows], f
+                yield rows, lo[rows], f, bound[rows]
         # Freed before the next cluster's tables are built.
         del f, log_fact_k, log_fact_nk
 
@@ -389,14 +447,18 @@ def draw_binomial(n, p, u) -> np.ndarray:
 
     ``n``, ``p`` and ``u`` broadcast against each other: trial counts and
     probabilities may be one for all entries or one per entry. Each draw is
-    the smallest k with F(k) >= u_i on the full CDF, found in the window of
-    :func:`binomial_cdf`; u_i == 0.0 gives 0, as it does on the full CDF's
-    leading zeros, p_i <= 0 gives 0 and p_i >= 1 gives n_i. Each distinct
-    (n, p) pair's window is built once per call, in the padded blocks of
-    :func:`_cdf_blocks`. A block of one row, such as a wide window, is
-    searched alone; a block of several rows is inverted by one search over
-    all of them (:func:`_search_rows`), exact for the uniforms on the 53-bit
-    grid m * 2**-53, and any other u is searched in its own row.
+    the smallest k with F(k) >= u_i on the full CDF; u_i == 0.0 gives 0, as
+    it does on the full CDF's leading zeros, p_i <= 0 gives 0 and p_i >= 1
+    gives n_i. Each distinct (n, p) pair's CDF row is built once per call,
+    in the padded blocks of :func:`_cdf_blocks`. A block of one row, such as
+    a wide one, is searched alone; a block of several rows is inverted by
+    one search over all of them (:func:`_search_rows`), exact for the
+    uniforms on the 53-bit grid m * 2**-53, and any other u is searched in
+    its own row. A row that starts right of the full window's lo may differ
+    from :func:`binomial_cdf` by its bound B, so its draw k is kept only if
+    F'(k - 1) < u_i - B and F'(k) >= u_i + B, which proves k the full CDF's
+    draw (see ``_TRIM_LOG``); the check fails with probability about 4B, and
+    such draws are inverted again on :func:`binomial_cdf`, built once per pair.
     """
     n, p, u = np.broadcast_arrays(
         np.asarray(n, dtype=np.int64), np.asarray(p, dtype=float), np.asarray(u, dtype=float)
@@ -409,17 +471,29 @@ def draw_binomial(n, p, u) -> np.ndarray:
     first = np.ones(order.size, dtype=bool)
     first[1:] = (np.diff(n[order]) != 0) | (np.diff(p[order]) != 0)
     bounds = np.append(np.flatnonzero(first), order.size)
+    pair_n, pair_p = n[order[first]], p[order[first]]
     draws = np.empty(order.size, dtype=np.int64)
-    for rows, lo, f in _cdf_blocks(n[order[first]], p[order[first]]):
+    for rows, lo, f, bound in _cdf_blocks(pair_n, pair_p):
         if rows.size == 1:
             at = order[bounds[rows[0]] : bounds[rows[0] + 1]]
-            draws[at] = lo[0] + np.searchsorted(f[0], u[at], side="left")
+            j = np.zeros(at.size, dtype=np.int64)
+            k = np.searchsorted(f[0], u[at], side="left")
         else:
             counts = bounds[rows + 1] - bounds[rows]
             j = np.repeat(np.arange(rows.size), counts)
             shift = bounds[rows] + counts - np.cumsum(counts)
             at = order[np.arange(j.size) + shift[j]]
-            draws[at] = lo[j] + _search_rows(f, j, u[at])
+            k = _search_rows(f, j, u[at])
+        draws[at] = lo[j] + k
+        if bound.any():
+            # F'(k - 1), or 0 before the row's first point, and F'(k).
+            v, b = u[at], bound[j]
+            below = np.where(k > 0, f[j, k - 1], 0.0)
+            redo = (below >= v - b) | (f[j, k] < v + b)
+            for r in np.unique(j[redo]):
+                low, g = binomial_cdf(int(pair_n[rows[r]]), float(pair_p[rows[r]]))
+                again = at[redo & (j == r)]
+                draws[again] = low + np.searchsorted(g, u[again], side="left")
         # Freed before the next block is built.
         del f
     out[live] = draws

@@ -533,6 +533,24 @@ class TestReproduceCommand:
 
 
 class TestEntryPoints:
+    def test_in_process_calls_print_what_separate_processes_print(self, table_file, capsys):
+        # main builds its parser once per process: each call, whatever the
+        # subcommand and options of the calls before it, parses as a fresh
+        # process does.
+        calls = [
+            ["estimate", "--table", table_file, "--method", "adpl-mtb",
+             "--delta", "scaled:1.25", "--json"],
+            ["reproduce", "--target", "table2"],
+            ["estimate", "--table", table_file, "--method", "pl-mt"],
+        ]
+        got = [run_cli(args, capsys) for args in calls]
+        for args, result in zip(calls, got):
+            proc = subprocess.run(
+                [sys.executable, "-m", "dualrec", *args], capture_output=True, text=True
+            )
+            assert result == (proc.returncode, proc.stdout, proc.stderr)
+        assert got[0][1].startswith("{") and "n_hat: 111" in got[2][1]
+
     def test_module_invocation(self, table_file):
         proc = subprocess.run(
             [sys.executable, "-m", "dualrec", "estimate", "--table", table_file,

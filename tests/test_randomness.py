@@ -135,18 +135,15 @@ class TestBinomialInversion:
     )
     @example(pairs=[(200_000, 1e-9), (200_000, 1.0 - 1e-9), (200_000, 0.5)])
     @example(pairs=[(0, 0.3), (1, 0.5), (3, 0.97), (2000, 0.98)])
-    def test_windows_are_slices_of_the_full_cdf_that_ends_in_ones(self, pairs):
+    def test_rows_are_within_their_bound_of_the_full_cdf_that_ends_in_ones(self, pairs):
         # Right of the window every term is below 2**-53 and adds nothing to
         # a running sum of at least 1: the full CDF is exactly 1.0 from the
-        # window's last point on, and binomial_cdf and every _cdf_blocks row
-        # are its slice bit for bit.
+        # window's last point on, and binomial_cdf is its slice bit for bit.
+        # Every _cdf_blocks row ends where that window ends, and lies within
+        # its bound of it: exactly where the row starts at the window's lo.
         n = np.array([pair[0] for pair in pairs])
         p = np.array([pair[1] for pair in pairs])
-        blocks = {
-            int(i): (lo[j], f[j])
-            for rows, lo, f in randomness._cdf_blocks(n, p)
-            for j, i in enumerate(rows)
-        }
+        blocks = self._rows_by_pair(n, p)
         assert sorted(blocks) == list(range(n.size))
         for i, (n_i, p_i) in enumerate(pairs):
             full = full_binomial_cdf(n_i, p_i)
@@ -154,9 +151,31 @@ class TestBinomialInversion:
             hi = lo + f.size - 1
             assert np.array_equal(f, full[lo : hi + 1])
             assert np.all(full[:lo] == 0.0) and np.all(full[hi:] == 1.0)
-            block_lo, g = blocks[i]
-            assert block_lo == lo
-            assert np.array_equal(g[: f.size], f) and np.all(g[f.size :] == 1.0)
+            self._assert_row_within_bound(lo, f, *blocks[i])
+
+    @staticmethod
+    def _rows_by_pair(n, p):
+        """The (lo, row, bound) of each pair's _cdf_blocks row, by pair index."""
+        return {
+            int(i): (lo[j], f[j], bound[j])
+            for rows, lo, f, bound in randomness._cdf_blocks(n, p)
+            for j, i in enumerate(rows)
+        }
+
+    @staticmethod
+    def _assert_row_within_bound(lo, f, row_lo, g, bound):
+        """Row g from row_lo against binomial_cdf's window f from lo."""
+        assert lo <= row_lo <= lo + f.size - 1
+        size = f.size - (row_lo - lo)
+        assert np.all(g[size:] == 1.0)
+        if row_lo == lo:
+            assert bound == 0.0
+            assert np.array_equal(g[:size], f)
+        else:
+            assert 0.0 < bound < 1e-6
+            assert np.max(np.abs(g[:size] - f[row_lo - lo :])) <= bound
+            assert f[row_lo - lo - 1] <= bound  # the mass left of the row
+            assert g[size - 1] == f[-1] == 1.0
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -289,8 +308,9 @@ class TestBinomialInversion:
     def test_mixed_counts_equal_per_value_inversion_bit_for_bit(self, draws, p, block, widen):
         # Windows wider than the block are blocks of one row, read from the
         # same shared log-factorial runs; with a narrowed closed form, rows
-        # fail the edge check and are widened by binomial_cdf. Either way
-        # each draw is its own value's inversion.
+        # fail the edge check and are widened by binomial_cdf, and trimmed
+        # rows fail their draws' check and are inverted on binomial_cdf.
+        # Either way each draw is its own value's inversion.
         n = np.array([d[0] for d in draws], dtype=np.int64)
         u = np.array([d[1] for d in draws])
         with pytest.MonkeyPatch.context() as mp:
@@ -298,6 +318,7 @@ class TestBinomialInversion:
             if widen:
                 mp.setattr(randomness, "_UNDERFLOW_LOG", 5.0)
                 mp.setattr(randomness, "_ABSORBED_LOG", 1.0)
+                mp.setattr(randomness, "_TRIM_LOG", 1.0)
             got = draw_binomial(n, p, u)
             want = self._per_value_inversion(n, p, u)
         assert got.tolist() == want
@@ -320,29 +341,85 @@ class TestBinomialInversion:
             assert sorted(rebuilt) == [2500, 3000, 3001]
             assert np.array_equal(got, reference_draw_binomial(n, 0.3, u))
 
+    @pytest.mark.parametrize("shift", [-0.9, 0.0, 0.9])
+    @pytest.mark.parametrize("n, p", [(3000, 0.3), (100_000, 0.45), (10**6, 0.6)])
+    def test_uniforms_at_cdf_steps_in_a_trimmed_row_are_inverted_again(self, n, p, shift):
+        # Uniforms exactly on, and one ulp either side of, steps of the full
+        # CDF and of the trimmed row, and below the row's first point: each
+        # lies within B of the row's CDF, so its check fails and the pair is
+        # inverted on binomial_cdf, built once per call. Uniforms halfway
+        # between steps pass the check. The draws are exact for any row
+        # within its bound, so the rows are also shifted by 0.9 B up or down.
+        lo, f = binomial_cdf(n, p)
+        blocks = randomness._cdf_blocks
+
+        def shifted(n, p):
+            for rows, row_lo, g, bound in blocks(n, p):
+                g = np.clip(g + shift * bound[:, None], 0.0, 1.0)
+                g[:, -1] = 1.0
+                yield rows, row_lo, g, bound
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(randomness, "_cdf_blocks", shifted)
+            (row_lo, g, bound), = self._rows_by_pair(np.array([n]), np.array([p])).values()
+        assert row_lo > lo and bound > 0.0
+        at = np.linspace(0, g.size - 2, 12).astype(int)
+        steps = np.concatenate([f[row_lo - lo + at], g[at]])
+        near = np.concatenate(
+            [steps, np.nextafter(steps, 0.0), np.nextafter(steps, 1.0), [5e-324, f[row_lo - lo - 1]]]
+        )
+        mid = (f[row_lo - lo + at[1:]] + f[row_lo - lo + at[:-1]]) / 2.0
+        mid = mid[mid - f[row_lo - lo + at[:-1]] > 1e-6]
+        for u, rebuilds in [(near, [n]), (mid, []), (np.concatenate([mid, near]), [n])]:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(randomness, "_cdf_blocks", shifted)
+                rebuilt = []
+                build = randomness.binomial_cdf
+                mp.setattr(
+                    randomness, "binomial_cdf", lambda n, p: rebuilt.append(n) or build(n, p)
+                )
+                got = draw_binomial(np.full(u.shape, n), p, u)
+            assert rebuilt == rebuilds
+            assert np.array_equal(got, reference_draw_binomial(np.full(u.shape, n), p, u))
+
     @pytest.mark.parametrize("p", [1e-6, 0.02, 0.3, 0.5, 0.98])
-    def test_every_window_equals_binomial_cdf_bit_for_bit(self, p):
-        # Each count alone (its window is the whole shared run) and all of
-        # them in one call (windows far apart, each with runs of its own);
-        # windows above 2**14 points are blocks of one row.
+    def test_every_row_is_within_its_bound_of_binomial_cdf(self, p):
+        # Each count alone (its row is the whole shared run) and all of
+        # them in one call (rows far apart, each with runs of its own);
+        # rows of 2**12 points or more are blocks of one row. At p = 1e-6
+        # every row starts at 0 and is binomial_cdf's window bit for bit.
         counts = (20_000, 200_000, 10**6, 10**7)
         for n in [np.array([c]) for c in counts] + [np.array(counts)]:
-            built = [
-                (i, lo[j], f[j])
-                for rows, lo, f in randomness._cdf_blocks(n, np.full(n.size, p))
-                for j, i in enumerate(rows)
-            ]
-            assert sorted(i for i, _, _ in built) == list(range(n.size))
-            for i, lo, f in built:
-                want_lo, want = binomial_cdf(int(n[i]), p)
-                assert lo == want_lo
-                assert np.array_equal(f[: want.size], want)
-                assert np.all(f[want.size :] == 1.0)
+            built = self._rows_by_pair(n, np.full(n.size, p))
+            assert sorted(built) == list(range(n.size))
+            for i, row in built.items():
+                self._assert_row_within_bound(*binomial_cdf(int(n[i]), p), *row)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 10**8),
+        p=st.one_of(
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+            st.floats(0.0, 1e-4, exclude_min=True),
+            st.floats(1.0 - 1e-4, 1.0, exclude_max=True),
+        ),
+    )
+    @example(n=10**8, p=0.5)
+    @example(n=10**8, p=1e-6)
+    @example(n=3000, p=0.3)
+    def test_row_bound_holds_up_to_1e8(self, n, p):
+        # |F' - F| <= B (see _TRIM_LOG) over the row, whatever its width;
+        # measured differences lie many orders of magnitude below B.
+        row = self._rows_by_pair(np.array([n]), np.array([p]))[0]
+        self._assert_row_within_bound(*binomial_cdf(n, p), *row)
 
     def test_wide_windows_share_the_log_factorial_runs(self, monkeypatch):
-        # One draw_tables call of a study at N = 2e6 (p1. = 0.6, p.1 = 0.7,
-        # phi = 1.25), R = 50: all 101 of its windows exceed a block. They
-        # read the two runs of their stage; none is built by binomial_cdf.
+        # One draw_tables call of a study at N = 1e6 (p1. = 0.6, p.1 = 0.7,
+        # phi = 1.25), R = 50: all 99 of its rows are at least _ALONE wide,
+        # so each is a block of one row, though 98 of them would fit two to a
+        # block.
+        # They read the two runs of their stage; none is built by
+        # binomial_cdf.
         points, builds, widths = [], [], []
         log_gamma, blocks = randomness.gammaln, randomness._cdf_blocks
 
@@ -351,18 +428,19 @@ class TestBinomialInversion:
             return log_gamma(x)
 
         def recorded_blocks(n, p):
-            # Each row's padded width: its window's, or a narrower block's.
-            for rows, lo, f in blocks(n, p):
-                widths.extend([f.shape[1]] * rows.size)
-                yield rows, lo, f
+            for rows, lo, f, bound in blocks(n, p):
+                assert rows.size == 1
+                widths.append(f.shape[1])
+                yield rows, lo, f, bound
 
         monkeypatch.setattr(randomness, "gammaln", counted_gammaln)
         monkeypatch.setattr(randomness, "_cdf_blocks", recorded_blocks)
         monkeypatch.setattr(randomness, "binomial_cdf", lambda n, p: builds.append(n))
-        spec = PopulationSpec("M", 2_000_000, 0.60, 0.70, 1.25)
+        spec = PopulationSpec("M", 1_000_000, 0.60, 0.70, 1.25)
         draw_tables(spec.n, spec.cells(), uniforms(7, PURPOSE_STUDY, 0, 50))
         assert builds == []
-        assert sum(w > randomness._BLOCK for w in widths) == len(widths) == 101
+        assert sum(w >= randomness._ALONE for w in widths) == len(widths) == 99
+        assert sum(2 * w <= randomness._BLOCK for w in widths) == 98
         assert sum(points) < 8 * max(widths)
 
     def test_far_apart_populations_keep_their_own_runs(self, monkeypatch):
@@ -390,7 +468,7 @@ class TestBinomialInversion:
         n = np.repeat([spec.n for spec in specs], r)
         cells = tuple(np.repeat(c, r) for c in zip(*(spec.cells() for spec in specs)))
         together = draw_tables(n, cells, np.concatenate(u))
-        assert sum(points) == sum(per_spec) == 3_788_852
+        assert sum(points) == sum(per_spec) == 1_718_461
         for got, want in zip(together, zip(*alone)):
             assert np.array_equal(got, np.concatenate(want))
 
@@ -401,9 +479,9 @@ class TestBinomialInversion:
         sizes, blocks = [], randomness._cdf_blocks
 
         def recorded_blocks(n, p):
-            for rows, lo, f in blocks(n, p):
+            for rows, lo, f, bound in blocks(n, p):
                 sizes.append(rows.size)
-                yield rows, lo, f
+                yield rows, lo, f, bound
 
         monkeypatch.setattr(randomness, "_cdf_blocks", recorded_blocks)
         count = 1500
