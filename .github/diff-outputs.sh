@@ -10,9 +10,10 @@
 # mixed-N studies, the benchmark's N = 1e6 sampling study at two seeds, a
 # study of two stack groups that share sampling windows across populations,
 # a study at N = 1e5 whose fixed-point iterates rise on
-# one population and fall on the other, single-table estimate reports
-# (stdout, stderr and exit code, two of them on candidate maps with two fixed
-# points), and estimate reports with a parametric bootstrap run on both sides. reproduce and simulate solve many rows per
+# one population and fall on the other, a study of 1100 tiny populations
+# whose narrow sampling rows are inverted in blocks of many rows,
+# single-table estimate reports (stdout, stderr and exit code, two of them
+# on candidate maps with two fixed points), and estimate reports with a parametric bootstrap run on both sides. reproduce and simulate solve many rows per
 # batch, estimate solves its table as a one-row batch, and the bootstrap
 # solves its fit as one row and its replicates as one batch; the tiny
 # population and the (0, 1, 3) table reach the 60-solve cap of the candidate
@@ -158,6 +159,25 @@ cat > "$work/gallop.json" <<'JSON'
    "adpl-mt:fixed:0.5", "adpl-mtb:scaled:1.25@oracle"],
  "replicates": 20, "seed": 7}
 JSON
+# Narrow rows: 1100 populations of N = 2 to 4, each with a p1 of its own,
+# make one stack group whose stages draw 1100 to over 2000 distinct
+# (trials, probability) pairs of windows a few points wide, all in one
+# cluster, so they are packed into padded blocks of many rows, each
+# inverted by one bisection over its rows.
+python - "$work/narrow.json" <<'PY'
+import json
+import sys
+
+populations = [
+    {"label": f"n{i}", "N": 2 + i % 3, "p1": 0.3 + 0.0004 * i, "p_dot1": 0.6, "phi": 1.0}
+    for i in range(1100)
+]
+with open(sys.argv[1], "w") as out:
+    json.dump(
+        {"populations": populations, "estimators": ["dse", "pl-mtb"], "replicates": 3, "seed": 9},
+        out,
+    )
+PY
 # The benchmark's sample-large-n study (N = 1e6, R = 50, the closed forms)
 # at two seeds.
 for seed in 4 5; do
@@ -168,7 +188,7 @@ for seed in 4 5; do
  "replicates": 50, "seed": $seed}
 JSON
 done
-for study in study large ends mixed group gallop sample4 sample5; do
+for study in study large ends mixed group gallop narrow sample4 sample5; do
   for side in base head; do
     run "$side" "$work/$side-$study.csv" simulate --config "$work/$study.json" ||
       report "fails on $side: simulate $study"

@@ -47,13 +47,13 @@ points or more is a block of its own that reads the cluster's
 log-factorials as slices, so the nearly overlapping rows of one stage
 evaluate ``gammaln`` about once, not once each; narrower rows are built in
 padded blocks of about 2**14 doubles, each with one row-wise cumulative sum.
-A block of several rows is inverted by one search over all of its rows,
-whose keys place each row's CDF on the 53-bit grid of the uniforms, so it
-is exact for every uniform :func:`uniforms` draws. :func:`binomial_cdf` also
-builds the rare row whose edge check fails. Nothing is kept from one call to
-the next: the populations of a study share pairs only within a stack group
-(14-16% of the windows of the fig1-fig3 studies at R = 200), and the group's
-one call builds each of them once.
+A block of several rows is inverted by one bisection over all of its rows,
+which compares doubles and so is exact for every uniform; a block of one
+row is searched alone. :func:`binomial_cdf` also builds the rare row whose
+edge check fails. Nothing is kept from one call to the next: the
+populations of a study share pairs only within a stack group (14-16% of the
+windows of the fig1-fig3 studies at R = 200), and the group's one call
+builds each of them once.
 """
 
 from __future__ import annotations
@@ -179,11 +179,6 @@ _BLOCK = 2**14
 # A row at least this wide is a block of its own, which reads its
 # log-factorials as slices rather than gathering them.
 _ALONE = 2**12
-# A block's merged search keys row r's CDF values as r * _ROW_SPAN +
-# floor(F * 2**53) (see _search_rows), so a block holds at most the 1023
-# rows whose keys stay below 2**63.
-_ROW_SPAN = 2**53 + 1
-_MAX_ROWS = 2**63 // _ROW_SPAN
 
 
 def _logpmf(n: int, p: float, k: np.ndarray) -> np.ndarray:
@@ -374,10 +369,10 @@ def _cdf_blocks(n: np.ndarray, p: np.ndarray):
     of their n - k ranges (see :class:`_LogFactorial`), so rows far apart
     never share a table. A row of _ALONE points or more is a block of its
     own, which reads its log-factorials as slices; narrower rows are built
-    in padded blocks of at most _BLOCK doubles and _MAX_ROWS rows, sorted
-    by width. A row whose edge check fails is built by :func:`binomial_cdf`
-    itself, as a block of one row. A row's doubles do not depend on which
-    rows share its block.
+    in padded blocks of at most _BLOCK doubles, sorted by width. A row
+    whose edge check fails is built by :func:`binomial_cdf` itself, as a
+    block of one row. A row's doubles do not depend on which rows share its
+    block.
     """
     if not n.size:
         return
@@ -397,10 +392,10 @@ def _cdf_blocks(n: np.ndarray, p: np.ndarray):
         by_width = np.argsort(width[members], kind="stable")
         start = 0
         while start < members.size:
-            # The most rows, up to _MAX_ROWS, whose padded block (rows x
-            # widest row) fits _BLOCK and whose rows are narrower than
-            # _ALONE; at least one.
-            w = width[members[by_width[start : start + _MAX_ROWS]]]
+            # The most rows whose padded block (rows x widest row) fits
+            # _BLOCK and whose rows are narrower than _ALONE; at least one.
+            # Each row is at least one point wide, so at most _BLOCK fit.
+            w = width[members[by_width[start : start + _BLOCK]]]
             fits = (np.arange(1, w.size + 1) * w <= _BLOCK) & (w < _ALONE)
             count = max(1, np.count_nonzero(fits))
             i = by_width[start : start + count]
@@ -421,25 +416,26 @@ def _cdf_blocks(n: np.ndarray, p: np.ndarray):
 
 
 def _search_rows(f: np.ndarray, j: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(f[j[i]], u[i], side="left")`` for each i, in one search.
+    """``np.searchsorted(f[j[i]], u[i], side="left")`` for each i, in one bisection.
 
-    Row r of the block is keyed r * _ROW_SPAN + floor(F * 2**53), within
-    [r * _ROW_SPAN, r * _ROW_SPAN + 2**53], so the keys of the flattened
-    block ascend. For u = m * 2**-53 with an integer m in [0, 2**53), which
-    is every uniform :func:`uniforms` draws, F < u exactly when
-    floor(F * 2**53) < m (scaling by 2**53 is exact), so the query
-    j * _ROW_SPAN + m counts all the keys of the rows before j and those of
-    row j below u. Any other u is searched in its own row.
+    Each row of the block is nondecreasing, so the answer is the number of
+    values of row j[i] below u[i]. Query i keeps a range [at, at + n] of
+    positions that holds it, from the whole row (n is the block's width):
+    each step probes position at + n // 2, moves ``at`` there if the value
+    there is below u, and shrinks n by n // 2; at n = 1 one more comparison
+    decides between at and at + 1. The steps depend only on the block's
+    width, so every query takes the same ceil(log2(width)) of them, each one
+    gather over the flattened block. Only doubles are compared, so the
+    result is exact for every u but NaN.
     """
-    m = u * 2.0**53
-    grid = (m == np.floor(m)) & (m >= 0.0) & (m < 2.0**53)
-    keys = np.floor(f * 2.0**53).astype(np.int64)
-    keys += np.arange(f.shape[0])[:, None] * _ROW_SPAN
-    k = np.searchsorted(keys.ravel(), j * _ROW_SPAN + np.where(grid, m, 0.0).astype(np.int64))
-    k -= j * f.shape[1]
-    for i in np.flatnonzero(~grid):
-        k[i] = np.searchsorted(f[j[i]], u[i], side="left")
-    return k
+    flat, n = f.ravel(), f.shape[1]
+    start = at = j * n
+    while n > 1:
+        half = n // 2
+        probe = at + half
+        at = np.where(flat[probe] < u, probe, at)
+        n -= half
+    return at + (flat[at] < u) - start
 
 
 def draw_binomial(n, p, u) -> np.ndarray:
@@ -452,13 +448,12 @@ def draw_binomial(n, p, u) -> np.ndarray:
     gives n_i. Each distinct (n, p) pair's CDF row is built once per call,
     in the padded blocks of :func:`_cdf_blocks`. A block of one row, such as
     a wide one, is searched alone; a block of several rows is inverted by
-    one search over all of them (:func:`_search_rows`), exact for the
-    uniforms on the 53-bit grid m * 2**-53, and any other u is searched in
-    its own row. A row that starts right of the full window's lo may differ
-    from :func:`binomial_cdf` by its bound B, so its draw k is kept only if
-    F'(k - 1) < u_i - B and F'(k) >= u_i + B, which proves k the full CDF's
-    draw (see ``_TRIM_LOG``); the check fails with probability about 4B, and
-    such draws are inverted again on :func:`binomial_cdf`, built once per pair.
+    one bisection over all of them (:func:`_search_rows`). A row that starts
+    right of the full window's lo may differ from :func:`binomial_cdf` by
+    its bound B, so its draw k is kept only if F'(k - 1) < u_i - B and
+    F'(k) >= u_i + B, which proves k the full CDF's draw (see
+    ``_TRIM_LOG``); the check fails with probability about 4B, and such
+    draws are inverted again on :func:`binomial_cdf`, built once per pair.
     """
     n, p, u = np.broadcast_arrays(
         np.asarray(n, dtype=np.int64), np.asarray(p, dtype=float), np.asarray(u, dtype=float)

@@ -350,11 +350,17 @@ class TestBinomialInversion:
         # inverted on binomial_cdf, built once per call. Uniforms halfway
         # between steps pass the check. The draws are exact for any row
         # within its bound, so the rows are also shifted by 0.9 B up or down.
+        # Each set is drawn alone, and again with a narrow companion pair in
+        # the same call, Binomial(round(np), 0.999), whose row of a few dozen
+        # points lies inside the trimmed row's k range: so the two rows form
+        # one cluster, and a row narrower than _ALONE shares a block with it,
+        # so its uniforms go through the block's bisection.
         lo, f = binomial_cdf(n, p)
-        blocks = randomness._cdf_blocks
+        blocks, block_rows = randomness._cdf_blocks, []
 
         def shifted(n, p):
             for rows, row_lo, g, bound in blocks(n, p):
+                block_rows.append(rows.size)
                 g = np.clip(g + shift * bound[:, None], 0.0, 1.0)
                 g[:, -1] = 1.0
                 yield rows, row_lo, g, bound
@@ -370,17 +376,30 @@ class TestBinomialInversion:
         )
         mid = (f[row_lo - lo + at[1:]] + f[row_lo - lo + at[:-1]]) / 2.0
         mid = mid[mid - f[row_lo - lo + at[:-1]] > 1e-6]
+        c_n, c_p, c_u = np.full(2, round(n * p)), 0.999, np.array([0.3, 0.9])
         for u, rebuilds in [(near, [n]), (mid, []), (np.concatenate([mid, near]), [n])]:
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(randomness, "_cdf_blocks", shifted)
-                rebuilt = []
-                build = randomness.binomial_cdf
-                mp.setattr(
-                    randomness, "binomial_cdf", lambda n, p: rebuilt.append(n) or build(n, p)
+            for together in (False, True):
+                counts, probs, draws = np.full(u.shape, n), np.full(u.shape, p), u
+                if together:
+                    counts = np.append(counts, c_n)
+                    probs = np.append(probs, np.full(c_n.shape, c_p))
+                    draws = np.append(u, c_u)
+                block_rows.clear()
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(randomness, "_cdf_blocks", shifted)
+                    rebuilt = []
+                    build = randomness.binomial_cdf
+                    mp.setattr(
+                        randomness, "binomial_cdf", lambda n, p: rebuilt.append(n) or build(n, p)
+                    )
+                    got = draw_binomial(counts, probs, draws)
+                assert rebuilt == rebuilds
+                assert np.array_equal(
+                    got[: u.size], reference_draw_binomial(np.full(u.shape, n), p, u)
                 )
-                got = draw_binomial(np.full(u.shape, n), p, u)
-            assert rebuilt == rebuilds
-            assert np.array_equal(got, reference_draw_binomial(np.full(u.shape, n), p, u))
+                if together:
+                    assert np.array_equal(got[u.size :], reference_draw_binomial(c_n, c_p, c_u))
+                    assert block_rows == ([1, 1] if g.size >= randomness._ALONE else [2])
 
     @pytest.mark.parametrize("p", [1e-6, 0.02, 0.3, 0.5, 0.98])
     def test_every_row_is_within_its_bound_of_binomial_cdf(self, p):
@@ -472,10 +491,14 @@ class TestBinomialInversion:
         for got, want in zip(together, zip(*alone)):
             assert np.array_equal(got, np.concatenate(want))
 
-    def test_more_than_1023_windows_split_into_exact_blocks(self, monkeypatch):
-        # 1500 distinct pairs of windows at most 3 wide would fit one padded
-        # block; a block's merged search keys stay in int64 only up to 1023
-        # rows, so the call makes two blocks and every draw is exact.
+    def test_1500_narrow_windows_share_one_exact_block(self, monkeypatch):
+        # 1500 distinct pairs of windows at most 3 wide fit one padded block
+        # of 1500 rows, inverted by one bisection. Every draw equals
+        # per-value inversion, for the Philox uniforms, for the doubles one
+        # ulp above and below each, which below 0.5 lie off the 53-bit grid
+        # m * 2**-53 of the uniforms, and for values on each row's CDF
+        # steps, 1.0 included, which the narrower rows repeat in their
+        # padding: the search must not step past an equal value.
         sizes, blocks = [], randomness._cdf_blocks
 
         def recorded_blocks(n, p):
@@ -488,10 +511,15 @@ class TestBinomialInversion:
         n = 1 + np.arange(count) % 3
         p = np.linspace(0.01, 0.99, count)
         u = uniforms(DEFAULT_SEED, PURPOSE_STUDY, 6, count)[:, 0]
-        got = draw_binomial(n, p, u)
-        want = [reference_draw_binomial(n[i : i + 1], p[i], u[i : i + 1])[0] for i in range(count)]
-        assert sorted(sizes) == [count - 1023, 1023]
-        assert got.tolist() == want
+        steps = [binomial_cdf(int(n[i]), p[i])[1][i % (n[i] + 1)] for i in range(count)]
+        for v in (u, np.nextafter(u, 1.0), np.nextafter(u, 0.0), np.array(steps)):
+            sizes.clear()
+            got = draw_binomial(n, p, v)
+            want = [reference_draw_binomial(n[i : i + 1], p[i], v[i : i + 1])[0] for i in range(count)]
+            assert sizes == [count]
+            assert got.tolist() == want
+        off_grid = np.nextafter(u, 1.0) * 2.0**53
+        assert np.count_nonzero(off_grid != np.floor(off_grid)) > count // 4
 
     def test_spread_counts_do_not_share_a_run(self):
         # A run over 0..1e9 would hold 8 GB; these windows lie far apart,
