@@ -11,7 +11,10 @@
 # study of two stack groups that share sampling windows across populations,
 # a study at N = 1e5 whose fixed-point iterates rise on
 # one population and fall on the other, a study of 1100 tiny populations
-# whose narrow sampling rows are inverted in blocks of many rows,
+# whose narrow sampling rows are inverted in blocks of many rows, a study
+# at N = 500 whose draw check fails once and inverts that draw again on the
+# full window, a study of two populations at N = 1e6 whose wide sampling
+# rows of two probabilities share a cluster,
 # single-table estimate reports (stdout, stderr and exit code, two of them
 # on candidate maps with two fixed points), and estimate reports with a parametric bootstrap run on both sides. reproduce and simulate solve many rows per
 # batch, estimate solves its table as a one-row batch, and the bootstrap
@@ -86,18 +89,19 @@ cat > "$work/study.json" <<'JSON'
    "adpl-mt:scaled:1.25@oracle", "adpl-mt:recapture:1.25@oracle"],
  "replicates": 20, "seed": 7}
 JSON
-# Large-N draws: at N <= 500 every CDF window starts at 0, so only these
-# populations exercise the window's left bound and the trimmed rows; the
-# closed forms keep the study to sampling. At seed 7, 10 of the 19 distinct
-# stage-3 rows of "straddle" are at least _ALONE wide, each a block of its
-# own, and 9 are narrower and share padded blocks, so one draw_binomial
-# call has rows on both sides of that size.
+# Large-N draws: at N <= 500 every binomial_cdf window starts at 0, so only
+# these populations exercise that window's left bound and rows that are
+# wide or hold many points on each side of their cuts; the closed forms keep
+# the study to sampling. At seed 7, 7 of the 19 distinct stage-3 rows of
+# "straddle" are at least _ALONE wide, each a block of its own, and 12 are
+# narrower and share padded blocks, so one draw_binomial call has rows on
+# both sides of that size.
 cat > "$work/large.json" <<'JSON'
 {"populations": [
    {"label": "M", "N": 1000000, "p1": 0.6, "p_dot1": 0.7, "phi": 1.25},
    {"label": "G", "N": 1000000000, "p1": 0.6, "p_dot1": 0.7, "phi": 1.25},
    {"label": "skewed", "N": 1000000, "p1": 0.02, "p_dot1": 0.3, "phi": 1.0},
-   {"label": "straddle", "N": 328000, "p1": 0.5, "p_dot1": 0.65, "phi": 1.25}],
+   {"label": "straddle", "N": 523000, "p1": 0.5, "p_dot1": 0.65, "phi": 1.25}],
  "estimators": ["dse", "pl-mtb"],
  "replicates": 20, "seed": 7}
 JSON
@@ -178,6 +182,27 @@ with open(sys.argv[1], "w") as out:
         out,
     )
 PY
+# Draw check: P2 at R = 20 000, seed 13. Its 60 000 draws come from rows
+# cut on both sides at N = 500, and one stage-1 draw, of (500, 0.4565...),
+# lies within the rows' bound B of a CDF step: it fails the check and is
+# inverted again on binomial_cdf's window.
+cat > "$work/recheck.json" <<'JSON'
+{"populations": [
+   {"label": "P2", "N": 500, "p1": 0.6, "p_dot1": 0.7, "phi": 1.25}],
+ "estimators": ["dse", "pl-mtb"],
+ "replicates": 20000, "seed": 13}
+JSON
+# Shared cluster: two populations at N = 1e6 that differ only in p1 (0.6
+# and 0.6002) form one stack group, and in each stage their wide rows, of
+# two probabilities, overlap and share one cluster's log-factorial tables,
+# each probability reading k ln p and (n - k) ln(1 - p) from its own.
+cat > "$work/shared.json" <<'JSON'
+{"populations": [
+   {"label": "A", "N": 1000000, "p1": 0.6, "p_dot1": 0.7, "phi": 1.25},
+   {"label": "B", "N": 1000000, "p1": 0.6002, "p_dot1": 0.7, "phi": 1.25}],
+ "estimators": ["dse", "pl-mtb"],
+ "replicates": 20, "seed": 7}
+JSON
 # The benchmark's sample-large-n study (N = 1e6, R = 50, the closed forms)
 # at two seeds.
 for seed in 4 5; do
@@ -188,7 +213,7 @@ for seed in 4 5; do
  "replicates": 50, "seed": $seed}
 JSON
 done
-for study in study large ends mixed group gallop narrow sample4 sample5; do
+for study in study large ends mixed group gallop narrow recheck shared sample4 sample5; do
   for side in base head; do
     run "$side" "$work/$side-$study.csv" simulate --config "$work/$study.json" ||
       report "fails on $side: simulate $study"

@@ -24,15 +24,18 @@ exactly 0.0 or 1.0 in double: about 39.2 sd left of the mean at large n,
 where the terms underflow to 0.0, and about 10 sd right of it, where they
 fall below 2**-53 and no longer change a running sum of at least 1. Its
 inversion equals that of the full n + 1 point CDF bit for bit. The rows
-:func:`draw_binomial` searches start where a uniform can land instead, about
-10.6 sd left of the mean at n = 1e6, where the terms left of the row hold at
-most e**-42 of the largest: so a draw at n = 1e9 holds about 350 000 doubles,
-not a billion. A trimmed row holds the window's terms, but its running sum
-starts later, so its CDF may differ from the window's in the low bits, by
-at most a bound B of about 4W * 2**-53 for a window of W points. Each draw
-from a trimmed row is kept only where its uniform lies more than B from the
-row's CDF steps on either side, which proves it the full CDF's draw; the
-rare other draws (about 4B of them) are inverted again on
+:func:`draw_binomial` searches span only where a uniform can land instead,
+about 8.2 sd either side of the mean at n = 1e6, beyond which the terms on
+each side hold at most e**-20 of the largest: so a draw at n = 1e9 holds
+about 285 000 doubles, not a billion. A cut row holds the window's terms,
+but its running sum starts later and its total stops earlier, so its CDF
+may differ from the window's, by at most a bound B of about 4W * 2**-53
+for a window of W points plus 3 e**-20 for each cut edge, about 1.2e-8 at
+n = 1e6. Each draw from a cut row is kept only where its uniform lies more
+than B from the row's CDF steps on either side, which proves it the full
+CDF's draw; one check after all of a call's rows are built finds the rare
+other draws (about 2B times the row's bulk width of them, 6 in 2 million
+draws of the paper's studies), which are inverted again on
 :func:`binomial_cdf`, the fallback. So the draws equal inversion of the full
 CDF bit for bit. Each stage of :func:`draw_tables` is one
 :func:`draw_binomial` call over every row, and a study draws all the rows of
@@ -43,10 +46,11 @@ Rows whose ranges overlap, such as those of one population in one stage,
 form a cluster that evaluates ``gammaln`` once over the union of its
 rows, and the clusters are built one after another, so populations far
 apart never share, or hold at once, a log-factorial table. A row of 2**12
-points or more is a block of its own that reads the cluster's
-log-factorials as slices, so the nearly overlapping rows of one stage
-evaluate ``gammaln`` about once, not once each; narrower rows are built in
-padded blocks of about 2**14 doubles, each with one row-wise cumulative sum.
+points or more is a block of its own that reads all four of its log-pmf
+terms as forward slices of the cluster's tables, so the nearly overlapping
+rows of one stage evaluate ``gammaln`` and the products k ln p about once,
+not once each; narrower rows are built in padded blocks of about 2**14
+doubles, each with one row-wise cumulative sum.
 A block of several rows is inverted by one bisection over all of its rows,
 which compares doubles and so is exact for every uniform; a block of one
 row is searched alone. :func:`binomial_cdf` also builds the rare row whose
@@ -84,7 +88,7 @@ DEFAULT_SEED = 20260823
 
 # The largest population size drawn from: the range over which the CDF
 # windows and their accuracy are documented (at 1e9 a draw's row holds about
-# 350 000 doubles and binomial_cdf's window about 800 000; both grow as
+# 285 000 doubles and binomial_cdf's window about 800 000; both grow as
 # sqrt(N)).
 MAX_N = 10**9
 
@@ -146,38 +150,49 @@ _UNDERFLOW_LOG = 746.0
 # window, the full CDF is exactly 1.0 from hi on, and the window is the
 # slice [lo, hi] of the full n + 1 point CDF bit for bit.
 _ABSORBED_LOG = 37.0
-# The rows draw_binomial searches start further right, where a uniform can
-# land: at c = _TRIM_LOG + ln(n + 1), about 10.6 sd left of the mean at
-# n = 1e6, and never left of the full window's lo. Every term left of the
-# row lies at least 42 below the largest log-pmf (the pmf at the mode is at
-# least 1/(n + 1), as in _reach), far beyond the log-pmf's rounding, so both
-# windows subtract the same largest log-pmf and a trimmed row holds the
-# full window's terms from its own lo on; only where the running sum starts
-# differs. The omitted terms sum to m <= 1.01 e**-42: their pmf sums to at
-# most e**-42 / (n + 1) by the bound of _reach, and the log-pmf's rounding
-# (about 1e-5 at n = 1e9) moves them by a factor below 1.01.
+# The rows draw_binomial searches are cut further in on both sides, where a
+# uniform can land: at c = _MARGIN_LOG + ln(n + 1), about 8.2 sd either side
+# of the mean at n = 1e6, and never outside the full window. Every term
+# beyond a cut edge lies at least 20 below the largest log-pmf (the pmf at
+# the mode is at least 1/(n + 1), as in _reach), far beyond the log-pmf's
+# rounding; the half-width is at least 2c/3 > 13, so the row holds the mode
+# and both windows subtract the same largest log-pmf. A cut row thus holds
+# the full window's terms over its own points; only its running sum starts
+# later, or its total stops earlier. The terms cut off on each side sum to
+# m <= 1.01 e**-20: their pmf sums to at most e**-20 / (n + 1) by the bound
+# of _reach, and the log-pmf's rounding (about 1e-5 at n = 1e9) moves them by
+# a factor below 1.01.
 #
-# Bound. Let F and F' be the full window's and the trimmed row's CDF
-# doubles at k, s and s' the exact sums of the terms from each one's lo to
-# k, t and t' their totals, eps = 2**-53 and W the full window's width
-# (W <= 2**25 up to MAX_N). Both cumulative sums are recursive sums of at
-# most W nonnegative doubles, so each sum and total is within
-# W eps / (1 - W eps) of its exact value, relatively; with the division's
-# rounding and s/t <= 1, |F - s/t| <= (2W + 3) eps, and the same for F'.
-# Both totals hold the term 1.0, so t' >= 1 and |s/t - s'/t'| <= m/t' <= m.
-# Hence |F' - F| <= (4W + 6) eps + m. The draw's check compares F' with
-# u - B and u + B rounded to double, each within half an ulp (at most
-# eps/2) of its exact value, and B itself is rounded by a few ulps;
-# B = (4W + 8) eps + 3 e**-42 covers all of it. So F'(k - 1) < u - B and
-# F'(k) >= u + B give F(k - 1) < u <= F(k): k is the draw on the full CDF.
-# Before the row's first point F' counts as 0 and F is at most
-# (4W + 6) eps + m < B, so there the check is u > B. A draw that fails the
+# Bound. Let F and F' be the full window's and the cut row's CDF doubles at
+# k, s and s' the exact sums of the terms from each one's lo to k, t and t'
+# their totals, eps = 2**-53 and W the full window's width (W <= 2**25 up to
+# MAX_N). Both cumulative sums are recursive sums of at most W nonnegative
+# doubles, so each sum and total is within W eps / (1 - W eps) of its exact
+# value, relatively; with the division's rounding and s/t <= 1,
+# |F - s/t| <= (2W + 3) eps, and the same for F'. With m_L and m_R the terms
+# cut off on the left and on the right, s = s' + m_L and t = t' + m_L + m_R,
+# so s/t - s'/t' = (m_L (t' - s') - s' m_R) / (t t'); both totals hold the
+# term 1.0, so t, t' >= 1 and |s/t - s'/t'| <= m_L + m_R. Hence
+# |F' - F| <= (4W + 6) eps + m_L + m_R. The draw's check compares F' with
+# u - B and u + B rounded to double, each within half an ulp (at most eps/2)
+# of its exact value, and B itself is rounded by a few ulps;
+# B = (4W + 8) eps + 3 e**-20 per cut edge covers all of it. So
+# F'(k - 1) < u - B and F'(k) >= u + B give F(k - 1) < u <= F(k): k is the
+# draw on the full CDF. Before the row's first point F' counts as 0 and F is
+# at most (4W + 6) eps + m_L < B, so there the check is u > B; from a
+# right-cut row's last point on F' is 1.0 and F at least 1 - B, so a u above
+# 1 - B fails the check. A uniform fails it where it lies within B of one of
+# the row's CDF steps, so a share of about 2B times the row's bulk width
+# fails, not 4B: at n = 1e6, where B is about 1.2e-8 and the bulk about 2000
+# steps, 2 of the 37 500 draws of 250 of the benchmark's sample-large-n
+# studies failed (5 502 at a margin of 12, where B is 3.7e-5), and 6 of the
+# 2 040 000 draws of 20 rounds of its reproduce-paper. A draw that fails the
 # check is inverted on binomial_cdf.
-_TRIM_LOG = 42.0
+_MARGIN_LOG = 20.0
 # Doubles per padded block of CDF rows in draw_binomial (128 KiB).
 _BLOCK = 2**14
-# A row at least this wide is a block of its own, which reads its
-# log-factorials as slices rather than gathering them.
+# A row at least this wide is a block of its own, which reads its log-pmf
+# terms as slices rather than gathering them.
 _ALONE = 2**12
 
 
@@ -202,9 +217,9 @@ def _reach(n, p: float, logs):
     c - ln(n + 1) or more below the largest log-pmf. Returns one half-width
     for each L of ``logs``, at c = L + ln(n + 1): _UNDERFLOW_LOG on the left
     of the full window, where every term beyond it underflows to 0.0;
-    _TRIM_LOG on the left of a trimmed row, where the terms beyond it hold
-    at most e**-42 of the largest; _ABSORBED_LOG on the right, where every
-    term beyond it is below 2**-53.
+    _ABSORBED_LOG on its right, where every term beyond it is below 2**-53;
+    _MARGIN_LOG on both sides of a cut row, where the terms beyond each
+    edge hold at most e**-20 of the largest.
     """
     mean = n * p
     return mean, *(
@@ -240,7 +255,7 @@ def binomial_cdf(n: int, p: float) -> tuple[int, np.ndarray]:
     last to be below 2**-53 (unless hi is n), and both half-widths doubled
     until they are; by the bound, one build is enough.
 
-    It is the reference that the trimmed rows of :func:`draw_binomial` are
+    It is the reference that the cut rows of :func:`draw_binomial` are
     checked against, and the fallback that inverts a draw whose check fails.
 
     Raises:
@@ -279,23 +294,24 @@ def _runs(a: np.ndarray, b: np.ndarray):
     return run, a[order[starts]], reach[np.append(starts[1:], a.size) - 1]
 
 
-class _LogFactorial:
-    """ln(x!) = gammaln(x + 1.0) for the integers x of the intervals [a[i], b[i]].
+class _Table:
+    """values(x) at the integers x of the intervals [a[i], b[i]], as one array.
 
     Each run of the intervals' union (see :func:`_runs`) is evaluated once,
     and the runs are stored end to end, so the table holds no point outside
     the intervals and intervals far apart never make it span the gap
-    between them. gammaln is element-wise, so a lookup gives the doubles of
-    gammaln(x + 1.0) itself. Interval i reads x at ``table[x - base[i]]``.
+    between them. ``values`` is element-wise on the points as doubles, so a
+    lookup gives the doubles of values(x) itself. Interval i reads x at
+    ``table[x - base[i]]``.
     """
 
-    def __init__(self, a: np.ndarray, b: np.ndarray):
+    def __init__(self, a: np.ndarray, b: np.ndarray, values):
         run, lo, hi = _runs(a, b)
         size = hi - lo + 1
         base = lo - (np.cumsum(size) - size)
         x = np.arange(size.sum(), dtype=float)
-        x += np.repeat(base + 1.0, size)
-        self.table = gammaln(x)
+        x += np.repeat(base.astype(float), size)
+        self.table = values(x)
         self.base = base[run]
 
     def at(self, x: np.ndarray, i: np.ndarray) -> np.ndarray:
@@ -307,112 +323,130 @@ class _LogFactorial:
         return self.table[start - self.base[i] : stop - self.base[i]]
 
 
-def _cdf_block(n, p, lo, width, cut, i, log_fact_k, log_fact_nk):
-    """CDF windows of Binomial(n[r], p[r]) over [lo[r], lo[r] + width[r]) as rows of one array.
+def _logpmf_block(n, p, lo, hi, i, log_fact_k, log_fact_rest):
+    """Log-pmf rows of Binomial(n[r], p[r]) over [lo[r], hi[r]], padded with -inf.
 
-    Row r is built as the ``f`` of :func:`binomial_cdf` is, over its own
-    window, padded with 1.0: the log-pmf is computed element-wise as
-    :func:`_logpmf` does and padded with -inf, whose exact 0.0 terms leave
-    each row's cumulative sum and total as they are. Row r reads interval
-    i[r] of the two log-factorial tables. Rows with ``cut[r]`` start right of
-    the full window's lo (see ``_TRIM_LOG``); the others are that window.
-    Returns the rows and a mask of the rows that pass the edge check of
-    :func:`binomial_cdf`: first term 0.0 (or lo at 0, or a cut row), last
-    term below 2**-53 (or hi at n).
+    The log-pmf is computed element-wise as :func:`_logpmf` does, its terms
+    subtracted and added in its order. Row r gathers its log-factorials
+    from interval i[r] of the cluster's two tables; ln(k!) = inf makes each
+    padding column -inf, whose exact 0.0 term leaves the row's cumulative
+    sum and total as they are.
     """
-    hi = lo + width - 1
-    if n.size == 1:
-        # A row alone reads its log-factorials as slices: k forward, n - k reversed.
-        k = np.arange(lo[0], hi[0] + 1, dtype=float)[None]
-        lf_k = log_fact_k.run(i[0], lo[0], hi[0] + 1)
-        lf_nk = log_fact_nk.run(i[0], n[0] - hi[0], n[0] - lo[0] + 1)[::-1]
-    else:
-        cols = np.arange(width.max())
-        k = np.minimum(lo[:, None] + cols, hi[:, None])
-        lf_k = log_fact_k.at(k, i)
-        lf_nk = log_fact_nk.at(n[:, None] - k, i)
-        # ln(k!) = inf makes the log-pmf of each padding column -inf.
-        lf_k[cols >= width[:, None]] = np.inf
-    # The terms of _logpmf, subtracted and added in its order, in place.
+    cols = np.arange((hi - lo).max() + 1)
+    k = np.minimum(lo[:, None] + cols, hi[:, None])
+    lf_k = log_fact_k.at(k, i)
+    lf_k[cols > (hi - lo)[:, None]] = np.inf
     f = gammaln(n + 1.0)[:, None] - lf_k
-    f -= lf_nk
-    del lf_k, lf_nk
+    del lf_k
+    f -= log_fact_rest.at(k - n[:, None], i)
     f += k * np.log(p)[:, None]
     k = n[:, None] - k
     f += k * np.log1p(-p)[:, None]
-    del k
-    f -= f.max(axis=1, keepdims=True)
-    np.exp(f, out=f)
-    last = f[np.arange(n.size), width - 1]
-    ok = ((lo == 0) | cut | (f[:, 0] == 0.0)) & ((hi == n) | (last < 2.0**-53))
-    np.cumsum(f, axis=1, out=f)
-    # Each row's total is its last column; total / total is exactly 1.0, so
-    # every column from the window's last on holds 1.0, as pinned in binomial_cdf.
-    f /= f[:, -1:].copy()
-    return f, ok
+    return f
 
 
 def _cdf_blocks(n: np.ndarray, p: np.ndarray):
     """(rows, lo, f, bound) blocks of the CDF rows of the distinct pairs (n[i], p[i]).
 
-    ``f[j]`` is the CDF of pair ``i = rows[j]`` from ``lo[j]`` to the right
-    end of the window of :func:`binomial_cdf`, padded with 1.0 to the
-    block's width, and ``bound[j]`` is how far it may lie from
-    ``binomial_cdf(n[i], p[i])[1]`` (see ``_TRIM_LOG``). Its left end is at
-    c = _TRIM_LOG + ln(n + 1), about 10.6 sd left of the mean at large n,
-    where the full window's is at about 39.2 sd. Where that is not right of
-    the full window's lo, the row is that window bit for bit and its bound
-    is 0.0. All the windows come from the closed form at once. Rows whose k
-    ranges overlap form a cluster, and the clusters are built one after
-    another: each cluster's rows read their log-factorials from two tables
-    of its own, one over the union of their k ranges and one over the union
-    of their n - k ranges (see :class:`_LogFactorial`), so rows far apart
-    never share a table. A row of _ALONE points or more is a block of its
-    own, which reads its log-factorials as slices; narrower rows are built
-    in padded blocks of at most _BLOCK doubles, sorted by width. A row
-    whose edge check fails is built by :func:`binomial_cdf` itself, as a
-    block of one row. A row's doubles do not depend on which rows share its
-    block.
+    ``f[j]`` is the CDF of pair ``i = rows[j]`` from ``lo[j]`` to its row's
+    last point, padded with 1.0 to the block's width, and ``bound[j]`` is
+    how far it may lie from ``binomial_cdf(n[i], p[i])[1]`` (see
+    ``_MARGIN_LOG``). Its ends are at c = _MARGIN_LOG + ln(n + 1), about
+    8.2 sd either side of the mean at n = 1e6, where the full window's are
+    at about 39.2 sd left and 10 sd right. Where neither end cuts the full
+    window, the row is that window bit for bit and its bound is 0.0. All the
+    windows come from the closed form at once. Rows whose k ranges overlap
+    form a cluster, and the clusters are built one after another, so rows
+    far apart never share, or hold at once, a table. Each cluster's rows
+    read ln(k!) from a table over the union of their k ranges and
+    ln((n - k)!) from one over the union of their k - n ranges (see
+    :class:`_Table`). A row of _ALONE points or more is a block of its own,
+    which reads all four log-pmf terms as forward slices: those two tables
+    and, for each p of the cluster's wide rows, k ln p and (n - k) ln(1 - p)
+    over the union of their ranges. Narrower rows are built in padded blocks
+    of at most _BLOCK doubles, sorted by width, which gather their
+    log-factorials. A row whose edge check fails (that of
+    :func:`binomial_cdf`, on each edge the row does not cut) is built by
+    :func:`binomial_cdf` itself, as a block of one row. A row's doubles do
+    not depend on which rows share its block.
     """
     if not n.size:
         return
-    mean, left, trim, right = _reach(n, p, (_UNDERFLOW_LOG, _TRIM_LOG, _ABSORBED_LOG))
-    full = np.maximum(0, np.floor(mean - left)).astype(np.int64)
-    lo = np.maximum(full, np.floor(mean - trim).astype(np.int64))
-    hi = np.minimum(n, np.ceil(mean + right)).astype(np.int64)
+    mean, left, right, margin = _reach(n, p, (_UNDERFLOW_LOG, _ABSORBED_LOG, _MARGIN_LOG))
+    full_lo = np.maximum(0, np.floor(mean - left)).astype(np.int64)
+    full_hi = np.minimum(n, np.ceil(mean + right)).astype(np.int64)
+    lo = np.maximum(full_lo, np.floor(mean - margin).astype(np.int64))
+    hi = np.minimum(full_hi, np.ceil(mean + margin).astype(np.int64))
+    cut_lo, cut_hi = lo > full_lo, hi < full_hi
+    cuts = cut_lo.astype(np.int64) + cut_hi
+    bound = (4.0 * (full_hi - full_lo + 1) + 8.0) * 2.0**-53 + 3.0 * math.exp(-_MARGIN_LOG) * cuts
+    bound[cuts == 0] = 0.0
     width = hi - lo + 1
-    cut = lo > full
-    bound = (4.0 * (hi - full + 1) + 8.0) * 2.0**-53 + 3.0 * math.exp(-_TRIM_LOG)
-    bound[~cut] = 0.0
+    wide = width >= _ALONE
+    # binomial_cdf's edge check applies on each edge that is neither cut nor
+    # at 0 or n: a first term of 0.0, a last term below 2**-53.
+    check_lo, check_hi = (lo > 0) & ~cut_lo, (hi < n) & ~cut_hi
+    checked = check_lo | check_hi
+
+    def finish(rows, f):
+        # The log-pmf rows f to CDF rows, in place, as binomial_cdf builds them.
+        f -= f.max(axis=1, keepdims=True)
+        np.exp(f, out=f)
+        bad = np.zeros(rows.size, dtype=bool)
+        if checked[rows].any():
+            bad = check_lo[rows] & (f[:, 0] != 0.0)
+            bad |= check_hi[rows] & (f[np.arange(rows.size), width[rows] - 1] >= 2.0**-53)
+        np.cumsum(f, axis=1, out=f)
+        # Each row's total is its last column; total / total is exactly 1.0,
+        # so every column from the row's last on holds 1.0, as pinned in
+        # binomial_cdf.
+        f /= f[:, -1:].copy()
+        if bad.any():
+            for r in rows[bad]:
+                low, g = binomial_cdf(int(n[r]), float(p[r]))
+                yield np.array([r]), np.array([low]), g[None], np.zeros(1)
+            rows, f = rows[~bad], f[~bad]
+        if rows.size:
+            yield rows, lo[rows], f, bound[rows]
+
     cluster, *_ = _runs(lo, hi)
     by_cluster = np.argsort(cluster, kind="stable")
     for members in np.split(by_cluster, np.flatnonzero(np.diff(cluster[by_cluster])) + 1):
-        log_fact_k = _LogFactorial(lo[members], hi[members])
-        log_fact_nk = _LogFactorial(n[members] - hi[members], n[members] - lo[members])
-        by_width = np.argsort(width[members], kind="stable")
+        m_lo, m_hi, m_n = lo[members], hi[members], n[members]
+        # ln(k!) and, at y = k - n, ln((n - k)!), as _logpmf evaluates them.
+        log_fact_k = _Table(m_lo, m_hi, lambda x: gammaln(x + 1.0))
+        log_fact_rest = _Table(m_lo - m_n, m_hi - m_n, lambda y: gammaln(1.0 - y))
+        m_wide = wide[members]
+        for q in np.unique(p[members[m_wide]]):
+            # The wide rows of one p read k ln p and (n - k) ln(1 - p) from
+            # tables of their own, each product as _logpmf computes it.
+            i = np.flatnonzero(m_wide & (p[members] == q))
+            log_p, log_q = np.log(q), np.log1p(-q)
+            k_log_p = _Table(m_lo[i], m_hi[i], lambda x: x * log_p)
+            rest_log_q = _Table(m_lo[i] - m_n[i], m_hi[i] - m_n[i], lambda y: -y * log_q)
+            for j, r in enumerate(i):
+                a, b, c = m_lo[r], m_hi[r] + 1, m_n[r]
+                f = gammaln(c + 1.0) - log_fact_k.run(r, a, b)
+                f -= log_fact_rest.run(r, a - c, b - c)
+                f += k_log_p.run(j, a, b)
+                f += rest_log_q.run(j, a - c, b - c)
+                yield from finish(members[r : r + 1], f[None])
+        narrow = np.flatnonzero(~m_wide)
+        narrow = narrow[np.argsort(width[members[narrow]], kind="stable")]
         start = 0
-        while start < members.size:
+        while start < narrow.size:
             # The most rows whose padded block (rows x widest row) fits
-            # _BLOCK and whose rows are narrower than _ALONE; at least one.
-            # Each row is at least one point wide, so at most _BLOCK fit.
-            w = width[members[by_width[start : start + _BLOCK]]]
-            fits = (np.arange(1, w.size + 1) * w <= _BLOCK) & (w < _ALONE)
-            count = max(1, np.count_nonzero(fits))
-            i = by_width[start : start + count]
+            # _BLOCK; at least one. Each row is at least one point wide, so
+            # at most _BLOCK fit.
+            w = width[members[narrow[start : start + _BLOCK]]]
+            count = max(1, np.count_nonzero(np.arange(1, w.size + 1) * w <= _BLOCK))
+            i = narrow[start : start + count]
             start += count
             rows = members[i]
-            f, ok = _cdf_block(
-                n[rows], p[rows], lo[rows], width[rows], cut[rows], i, log_fact_k, log_fact_nk
-            )
-            if not ok.all():
-                for r in rows[~ok]:
-                    low, g = binomial_cdf(int(n[r]), float(p[r]))
-                    yield np.array([r]), np.array([low]), g[None], np.zeros(1)
-                rows, f = rows[ok], f[ok]
-            if rows.size:
-                yield rows, lo[rows], f, bound[rows]
+            f = _logpmf_block(n[rows], p[rows], lo[rows], hi[rows], i, log_fact_k, log_fact_rest)
+            yield from finish(rows, f)
         # Freed before the next cluster's tables are built.
-        del f, log_fact_k, log_fact_nk
+        del log_fact_k, log_fact_rest
 
 
 def _search_rows(f: np.ndarray, j: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -448,16 +482,24 @@ def draw_binomial(n, p, u) -> np.ndarray:
     gives n_i. Each distinct (n, p) pair's CDF row is built once per call,
     in the padded blocks of :func:`_cdf_blocks`. A block of one row, such as
     a wide one, is searched alone; a block of several rows is inverted by
-    one bisection over all of them (:func:`_search_rows`). A row that starts
-    right of the full window's lo may differ from :func:`binomial_cdf` by
-    its bound B, so its draw k is kept only if F'(k - 1) < u_i - B and
-    F'(k) >= u_i + B, which proves k the full CDF's draw (see
-    ``_TRIM_LOG``); the check fails with probability about 4B, and such
-    draws are inverted again on :func:`binomial_cdf`, built once per pair.
+    one bisection over all of them (:func:`_search_rows`). A row cut inside
+    the full window may differ from :func:`binomial_cdf` by its bound B, so
+    its draw k is kept only if F'(k - 1) < u_i - B and F'(k) >= u_i + B,
+    which proves k the full CDF's draw (see ``_MARGIN_LOG``). F'(k - 1),
+    F'(k) and B are kept for each draw while its block is built, and checked
+    once, for all draws, after the last block; a draw fails where u_i lies
+    within B of one of the row's CDF steps, or above 1 - B on a right-cut
+    row, and the draws that fail are inverted again on :func:`binomial_cdf`,
+    built once per pair.
+
+    Raises:
+        ValueError: if a u_i is NaN or outside [0, 1).
     """
     n, p, u = np.broadcast_arrays(
         np.asarray(n, dtype=np.int64), np.asarray(p, dtype=float), np.asarray(u, dtype=float)
     )
+    if not np.all((0.0 <= u) & (u < 1.0)):
+        raise ValueError("uniforms must lie in [0, 1)")
     out = np.where(p >= 1.0, n, 0)
     live = (0.0 < p) & (p < 1.0) & (u != 0.0)
     n, p, u = n[live], p[live], u[live]
@@ -468,6 +510,9 @@ def draw_binomial(n, p, u) -> np.ndarray:
     bounds = np.append(np.flatnonzero(first), order.size)
     pair_n, pair_p = n[order[first]], p[order[first]]
     draws = np.empty(order.size, dtype=np.int64)
+    # F'(k - 1) and F'(k) of each draw, and its row's bound. An entry of an
+    # uncut row keeps 0.0, 1.0 and 0.0, which pass the check for any u in (0, 1).
+    below, above, slack = np.zeros(order.size), np.ones(order.size), np.zeros(order.size)
     for rows, lo, f, bound in _cdf_blocks(pair_n, pair_p):
         if rows.size == 1:
             at = order[bounds[rows[0]] : bounds[rows[0] + 1]]
@@ -481,16 +526,20 @@ def draw_binomial(n, p, u) -> np.ndarray:
             k = _search_rows(f, j, u[at])
         draws[at] = lo[j] + k
         if bound.any():
-            # F'(k - 1), or 0 before the row's first point, and F'(k).
-            v, b = u[at], bound[j]
-            below = np.where(k > 0, f[j, k - 1], 0.0)
-            redo = (below >= v - b) | (f[j, k] < v + b)
-            for r in np.unique(j[redo]):
-                low, g = binomial_cdf(int(pair_n[rows[r]]), float(pair_p[rows[r]]))
-                again = at[redo & (j == r)]
-                draws[again] = low + np.searchsorted(g, u[again], side="left")
+            below[at] = np.where(k > 0, f[j, k - 1], 0.0)
+            above[at] = f[j, k]
+            slack[at] = bound[j]
         # Freed before the next block is built.
         del f
+    redo = np.flatnonzero((below >= u - slack) | (above < u + slack))
+    if redo.size:
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        pair = np.searchsorted(bounds, rank[redo], side="right") - 1
+        for i in np.unique(pair):
+            low, g = binomial_cdf(int(pair_n[i]), float(pair_p[i]))
+            again = redo[pair == i]
+            draws[again] = low + np.searchsorted(g, u[again], side="left")
     out[live] = draws
     return out
 

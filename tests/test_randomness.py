@@ -164,18 +164,26 @@ class TestBinomialInversion:
 
     @staticmethod
     def _assert_row_within_bound(lo, f, row_lo, g, bound):
-        """Row g from row_lo against binomial_cdf's window f from lo."""
+        """Row g from row_lo against binomial_cdf's window f from lo.
+
+        Both are compared up to the wider one's end, each read as 1.0 past
+        its last point, as the full CDF is past f's and a row's padding is.
+        A row that cuts neither end of f is its slice bit for bit, with
+        bound 0.0; a cut row lies within its bound of it, and so does the
+        mass left of the row.
+        """
         assert lo <= row_lo <= lo + f.size - 1
-        size = f.size - (row_lo - lo)
-        assert np.all(g[size:] == 1.0)
-        if row_lo == lo:
-            assert bound == 0.0
-            assert np.array_equal(g[:size], f)
+        left = f[row_lo - lo - 1] if row_lo > lo else 0.0
+        f = f[row_lo - lo :]
+        size = max(f.size, g.size)
+        f, g = (np.append(x, np.ones(size - x.size)) for x in (f, g))
+        if bound == 0.0:
+            assert row_lo == lo
+            assert np.array_equal(g, f)
         else:
             assert 0.0 < bound < 1e-6
-            assert np.max(np.abs(g[:size] - f[row_lo - lo :])) <= bound
-            assert f[row_lo - lo - 1] <= bound  # the mass left of the row
-            assert g[size - 1] == f[-1] == 1.0
+            assert np.max(np.abs(g - f)) <= bound
+            assert left <= bound
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -318,7 +326,7 @@ class TestBinomialInversion:
             if widen:
                 mp.setattr(randomness, "_UNDERFLOW_LOG", 5.0)
                 mp.setattr(randomness, "_ABSORBED_LOG", 1.0)
-                mp.setattr(randomness, "_TRIM_LOG", 1.0)
+                mp.setattr(randomness, "_MARGIN_LOG", 1.0)
             got = draw_binomial(n, p, u)
             want = self._per_value_inversion(n, p, u)
         assert got.tolist() == want
@@ -374,6 +382,7 @@ class TestBinomialInversion:
         near = np.concatenate(
             [steps, np.nextafter(steps, 0.0), np.nextafter(steps, 1.0), [5e-324, f[row_lo - lo - 1]]]
         )
+        near = near[near < 1.0]  # a shifted row reaches 1.0 before its end
         mid = (f[row_lo - lo + at[1:]] + f[row_lo - lo + at[:-1]]) / 2.0
         mid = mid[mid - f[row_lo - lo + at[:-1]] > 1e-6]
         c_n, c_p, c_u = np.full(2, round(n * p)), 0.999, np.array([0.3, 0.9])
@@ -400,6 +409,115 @@ class TestBinomialInversion:
                 if together:
                     assert np.array_equal(got[u.size :], reference_draw_binomial(c_n, c_p, c_u))
                     assert block_rows == ([1, 1] if g.size >= randomness._ALONE else [2])
+
+    @staticmethod
+    def _right_cut_uniforms(n, p, row):
+        """Uniforms where a right-cut row's draw check must fail, or nearly.
+
+        The full CDF's steps from 20 points left of the row's last point to
+        the window's end and the row's own steps over its last 21 points,
+        one ulp either side of each, and 1 - B and 1 - 2**-53, all below 1.0.
+        """
+        lo, f = binomial_cdf(n, p)
+        row_lo, g, bound = row
+        mean, margin = randomness._reach(n, p, (randomness._MARGIN_LOG,))
+        hi = math.ceil(mean + margin)
+        assert bound > 0.0 and hi < lo + f.size - 1  # the row is cut on its right
+        steps = np.concatenate([f[hi - 20 - lo :], g[hi - 20 - row_lo : hi - row_lo + 1]])
+        u = np.concatenate(
+            [steps, np.nextafter(steps, 0.0), np.nextafter(steps, 1.0), [1.0 - bound, 1.0 - 2.0**-53]]
+        )
+        return u[(0.0 < u) & (u < 1.0)]
+
+    @pytest.mark.parametrize("stage", [0, 1, 2])
+    def test_uniforms_at_a_right_cut_are_inverted_exactly(self, stage):
+        # The rows of the benchmark's sample-large-n study (N = 1e6,
+        # p1. = 0.6, p.1 = 0.7, phi = 1.25): one pair per stage, each row at
+        # least _ALONE wide and a block of its own, cut at about 8.2 sd on
+        # its right, where the full window runs on to about 10 sd. Uniforms
+        # on and next to the steps right of the cut, and up to 1 - 2**-53,
+        # invert as on the full CDF; those the check fails (1 - 2**-53 at
+        # least) are inverted again, once per pair.
+        spec = PopulationSpec("L1", 1_000_000, 0.60, 0.70, 1.25)
+        x = draw_tables(spec.n, spec.cells(), uniforms(7, PURPOSE_STUDY, 0, 1))
+        p11, p10, p01, _ = spec.cells()
+        n = spec.n - sum(int(x[i][0]) for i in range(stage))
+        p = [p11, p10 / (1.0 - p11), p01 / (1.0 - p11 - p10)][stage]
+        row = self._rows_by_pair(np.array([n]), np.array([p]))[0]
+        assert row[1].size >= randomness._ALONE
+        u = self._right_cut_uniforms(n, p, row)
+        rebuilt, build = [], randomness.binomial_cdf
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(randomness, "binomial_cdf", lambda n, p: rebuilt.append(n) or build(n, p))
+            got = draw_binomial(n, p, u)
+        assert rebuilt == [n]
+        assert np.array_equal(got, reference_draw_binomial(np.full(u.size, n), p, u))
+
+    def test_uniforms_at_right_cuts_of_a_narrow_block_are_inverted_exactly(self, monkeypatch):
+        # Three pairs at N = 500 whose rows overlap make one padded block of
+        # three rows, each cut on both sides; the uniforms near each row's
+        # right cut, all in one call, go through the block's bisection and
+        # invert as on the full CDF; 1 - 2**-53 fails each row's check, so
+        # each pair is inverted again, once.
+        sizes, blocks, rebuilt, build = [], randomness._cdf_blocks, [], randomness.binomial_cdf
+
+        def recorded_blocks(n, p):
+            for rows, lo, f, bound in blocks(n, p):
+                sizes.append(rows.size)
+                yield rows, lo, f, bound
+
+        n, p = np.full(3, 500), np.array([0.3, 0.32, 0.34])
+        rows = self._rows_by_pair(n, p)
+        u = [self._right_cut_uniforms(500, p[i], rows[i]) for i in range(3)]
+        counts, probs = (np.concatenate([np.full(v.size, x) for v, x in zip(u, c)]) for c in (n, p))
+        u = np.concatenate(u)
+        monkeypatch.setattr(randomness, "_cdf_blocks", recorded_blocks)
+        monkeypatch.setattr(randomness, "binomial_cdf", lambda n, p: rebuilt.append(p) or build(n, p))
+        got = draw_binomial(counts, probs, u)
+        assert sizes == [3]
+        assert sorted(rebuilt) == p.tolist()
+        for q in p:
+            at = probs == q
+            assert np.array_equal(got[at], reference_draw_binomial(counts[at], q, u[at]))
+
+    def test_wide_rows_of_two_probabilities_share_a_cluster(self, monkeypatch):
+        # Two populations at N = 1e6 that differ only in p1. (0.6 and
+        # 0.6002) draw in one stack: each stage's rows of both lie within a
+        # few sd of each other, so they form one cluster that evaluates
+        # gammaln once over the union of their ranges, while the wide rows
+        # of each p read k ln p and (n - k) ln(1 - p) from tables of their
+        # own. Every draw equals its population's draw alone, and each
+        # first-stage draw equals per-value inversion on binomial_cdf.
+        points, log_gamma = [], randomness.gammaln
+        monkeypatch.setattr(randomness, "gammaln", lambda x: points.append(np.size(x)) or log_gamma(x))
+        r = 20
+        specs = [PopulationSpec(f"p{p}", 1_000_000, p, 0.70, 1.25) for p in (0.6, 0.6002)]
+        u = [uniforms(7, PURPOSE_STUDY, unit, r) for unit in range(len(specs))]
+        alone = []
+        for spec, spec_u in zip(specs, u):
+            alone.append(draw_tables(spec.n, spec.cells(), spec_u))
+        apart = sum(points)
+        points.clear()
+        n = np.repeat([spec.n for spec in specs], r)
+        cells = tuple(np.repeat(c, r) for c in zip(*(spec.cells() for spec in specs)))
+        together = draw_tables(n, cells, np.concatenate(u))
+        assert sum(points) < 0.7 * apart
+        for got, want in zip(together, zip(*alone)):
+            assert np.array_equal(got, np.concatenate(want))
+        first = np.concatenate(u)[:, 0]
+        want = [self._per_value_inversion(n[i : i + 1], cells[0][i], first[i : i + 1])[0] for i in range(2 * r)]
+        assert together[0].tolist() == want
+
+    @pytest.mark.parametrize("n, p", [(5, 0.3), (10**6, 0.6)])
+    def test_uniforms_outside_the_unit_interval_are_rejected(self, n, p):
+        # (5, 0.3) is binomial_cdf's window, (1e6, 0.6) a row cut on both
+        # sides; a bad uniform among good ones fails the whole call.
+        for bad in (1.0, 1.5, -0.5, -5e-324, np.inf, np.nan):
+            with pytest.raises(ValueError, match=r"\[0, 1\)"):
+                draw_binomial(n, p, bad)
+            with pytest.raises(ValueError, match=r"\[0, 1\)"):
+                draw_binomial(np.full(3, n), p, np.array([0.5, bad, 0.2]))
+        assert draw_binomial(n, p, 1.0 - 2.0**-53) <= n
 
     @pytest.mark.parametrize("p", [1e-6, 0.02, 0.3, 0.5, 0.98])
     def test_every_row_is_within_its_bound_of_binomial_cdf(self, p):
@@ -467,7 +585,9 @@ class TestBinomialInversion:
         # phi = 1.25) at R = 20, as run_study draws it. The two populations'
         # windows lie far apart, so each builds its own log-factorial
         # tables: the group's draw evaluates gammaln at exactly the points of
-        # the two populations drawn alone, and draws the same tables.
+        # the two populations drawn alone, and draws the same tables. The
+        # count includes one binomial_cdf window: at this seed a stage-3
+        # draw at N = 1e9 fails its check, alone and in the group alike.
         points = []
         log_gamma = randomness.gammaln
 
@@ -487,7 +607,7 @@ class TestBinomialInversion:
         n = np.repeat([spec.n for spec in specs], r)
         cells = tuple(np.repeat(c, r) for c in zip(*(spec.cells() for spec in specs)))
         together = draw_tables(n, cells, np.concatenate(u))
-        assert sum(points) == sum(per_spec) == 1_718_461
+        assert sum(points) == sum(per_spec) == 2_453_441
         for got, want in zip(together, zip(*alone)):
             assert np.array_equal(got, np.concatenate(want))
 
@@ -497,8 +617,7 @@ class TestBinomialInversion:
         # per-value inversion, for the Philox uniforms, for the doubles one
         # ulp above and below each, which below 0.5 lie off the 53-bit grid
         # m * 2**-53 of the uniforms, and for values on each row's CDF
-        # steps, 1.0 included, which the narrower rows repeat in their
-        # padding: the search must not step past an equal value.
+        # steps below 1.0: the search must not step past an equal value.
         sizes, blocks = [], randomness._cdf_blocks
 
         def recorded_blocks(n, p):
@@ -511,7 +630,7 @@ class TestBinomialInversion:
         n = 1 + np.arange(count) % 3
         p = np.linspace(0.01, 0.99, count)
         u = uniforms(DEFAULT_SEED, PURPOSE_STUDY, 6, count)[:, 0]
-        steps = [binomial_cdf(int(n[i]), p[i])[1][i % (n[i] + 1)] for i in range(count)]
+        steps = [binomial_cdf(int(n[i]), p[i])[1][i % n[i]] for i in range(count)]
         for v in (u, np.nextafter(u, 1.0), np.nextafter(u, 0.0), np.array(steps)):
             sizes.clear()
             got = draw_binomial(n, p, v)
