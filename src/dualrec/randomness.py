@@ -53,8 +53,7 @@ not once each; narrower rows are built in padded blocks of about 2**14
 doubles, each with one row-wise cumulative sum.
 A block of several rows is inverted by one bisection over all of its rows,
 which compares doubles and so is exact for every uniform; a block of one
-row is searched alone. :func:`binomial_cdf` also builds the rare row whose
-edge check fails. Nothing is kept from one call to the next: the
+row is searched alone. Nothing is kept from one call to the next: the
 populations of a study share pairs only within a stack group (14-16% of the
 windows of the fig1-fig3 studies at R = 200), and the group's one call
 builds each of them once.
@@ -353,22 +352,22 @@ def _cdf_blocks(n: np.ndarray, p: np.ndarray):
     how far it may lie from ``binomial_cdf(n[i], p[i])[1]`` (see
     ``_MARGIN_LOG``). Its ends are at c = _MARGIN_LOG + ln(n + 1), about
     8.2 sd either side of the mean at n = 1e6, where the full window's are
-    at about 39.2 sd left and 10 sd right. Where neither end cuts the full
-    window, the row is that window bit for bit and its bound is 0.0. All the
-    windows come from the closed form at once. Rows whose k ranges overlap
-    form a cluster, and the clusters are built one after another, so rows
-    far apart never share, or hold at once, a table. Each cluster's rows
-    read ln(k!) from a table over the union of their k ranges and
-    ln((n - k)!) from one over the union of their k - n ranges (see
-    :class:`_Table`). A row of _ALONE points or more is a block of its own,
+    at about 39.2 sd left and 10 sd right: the full window's half-widths
+    exceed the row's by at least 726/3 = 242 points on the left and
+    17/3 = 5.7 on the right, so each end of a row cuts the window unless it
+    lies at 0 or n. A row that cuts neither end is thus [0, n], binomial_cdf's
+    window bit for bit, and its bound is 0.0. All the windows come from the
+    closed form at once. Rows whose k ranges overlap form a cluster, and the
+    clusters are built one after another, so rows far apart never share, or
+    hold at once, a table. Each cluster's rows read ln(k!) from a table over
+    the union of their k ranges and ln((n - k)!) from one over the union of
+    their k - n ranges (see :class:`_Table`). A row of _ALONE points or more is a block of its own,
     which reads all four log-pmf terms as forward slices: those two tables
     and, for each p of the cluster's wide rows, k ln p and (n - k) ln(1 - p)
     over the union of their ranges. Narrower rows are built in padded blocks
     of at most _BLOCK doubles, sorted by width, which gather their
-    log-factorials. A row whose edge check fails (that of
-    :func:`binomial_cdf`, on each edge the row does not cut) is built by
-    :func:`binomial_cdf` itself, as a block of one row. A row's doubles do
-    not depend on which rows share its block.
+    log-factorials. A row's doubles do not depend on which rows share its
+    block.
     """
     if not n.size:
         return
@@ -377,37 +376,22 @@ def _cdf_blocks(n: np.ndarray, p: np.ndarray):
     full_hi = np.minimum(n, np.ceil(mean + right)).astype(np.int64)
     lo = np.maximum(full_lo, np.floor(mean - margin).astype(np.int64))
     hi = np.minimum(full_hi, np.ceil(mean + margin).astype(np.int64))
-    cut_lo, cut_hi = lo > full_lo, hi < full_hi
-    cuts = cut_lo.astype(np.int64) + cut_hi
+    cuts = (lo > full_lo).astype(np.int64) + (hi < full_hi)
     bound = (4.0 * (full_hi - full_lo + 1) + 8.0) * 2.0**-53 + 3.0 * math.exp(-_MARGIN_LOG) * cuts
     bound[cuts == 0] = 0.0
     width = hi - lo + 1
     wide = width >= _ALONE
-    # binomial_cdf's edge check applies on each edge that is neither cut nor
-    # at 0 or n: a first term of 0.0, a last term below 2**-53.
-    check_lo, check_hi = (lo > 0) & ~cut_lo, (hi < n) & ~cut_hi
-    checked = check_lo | check_hi
 
     def finish(rows, f):
         # The log-pmf rows f to CDF rows, in place, as binomial_cdf builds them.
         f -= f.max(axis=1, keepdims=True)
         np.exp(f, out=f)
-        bad = np.zeros(rows.size, dtype=bool)
-        if checked[rows].any():
-            bad = check_lo[rows] & (f[:, 0] != 0.0)
-            bad |= check_hi[rows] & (f[np.arange(rows.size), width[rows] - 1] >= 2.0**-53)
         np.cumsum(f, axis=1, out=f)
         # Each row's total is its last column; total / total is exactly 1.0,
         # so every column from the row's last on holds 1.0, as pinned in
         # binomial_cdf.
         f /= f[:, -1:].copy()
-        if bad.any():
-            for r in rows[bad]:
-                low, g = binomial_cdf(int(n[r]), float(p[r]))
-                yield np.array([r]), np.array([low]), g[None], np.zeros(1)
-            rows, f = rows[~bad], f[~bad]
-        if rows.size:
-            yield rows, lo[rows], f, bound[rows]
+        return rows, lo[rows], f, bound[rows]
 
     cluster, *_ = _runs(lo, hi)
     by_cluster = np.argsort(cluster, kind="stable")
@@ -430,7 +414,7 @@ def _cdf_blocks(n: np.ndarray, p: np.ndarray):
                 f -= log_fact_rest.run(r, a - c, b - c)
                 f += k_log_p.run(j, a, b)
                 f += rest_log_q.run(j, a - c, b - c)
-                yield from finish(members[r : r + 1], f[None])
+                yield finish(members[r : r + 1], f[None])
         narrow = np.flatnonzero(~m_wide)
         narrow = narrow[np.argsort(width[members[narrow]], kind="stable")]
         start = 0
@@ -444,7 +428,7 @@ def _cdf_blocks(n: np.ndarray, p: np.ndarray):
             start += count
             rows = members[i]
             f = _logpmf_block(n[rows], p[rows], lo[rows], hi[rows], i, log_fact_k, log_fact_rest)
-            yield from finish(rows, f)
+            yield finish(rows, f)
         # Freed before the next cluster's tables are built.
         del log_fact_k, log_fact_rest
 
@@ -493,13 +477,20 @@ def draw_binomial(n, p, u) -> np.ndarray:
     built once per pair.
 
     Raises:
-        ValueError: if a u_i is NaN or outside [0, 1).
+        ValueError: if an n_i is negative or above MAX_N, the range over which
+            the rows' windows and bound are proven, a p_i is NaN, or a u_i is
+            NaN or outside [0, 1).
     """
     n, p, u = np.broadcast_arrays(
         np.asarray(n, dtype=np.int64), np.asarray(p, dtype=float), np.asarray(u, dtype=float)
     )
-    if not np.all((0.0 <= u) & (u < 1.0)):
-        raise ValueError("uniforms must lie in [0, 1)")
+    ok = (0 <= n) & (n <= MAX_N) & ~np.isnan(p) & (0.0 <= u) & (u < 1.0)
+    if not ok.all():
+        bad = np.argmin(ok)
+        raise ValueError(
+            f"draw_binomial needs 0 <= n <= {MAX_N}, p not NaN and u in [0, 1), "
+            f"got n = {n.flat[bad]}, p = {p.flat[bad]}, u = {u.flat[bad]}"
+        )
     out = np.where(p >= 1.0, n, 0)
     live = (0.0 < p) & (p < 1.0) & (u != 0.0)
     n, p, u = n[live], p[live], u[live]

@@ -533,23 +533,40 @@ class TestReproduceCommand:
 
 
 class TestEntryPoints:
-    def test_in_process_calls_print_what_separate_processes_print(self, table_file, capsys):
+    def test_in_process_calls_print_what_separate_processes_print(
+        self, table_file, tmp_path, capsys
+    ):
         # main builds its parser once per process: each call, whatever the
         # subcommand and options of the calls before it, parses as a fresh
         # process does.
+        # Besides exit 0, an estimation error returns 2 and a usage error
+        # raises SystemExit(1) from argparse, the two other outcomes that
+        # .github/diff_cases.py captures in process.
+        zeros = tmp_path / "zeros.json"
+        zeros.write_text('{"x11": 0, "x10": 0, "x01": 5}')
         calls = [
             ["estimate", "--table", table_file, "--method", "adpl-mtb",
              "--delta", "scaled:1.25", "--json"],
             ["reproduce", "--target", "table2"],
             ["estimate", "--table", table_file, "--method", "pl-mt"],
+            ["estimate", "--table", str(zeros), "--method", "pl-mt"],
+            ["estimate", "--table", table_file, "--method", "nope"],
         ]
-        got = [run_cli(args, capsys) for args in calls]
+        got = []
+        for args in calls:
+            try:
+                got.append(run_cli(args, capsys))
+            except SystemExit as exc:
+                captured = capsys.readouterr()
+                got.append((exc.code, captured.out, captured.err))
         for args, result in zip(calls, got):
             proc = subprocess.run(
                 [sys.executable, "-m", "dualrec", *args], capture_output=True, text=True
             )
             assert result == (proc.returncode, proc.stdout, proc.stderr)
         assert got[0][1].startswith("{") and "n_hat: 111" in got[2][1]
+        assert [code for code, *_ in got[3:]] == [2, 1]
+        assert "estimation error" in got[3][2] and "invalid choice: 'nope'" in got[4][2]
 
     def test_module_invocation(self, table_file):
         proc = subprocess.run(

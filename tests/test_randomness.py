@@ -13,6 +13,7 @@ from scipy import stats
 from dualrec import randomness
 from dualrec.randomness import (
     DEFAULT_SEED,
+    MAX_N,
     PURPOSE_BOOTSTRAP,
     PURPOSE_STUDY,
     binomial_cdf,
@@ -315,39 +316,19 @@ class TestBinomialInversion:
     @example(draws=[(3000, 0.2), (3001, 0.6), (2999, 0.0), (5, 0.4)], p=0.3, block=randomness._BLOCK, widen=True)
     def test_mixed_counts_equal_per_value_inversion_bit_for_bit(self, draws, p, block, widen):
         # Windows wider than the block are blocks of one row, read from the
-        # same shared log-factorial runs; with a narrowed closed form, rows
-        # fail the edge check and are widened by binomial_cdf, and trimmed
-        # rows fail their draws' check and are inverted on binomial_cdf.
+        # same shared log-factorial runs; with a margin of 1, rows are cut
+        # close to the mean, their bound B is about 1.1 per cut edge, and
+        # nearly every draw fails its check and is inverted on binomial_cdf.
         # Either way each draw is its own value's inversion.
         n = np.array([d[0] for d in draws], dtype=np.int64)
         u = np.array([d[1] for d in draws])
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(randomness, "_BLOCK", block)
             if widen:
-                mp.setattr(randomness, "_UNDERFLOW_LOG", 5.0)
-                mp.setattr(randomness, "_ABSORBED_LOG", 1.0)
                 mp.setattr(randomness, "_MARGIN_LOG", 1.0)
             got = draw_binomial(n, p, u)
             want = self._per_value_inversion(n, p, u)
         assert got.tolist() == want
-
-    def test_block_rows_failing_the_edge_check_are_widened(self):
-        # With a narrowed closed form the first windows of these counts leave
-        # a non-zero first term or a last term of 2**-53 or more; the rows are
-        # rebuilt by binomial_cdf, which widens them to the exact CDF.
-        n = np.array([3000, 3001, 3000, 2500])
-        u = uniforms(DEFAULT_SEED, PURPOSE_STUDY, 4, 4)[:, 0]
-        for narrowed in ("_UNDERFLOW_LOG", "_ABSORBED_LOG"):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(randomness, narrowed, 1.0)
-                rebuilt = []
-                build = randomness.binomial_cdf
-                mp.setattr(
-                    randomness, "binomial_cdf", lambda n, p: rebuilt.append(n) or build(n, p)
-                )
-                got = draw_binomial(n, 0.3, u)
-            assert sorted(rebuilt) == [2500, 3000, 3001]
-            assert np.array_equal(got, reference_draw_binomial(n, 0.3, u))
 
     @pytest.mark.parametrize("shift", [-0.9, 0.0, 0.9])
     @pytest.mark.parametrize("n, p", [(3000, 0.3), (100_000, 0.45), (10**6, 0.6)])
@@ -519,6 +500,49 @@ class TestBinomialInversion:
                 draw_binomial(np.full(3, n), p, np.array([0.5, bad, 0.2]))
         assert draw_binomial(n, p, 1.0 - 2.0**-53) <= n
 
+    @pytest.mark.parametrize(
+        "n, p", [(-5, 0.3), (-1, 0.0), (5, np.nan), (10**9 + 1, 0.5), (10**9 + 1, 1.0)]
+    )
+    def test_counts_and_probabilities_outside_the_proven_range_are_rejected(self, n, p):
+        # A negative count drew -2**63 and a NaN probability drew 0; above
+        # MAX_N the rows' margin and bound B are not proven. A bad entry
+        # among good ones fails the whole call.
+        with pytest.raises(ValueError, match="0 <= n <= 1000000000, p not NaN"):
+            draw_binomial(n, p, 0.5)
+        with pytest.raises(ValueError, match="0 <= n <= 1000000000, p not NaN"):
+            draw_binomial(np.array([5, n, 7]), np.array([0.3, p, 0.3]), np.full(3, 0.5))
+        assert draw_binomial(np.array([0, MAX_N]), np.array([0.3, 1.0]), 0.5).tolist() == [0, MAX_N]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        pairs=st.lists(
+            st.tuples(
+                st.integers(0, 60) | st.integers(0, 5000) | st.integers(0, 10**9),
+                st.one_of(
+                    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                    st.floats(0.0, 1e-6, exclude_min=True),
+                    st.floats(1.0 - 1e-6, 1.0, exclude_max=True),
+                ),
+            ),
+            min_size=1,
+            max_size=6,
+            unique=True,
+        )
+    )
+    @example(pairs=[(0, 0.3), (1, 0.5), (40, 0.1), (5000, 1e-9), (10**9, 1e-12)])
+    def test_rows_of_bound_zero_are_binomial_cdf_bit_for_bit(self, pairs):
+        # binomial_cdf's window is wider than a row by at least 242 points on
+        # the left and 5.7 on the right, so a row that cuts neither end of it
+        # spans [0, n] and needs no edge check: it is binomial_cdf's window
+        # as built, from the same lo.
+        n = np.array([pair[0] for pair in pairs])
+        p = np.array([pair[1] for pair in pairs])
+        for i, (lo, f, bound) in self._rows_by_pair(n, p).items():
+            if bound == 0.0:
+                low, g = binomial_cdf(int(n[i]), float(p[i]))
+                assert lo == low == 0 and g.size == n[i] + 1
+                assert np.array_equal(f[: g.size], g) and np.all(f[g.size :] == 1.0)
+
     @pytest.mark.parametrize("p", [1e-6, 0.02, 0.3, 0.5, 0.98])
     def test_every_row_is_within_its_bound_of_binomial_cdf(self, p):
         # Each count alone (its row is the whole shared run) and all of
@@ -545,7 +569,7 @@ class TestBinomialInversion:
     @example(n=10**8, p=1e-6)
     @example(n=3000, p=0.3)
     def test_row_bound_holds_up_to_1e8(self, n, p):
-        # |F' - F| <= B (see _TRIM_LOG) over the row, whatever its width;
+        # |F' - F| <= B (see _MARGIN_LOG) over the row, whatever its width;
         # measured differences lie many orders of magnitude below B.
         row = self._rows_by_pair(np.array([n]), np.array([p]))[0]
         self._assert_row_within_bound(*binomial_cdf(n, p), *row)
