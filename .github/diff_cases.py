@@ -57,8 +57,10 @@ STUDIES = {
     # are wide or hold many points on each side of their cuts; the closed
     # forms keep the study to sampling. At seed 7, 7 of the 19 distinct
     # stage-3 rows of "straddle" are at least _ALONE wide, each a block of
-    # its own, and 12 are narrower and share padded blocks, so one
-    # draw_binomial call has rows on both sides of that size.
+    # its own, and 12 are narrower, so one draw_binomial call has rows on
+    # both sides of that size. The narrow rows here, those 12 and the
+    # skewed population's, have n above _RECUR_N, so each is binomial_cdf's
+    # window.
     "large": _study(
         [("M", 1000000, 0.6, 0.7, 1.25), ("G", 1000000000, 0.6, 0.7, 1.25),
          ("skewed", 1000000, 0.02, 0.3, 1.0), ("straddle", 523000, 0.5, 0.65, 1.25)],
@@ -106,9 +108,9 @@ STUDIES = {
     ),
     # Narrow rows: 1100 populations of N = 2 to 4, each with a p1 of its
     # own, make one stack group whose stages draw 1100 to over 2000 distinct
-    # (trials, probability) pairs of windows a few points wide, all in one
-    # cluster, so they are packed into padded blocks of many rows, each
-    # inverted by one bisection over its rows.
+    # (trials, probability) pairs of windows a few points wide, packed into
+    # padded recurrence blocks of many rows, each inverted by one bisection
+    # over its rows.
     "narrow": _study(
         [(f"n{i}", 2 + i % 3, 0.3 + 0.0004 * i, 0.6, 1.0) for i in range(1100)],
         CLOSED_FORMS,
@@ -116,10 +118,21 @@ STUDIES = {
         seed=9,
     ),
     # Draw check: P2 at R = 20 000, seed 13. Its 60 000 draws come from rows
-    # cut on both sides at N = 500, and one stage-1 draw, of (500, 0.4565...),
-    # lies within the rows' bound B of a CDF step: it fails the check and is
-    # inverted again on binomial_cdf's window.
+    # cut on both sides at N = 500 and built by the pmf ratio recurrence, and
+    # one stage-1 draw, of (500, 0.4565...), lies within the rows' bound B of
+    # a CDF step (the recurrence's B, which is a little larger than the
+    # sliced rows' B of the same row): it fails the check and is inverted
+    # again on binomial_cdf's window. It is the one draw of these cases that
+    # takes that fallback from a narrow row.
     "recheck": _study([("P2", 500, 0.6, 0.7, 1.25)], CLOSED_FORMS, replicates=20000, seed=13),
+    # Recurrence cut-off: p1 = 0.001 makes every row narrow. At N = 131 000
+    # every row's n is at most _RECUR_N = 131 072, so each is built by the
+    # pmf ratio recurrence; at N = 131 200 the rows of stages 1 and 2 are
+    # binomial_cdf's windows, and at seed 7 the stage-3 rows' n lie on both
+    # sides of the cut-off (7 above it, 13 below), in one draw_binomial call.
+    "cutoff": _study(
+        [("below", 131000, 0.001, 0.3, 1.0), ("above", 131200, 0.001, 0.3, 1.0)], CLOSED_FORMS
+    ),
     # Shared cluster: two populations at N = 1e6 that differ only in p1 (0.6
     # and 0.6002) form one stack group, and in each stage their wide rows, of
     # two probabilities, overlap and share one cluster's log-factorial

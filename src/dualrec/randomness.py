@@ -27,30 +27,35 @@ inversion equals that of the full n + 1 point CDF bit for bit. The rows
 :func:`draw_binomial` searches span only where a uniform can land instead,
 about 8.2 sd either side of the mean at n = 1e6, beyond which the terms on
 each side hold at most e**-20 of the largest: so a draw at n = 1e9 holds
-about 285 000 doubles, not a billion. A cut row holds the window's terms,
-but its running sum starts later and its total stops earlier, so its CDF
-may differ from the window's, by at most a bound B of about 4W * 2**-53
-for a window of W points plus 3 e**-20 for each cut edge, about 1.2e-8 at
-n = 1e6. Each draw from a cut row is kept only where its uniform lies more
-than B from the row's CDF steps on either side, which proves it the full
-CDF's draw; one check after all of a call's rows are built finds the rare
-other draws (about 2B times the row's bulk width of them, 6 in 2 million
-draws of the paper's studies), which are inverted again on
-:func:`binomial_cdf`, the fallback. So the draws equal inversion of the full
-CDF bit for bit. Each stage of :func:`draw_tables` is one
-:func:`draw_binomial` call over every row, and a study draws all the rows of
-a stack group of populations in one such call, so a stage holds many
+about 285 000 doubles, not a billion. A cut row's running sum starts later
+and its total stops earlier, and a row need not be built from the window's
+own log-pmf doubles, so its CDF may differ from the window's, by at most a
+bound B: about 4W * 2**-53 for a window of W points, plus 3 e**-20 for each
+cut edge, plus, for a row built by the pmf ratio recurrence, the rounding of
+the recurrence and the gap between binomial_cdf's log-pmf and the exact one
+(see ``_MARGIN_LOG``); about 1.2e-8 at n = 1e6. Each draw from such a row is
+kept only where its uniform lies more than B from the row's CDF steps on
+either side, which proves it the full CDF's draw; one check after all of a
+call's rows are built finds the rare other draws (about 2B times the row's
+bulk width of them, 6 in 2 million draws of the paper's studies), which are
+inverted again on :func:`binomial_cdf`, the fallback. So the draws equal
+inversion of the full CDF bit for bit. Each stage of :func:`draw_tables` is
+one :func:`draw_binomial` call over every row, and a study draws all the
+rows of a stack group of populations in one such call, so a stage holds many
 (trials, probability) pairs at once. :func:`draw_binomial` builds one row
-per distinct pair of the call and sizes all the rows in closed form.
-Rows whose ranges overlap, such as those of one population in one stage,
-form a cluster that evaluates ``gammaln`` once over the union of its
-rows, and the clusters are built one after another, so populations far
-apart never share, or hold at once, a log-factorial table. A row of 2**12
-points or more is a block of its own that reads all four of its log-pmf
-terms as forward slices of the cluster's tables, so the nearly overlapping
-rows of one stage evaluate ``gammaln`` and the products k ln p about once,
-not once each; narrower rows are built in padded blocks of about 2**14
-doubles, each with one row-wise cumulative sum.
+per distinct pair of the call and sizes all the rows in closed form. A row
+narrower than 2**12 points with n up to 2**17, such as every row of the
+paper's studies, is built by the ratio recurrence
+t(k + 1) = t(k) (n - k) / (k + 1) * p / (1 - p), in padded blocks of about
+2**14 doubles, each with one row-wise cumulative product and one cumulative
+sum: no ``gammaln``, gather or ``exp``. A narrow row with a larger n is
+:func:`binomial_cdf`'s window itself, with B = 0. A row of 2**12 points or
+more is a block of its own that reads all four of its log-pmf terms as
+forward slices of tables shared by a cluster: wide rows whose ranges
+overlap, such as those of one population in one stage, evaluate ``gammaln``
+and the products k ln p once over the union of their rows, not once each,
+and the clusters are built one after another, so populations far apart
+never share, or hold at once, a log-factorial table.
 A block of several rows is inverted by one bisection over all of its rows,
 which compares doubles and so is exact for every uniform; a block of one
 row is searched alone. Nothing is kept from one call to the next: the
@@ -155,14 +160,14 @@ _ABSORBED_LOG = 37.0
 # beyond a cut edge lies at least 20 below the largest log-pmf (the pmf at
 # the mode is at least 1/(n + 1), as in _reach), far beyond the log-pmf's
 # rounding; the half-width is at least 2c/3 > 13, so the row holds the mode
-# and both windows subtract the same largest log-pmf. A cut row thus holds
-# the full window's terms over its own points; only its running sum starts
-# later, or its total stops earlier. The terms cut off on each side sum to
-# m <= 1.01 e**-20: their pmf sums to at most e**-20 / (n + 1) by the bound
-# of _reach, and the log-pmf's rounding (about 1e-5 at n = 1e9) moves them by
-# a factor below 1.01.
+# and both windows subtract the same largest log-pmf. A sliced row (a wide
+# one, see _cdf_blocks) thus holds the full window's terms over its own
+# points; only its running sum starts later, or its total stops earlier.
+# The terms cut off on each side sum to m <= 1.01 e**-20: their pmf sums to
+# at most e**-20 / (n + 1) by the bound of _reach, and the log-pmf's
+# rounding (about 1e-5 at n = 1e9) moves them by a factor below 1.01.
 #
-# Bound. Let F and F' be the full window's and the cut row's CDF doubles at
+# Bound. Let F and F' be the full window's and the sliced row's CDF doubles at
 # k, s and s' the exact sums of the terms from each one's lo to k, t and t'
 # their totals, eps = 2**-53 and W the full window's width (W <= 2**25 up to
 # MAX_N). Both cumulative sums are recursive sums of at most W nonnegative
@@ -184,10 +189,59 @@ _ABSORBED_LOG = 37.0
 # the row's CDF steps, so a share of about 2B times the row's bulk width
 # fails, not 4B: at n = 1e6, where B is about 1.2e-8 and the bulk about 2000
 # steps, 2 of the 37 500 draws of 250 of the benchmark's sample-large-n
-# studies failed (5 502 at a margin of 12, where B is 3.7e-5), and 6 of the
-# 2 040 000 draws of 20 rounds of its reproduce-paper. A draw that fails the
-# check is inverted on binomial_cdf.
+# studies failed (5 502 at a margin of 12, where B is 3.7e-5). A draw that
+# fails the check is inverted on binomial_cdf.
+#
+# Recurrence rows. A row built by the pmf ratio recurrence (see _cdf_blocks)
+# does not share binomial_cdf's log-pmf doubles, so its B also covers how far
+# each of the two lies from the exact CDF. Let pi be the exact pmf scaled so
+# that its largest value is 1, P and P' the exact CDFs of pi over the full
+# window and over the row, w the row's width and g_m = m eps / (1 - m eps).
+# - A lemma: if the terms of a partial sum s of nonnegative terms move by a
+#   in all and the rest of the total t by b, s/t moves to (s + a)/(t + a + b),
+#   that is by |a (t - s) - s b| / (t (t + a + b)) <= (|a| + |b|) / (t + a + b).
+#   If every term moves by a relative factor 1 + z_i with |z_i| <= z, then
+#   |a| <= z s and |b| <= z (t - s), and the move is at most z / (2 (1 - z)).
+# - The row. Its j-th term is 1.0 times j ratios (n + 1 - k) / k * odds,
+#   odds = p / (1 - p): two roundings make odds, shared by every ratio,
+#   each ratio adds two and each product of np.cumprod one, so the term is
+#   pi(lo + j) / pi(lo) times 1 + z_j with |z_j| <= g_5j. Its terms stay
+#   finite: the largest is pi(mode) / pi(lo), at most e**607.2 (at
+#   n = 4914) for n up to _RECUR_N at p = 1 - 2**-53, the p whose ratios
+#   left of the mode are largest, and terms below 2**-1022 lie right of the
+#   mode. By the lemma and the running sum and division as above,
+#   |F' - P'| <= (2w + 3) eps + 2.51 w eps.
+# - The reference. binomial_cdf's log-pmf adds five terms: gammaln at n + 1,
+#   k + 1 and n - k + 1, k log(p) and (n - k) log1p(-p). gammaln at the
+#   integers 1 to _RECUR_N + 1 and np.log, np.log1p and np.exp are taken to
+#   be within 4 ulps, a relative error of at most 8 eps (test_randomness
+#   pins each against mpmath; the largest measured are 3.4 eps for gammaln
+#   and 1.1 eps for the others). Each product and each of the four sums adds
+#   one rounding of at most eps times Sigma, the sum of the five terms' sizes,
+#   so the log-pmf is within d = 13.01 eps Sigma of ln pi plus a constant
+#   common to the window. As ln k! + ln (n - k)! <= ln n! <= n ln(n + 1),
+#   and k |ln p| + (n - k) |ln(1 - p)| is largest at an end of the window
+#   [lo_W, hi_W], Sigma <= 2 n ln(n + 1) + hi_W |ln p| + (n - lo_W) |ln(1 - p)|.
+#   Subtracting the largest log-pmf rounds a term's exponent x <= 0 by at
+#   most eps |x|, which moves its term e**x by at most eps / e of the largest
+#   term, 1.0, so W eps / e in all against a total of at least 1, and exp
+#   adds 8 eps. So by the lemma, |F - P| <= (2W + 3) eps + 0.37 W eps +
+#   0.51 (d + 8 eps).
+# - The cut tails: |P' - P| <= m_L + m_R, each at most e**-20 by the bound
+#   of _reach, now on the exact pmf.
+# A double below 2**-1022 carries an absolute error below 2**-1070, far
+# below the slack. With the check's roundings, B = (4W + 6w + 8) eps +
+# 14 eps Sigma + 3 e**-20 per cut edge covers |F' - F|, and the check above
+# proves each draw. A recurrence row that cuts neither end of the window
+# carries this B as well: it is not binomial_cdf's doubles.
 _MARGIN_LOG = 20.0
+# Narrow rows with n up to this are built by the recurrence. Its gap term
+# 14 eps Sigma grows as eps n ln n; at p = 1/2 it is 5.0e-9 at n = 2**17,
+# below the 3 e**-20 = 6.2e-9 that each cut edge adds to B, and 1.0e-8 at
+# 2**18, so 2**17 is the largest power of two at which no row's B grows by
+# more than one cut edge's share. A narrow row with a larger n is
+# binomial_cdf's window, with B = 0.
+_RECUR_N = 2**17
 # Doubles per padded block of CDF rows in draw_binomial (128 KiB).
 _BLOCK = 2**14
 # A row at least this wide is a block of its own, which reads its log-pmf
@@ -313,35 +367,31 @@ class _Table:
         self.table = values(x)
         self.base = base[run]
 
-    def at(self, x: np.ndarray, i: np.ndarray) -> np.ndarray:
-        """Values at an integer array x whose row r lies in interval i[r]."""
-        return self.table[x - self.base[i, None]]
-
     def run(self, i: int, start: int, stop: int) -> np.ndarray:
         """Values at start, start + 1, ..., stop - 1 within interval i: a slice of the table."""
         return self.table[start - self.base[i] : stop - self.base[i]]
 
 
-def _logpmf_block(n, p, lo, hi, i, log_fact_k, log_fact_rest):
-    """Log-pmf rows of Binomial(n[r], p[r]) over [lo[r], hi[r]], padded with -inf.
+def _ratio_block(n, p, lo, width):
+    """Term rows pmf(lo[r] + j) / pmf(lo[r]) of Binomial(n[r], p[r]) by the ratio recurrence.
 
-    The log-pmf is computed element-wise as :func:`_logpmf` does, its terms
-    subtracted and added in its order. Row r gathers its log-factorials
-    from interval i[r] of the cluster's two tables; ln(k!) = inf makes each
-    padding column -inf, whose exact 0.0 term leaves the row's cumulative
-    sum and total as they are.
+    Column 0 is 1.0 and column j the product, by one row-wise cumulative
+    product, of the ratios pmf(k) / pmf(k - 1) = (n + 1 - k) / k * p / (1 - p)
+    for k = lo + 1 to lo + j. The ratio in each row's first padding column
+    is 0.0, so every padding term is an exact zero (of either sign), which
+    leaves the row's running sum and total as they are.
     """
-    cols = np.arange((hi - lo).max() + 1)
-    k = np.minimum(lo[:, None] + cols, hi[:, None])
-    lf_k = log_fact_k.at(k, i)
-    lf_k[cols > (hi - lo)[:, None]] = np.inf
-    f = gammaln(n + 1.0)[:, None] - lf_k
-    del lf_k
-    f -= log_fact_rest.at(k - n[:, None], i)
-    f += k * np.log(p)[:, None]
-    k = n[:, None] - k
-    f += k * np.log1p(-p)[:, None]
-    return f
+    size = width.max()
+    k = lo[:, None] + np.arange(float(size))
+    # Column 0 holds the row's first term, 1.0; k = 1 keeps its ratio finite.
+    k[:, 0] = 1.0
+    f = (n + 1.0)[:, None] - k
+    f /= k
+    f *= (p / (1.0 - p))[:, None]
+    f[:, 0] = 1.0
+    padded = width < size
+    f[padded, width[padded]] = 0.0
+    return np.cumprod(f, axis=1, out=f)
 
 
 def _cdf_blocks(n: np.ndarray, p: np.ndarray):
@@ -355,19 +405,30 @@ def _cdf_blocks(n: np.ndarray, p: np.ndarray):
     at about 39.2 sd left and 10 sd right: the full window's half-widths
     exceed the row's by at least 726/3 = 242 points on the left and
     17/3 = 5.7 on the right, so each end of a row cuts the window unless it
-    lies at 0 or n. A row that cuts neither end is thus [0, n], binomial_cdf's
-    window bit for bit, and its bound is 0.0. All the windows come from the
-    closed form at once. Rows whose k ranges overlap form a cluster, and the
-    clusters are built one after another, so rows far apart never share, or
-    hold at once, a table. Each cluster's rows read ln(k!) from a table over
-    the union of their k ranges and ln((n - k)!) from one over the union of
-    their k - n ranges (see :class:`_Table`). A row of _ALONE points or more is a block of its own,
-    which reads all four log-pmf terms as forward slices: those two tables
-    and, for each p of the cluster's wide rows, k ln p and (n - k) ln(1 - p)
-    over the union of their ranges. Narrower rows are built in padded blocks
-    of at most _BLOCK doubles, sorted by width, which gather their
-    log-factorials. A row's doubles do not depend on which rows share its
-    block.
+    lies at 0 or n. All the windows come from the closed form at once, and
+    each row is built in one of three ways:
+
+    - A row of _ALONE points or more is sliced: a block of its own that
+      reads its four log-pmf terms as forward slices of its cluster's
+      tables. Wide rows whose k ranges overlap form a cluster, which reads
+      ln(k!) from one table over the union of their k ranges, ln((n - k)!)
+      from one over the union of their k - n ranges and, for each p,
+      k ln p and (n - k) ln(1 - p) from tables over the union of its rows'
+      ranges (see :class:`_Table`). The clusters are built one after
+      another, so rows far apart never share, or hold at once, a table. A
+      sliced row that cuts neither end is [0, n], binomial_cdf's window bit
+      for bit, and its bound is 0.0.
+    - A narrower row with n up to _RECUR_N is built by the pmf ratio
+      recurrence (:func:`_ratio_block`) in padded blocks of at most _BLOCK
+      doubles, sorted by width, with no ``gammaln``, gather or ``exp``. Its
+      bound is above 0.0 even where it cuts neither end.
+    - A narrower row with a larger n (any p up to about n = 2.6e5, beyond
+      that only a p near 0 or 1) is binomial_cdf's window, a block of one
+      row, with bound 0.0.
+
+    The term rows then take one row-wise cumulative sum and a division by
+    their totals, as in binomial_cdf. A row's doubles do not depend on
+    which rows share its block.
     """
     if not n.size:
         return
@@ -377,15 +438,19 @@ def _cdf_blocks(n: np.ndarray, p: np.ndarray):
     lo = np.maximum(full_lo, np.floor(mean - margin).astype(np.int64))
     hi = np.minimum(full_hi, np.ceil(mean + margin).astype(np.int64))
     cuts = (lo > full_lo).astype(np.int64) + (hi < full_hi)
-    bound = (4.0 * (full_hi - full_lo + 1) + 8.0) * 2.0**-53 + 3.0 * math.exp(-_MARGIN_LOG) * cuts
-    bound[cuts == 0] = 0.0
     width = hi - lo + 1
     wide = width >= _ALONE
+    recur = ~wide & (n <= _RECUR_N)
+    # Sigma bounds the sizes of binomial_cdf's five log-pmf terms.
+    sigma = 2.0 * n * np.log(n + 1.0) - full_hi * np.log(p) - (n - full_lo) * np.log1p(-p)
+    bound = (4.0 * (full_hi - full_lo + 1) + 8.0) * 2.0**-53 + 3.0 * math.exp(-_MARGIN_LOG) * cuts
+    bound += np.where(recur, (6.0 * width + 14.0 * sigma) * 2.0**-53, 0.0)
+    # Rows of binomial_cdf's own doubles: uncut sliced rows, and narrow rows
+    # above _RECUR_N.
+    bound[~recur & ((cuts == 0) | ~wide)] = 0.0
 
     def finish(rows, f):
-        # The log-pmf rows f to CDF rows, in place, as binomial_cdf builds them.
-        f -= f.max(axis=1, keepdims=True)
-        np.exp(f, out=f)
+        # The term rows f to CDF rows, in place, as binomial_cdf builds them.
         np.cumsum(f, axis=1, out=f)
         # Each row's total is its last column; total / total is exactly 1.0,
         # so every column from the row's last on holds 1.0, as pinned in
@@ -393,18 +458,25 @@ def _cdf_blocks(n: np.ndarray, p: np.ndarray):
         f /= f[:, -1:].copy()
         return rows, lo[rows], f, bound[rows]
 
-    cluster, *_ = _runs(lo, hi)
-    by_cluster = np.argsort(cluster, kind="stable")
-    for members in np.split(by_cluster, np.flatnonzero(np.diff(cluster[by_cluster])) + 1):
+    for i in np.flatnonzero(~wide & ~recur):
+        row_lo, f = binomial_cdf(int(n[i]), float(p[i]))
+        yield np.array([i]), np.array([row_lo]), f[None], bound[i : i + 1]
+    sliced = np.flatnonzero(wide)
+    if sliced.size:
+        cluster, *_ = _runs(lo[sliced], hi[sliced])
+        order = np.argsort(cluster, kind="stable")
+        clusters = np.split(sliced[order], np.flatnonzero(np.diff(cluster[order])) + 1)
+    else:
+        clusters = []
+    for members in clusters:
         m_lo, m_hi, m_n = lo[members], hi[members], n[members]
         # ln(k!) and, at y = k - n, ln((n - k)!), as _logpmf evaluates them.
         log_fact_k = _Table(m_lo, m_hi, lambda x: gammaln(x + 1.0))
         log_fact_rest = _Table(m_lo - m_n, m_hi - m_n, lambda y: gammaln(1.0 - y))
-        m_wide = wide[members]
-        for q in np.unique(p[members[m_wide]]):
-            # The wide rows of one p read k ln p and (n - k) ln(1 - p) from
+        for q in np.unique(p[members]):
+            # The rows of one p read k ln p and (n - k) ln(1 - p) from
             # tables of their own, each product as _logpmf computes it.
-            i = np.flatnonzero(m_wide & (p[members] == q))
+            i = np.flatnonzero(p[members] == q)
             log_p, log_q = np.log(q), np.log1p(-q)
             k_log_p = _Table(m_lo[i], m_hi[i], lambda x: x * log_p)
             rest_log_q = _Table(m_lo[i] - m_n[i], m_hi[i] - m_n[i], lambda y: -y * log_q)
@@ -414,23 +486,23 @@ def _cdf_blocks(n: np.ndarray, p: np.ndarray):
                 f -= log_fact_rest.run(r, a - c, b - c)
                 f += k_log_p.run(j, a, b)
                 f += rest_log_q.run(j, a - c, b - c)
+                f -= f.max()
+                np.exp(f, out=f)
                 yield finish(members[r : r + 1], f[None])
-        narrow = np.flatnonzero(~m_wide)
-        narrow = narrow[np.argsort(width[members[narrow]], kind="stable")]
-        start = 0
-        while start < narrow.size:
-            # The most rows whose padded block (rows x widest row) fits
-            # _BLOCK; at least one. Each row is at least one point wide, so
-            # at most _BLOCK fit.
-            w = width[members[narrow[start : start + _BLOCK]]]
-            count = max(1, np.count_nonzero(np.arange(1, w.size + 1) * w <= _BLOCK))
-            i = narrow[start : start + count]
-            start += count
-            rows = members[i]
-            f = _logpmf_block(n[rows], p[rows], lo[rows], hi[rows], i, log_fact_k, log_fact_rest)
-            yield finish(rows, f)
         # Freed before the next cluster's tables are built.
         del log_fact_k, log_fact_rest
+    narrow = np.flatnonzero(recur)
+    narrow = narrow[np.argsort(width[narrow], kind="stable")]
+    start = 0
+    while start < narrow.size:
+        # The most rows whose padded block (rows x widest row) fits _BLOCK;
+        # at least one. Each row is at least one point wide, so at most
+        # _BLOCK fit.
+        w = width[narrow[start : start + _BLOCK]]
+        count = max(1, np.count_nonzero(np.arange(1, w.size + 1) * w <= _BLOCK))
+        rows = narrow[start : start + count]
+        start += count
+        yield finish(rows, _ratio_block(n[rows], p[rows], lo[rows], width[rows]))
 
 
 def _search_rows(f: np.ndarray, j: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -464,11 +536,14 @@ def draw_binomial(n, p, u) -> np.ndarray:
     the smallest k with F(k) >= u_i on the full CDF; u_i == 0.0 gives 0, as
     it does on the full CDF's leading zeros, p_i <= 0 gives 0 and p_i >= 1
     gives n_i. Each distinct (n, p) pair's CDF row is built once per call,
-    in the padded blocks of :func:`_cdf_blocks`. A block of one row, such as
-    a wide one, is searched alone; a block of several rows is inverted by
-    one bisection over all of them (:func:`_search_rows`). A row cut inside
-    the full window may differ from :func:`binomial_cdf` by its bound B, so
-    its draw k is kept only if F'(k - 1) < u_i - B and F'(k) >= u_i + B,
+    in the blocks of :func:`_cdf_blocks`: by the pmf ratio recurrence for a
+    narrow row with n up to _RECUR_N, as binomial_cdf's window for a narrow
+    row with a larger n, and from sliced log-pmf tables for a wide row. A
+    block of one row is searched alone; a block of several rows is inverted
+    by one bisection over all of them (:func:`_search_rows`). A recurrence
+    row, or a sliced row cut inside the full window, may differ from
+    :func:`binomial_cdf` by its bound B (0 < B < 1e-6; B = 0 for the rest),
+    so its draw k is kept only if F'(k - 1) < u_i - B and F'(k) >= u_i + B,
     which proves k the full CDF's draw (see ``_MARGIN_LOG``). F'(k - 1),
     F'(k) and B are kept for each draw while its block is built, and checked
     once, for all draws, after the last block; a draw fails where u_i lies
@@ -477,20 +552,25 @@ def draw_binomial(n, p, u) -> np.ndarray:
     built once per pair.
 
     Raises:
-        ValueError: if an n_i is negative or above MAX_N, the range over which
-            the rows' windows and bound are proven, a p_i is NaN, or a u_i is
-            NaN or outside [0, 1).
+        ValueError: if an n_i is not an integer, or is negative or above
+            MAX_N, the range over which the rows' windows and bound are
+            proven, a p_i is NaN, or a u_i is NaN or outside [0, 1). n is
+            checked as given, so 5.7 and 2**64 are rejected, not truncated
+            or overflowed.
     """
     n, p, u = np.broadcast_arrays(
-        np.asarray(n, dtype=np.int64), np.asarray(p, dtype=float), np.asarray(u, dtype=float)
+        np.asarray(n), np.asarray(p, dtype=float), np.asarray(u, dtype=float)
     )
-    ok = (0 <= n) & (n <= MAX_N) & ~np.isnan(p) & (0.0 <= u) & (u < 1.0)
+    # inf % 1 is NaN, which fails the check.
+    with np.errstate(invalid="ignore"):
+        ok = (0 <= n) & (n <= MAX_N) & (n % 1 == 0) & ~np.isnan(p) & (0.0 <= u) & (u < 1.0)
     if not ok.all():
         bad = np.argmin(ok)
         raise ValueError(
-            f"draw_binomial needs 0 <= n <= {MAX_N}, p not NaN and u in [0, 1), "
+            f"draw_binomial needs integer 0 <= n <= {MAX_N}, p not NaN and u in [0, 1), "
             f"got n = {n.flat[bad]}, p = {p.flat[bad]}, u = {u.flat[bad]}"
         )
+    n = n.astype(np.int64)
     out = np.where(p >= 1.0, n, 0)
     live = (0.0 < p) & (p < 1.0) & (u != 0.0)
     n, p, u = n[live], p[live], u[live]

@@ -3,12 +3,14 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from conftest import full_binomial_cdf, reference_draw_binomial
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import gammaln
 
 from dualrec import randomness
 from dualrec.randomness import (
@@ -23,7 +25,7 @@ from dualrec.randomness import (
     raw_blocks,
     uniforms,
 )
-from dualrec.simulate import PopulationSpec
+from dualrec.simulate import TABLE2_POPULATIONS, PopulationSpec
 
 # Uniforms at the ends of the 53-bit grid that ``uniforms`` can produce.
 _EDGE_UNIFORMS = (0.0, 2.0**-53, 1.0 - 2.0**-53)
@@ -267,20 +269,21 @@ class TestBinomialInversion:
     @settings(max_examples=100, deadline=None)
     @given(
         rows=st.lists(
-            st.lists(st.floats(-800.0, 0.0), min_size=1, max_size=40), min_size=1, max_size=8
+            st.lists(st.floats(0.0, 10.0), min_size=1, max_size=40), min_size=1, max_size=8
         )
     )
     def test_padded_rows_sum_as_each_row_alone(self, rows):
-        # The padded CDF blocks of draw_binomial rest on this: exp of -inf is
-        # an exact 0.0, and a row-wise cumulative sum over the 2-D block adds
-        # each row's terms in the order of the row's own 1-D sum.
+        # The padded recurrence blocks of draw_binomial rest on this: a ratio
+        # of 0.0 makes every later term of a row's cumulative product an
+        # exact 0.0, and the row-wise cumulative product and sum over the
+        # 2-D block take each row's values in the order of its own 1-D ones.
         width = max(map(len, rows))
-        block = np.full((len(rows), width), -np.inf)
+        block = np.zeros((len(rows), width))
         for i, row in enumerate(rows):
             block[i, : len(row)] = row
-        sums = np.cumsum(np.exp(block), axis=1)
+        sums = np.cumsum(np.cumprod(block, axis=1), axis=1)
         for i, row in enumerate(rows):
-            alone = np.cumsum(np.exp(np.array(row)))
+            alone = np.cumsum(np.cumprod(row))
             assert np.array_equal(sums[i, : len(row)], alone)
             assert np.all(sums[i, len(row) :] == alone[-1])
 
@@ -341,9 +344,11 @@ class TestBinomialInversion:
         # within its bound, so the rows are also shifted by 0.9 B up or down.
         # Each set is drawn alone, and again with a narrow companion pair in
         # the same call, Binomial(round(np), 0.999), whose row of a few dozen
-        # points lies inside the trimmed row's k range: so the two rows form
-        # one cluster, and a row narrower than _ALONE shares a block with it,
-        # so its uniforms go through the block's bisection.
+        # points lies inside the trimmed row's k range. A trimmed row
+        # narrower than _ALONE shares a recurrence block with it, so its
+        # uniforms go through the block's bisection. At n = 1e6 the
+        # companion's n is above _RECUR_N, so its row is binomial_cdf's
+        # window, built once in _cdf_blocks.
         lo, f = binomial_cdf(n, p)
         blocks, block_rows = randomness._cdf_blocks, []
 
@@ -383,7 +388,8 @@ class TestBinomialInversion:
                         randomness, "binomial_cdf", lambda n, p: rebuilt.append(n) or build(n, p)
                     )
                     got = draw_binomial(counts, probs, draws)
-                assert rebuilt == rebuilds
+                built = [c_n[0]] if together and c_n[0] > randomness._RECUR_N else []
+                assert rebuilt == built + rebuilds
                 assert np.array_equal(
                     got[: u.size], reference_draw_binomial(np.full(u.shape, n), p, u)
                 )
@@ -398,12 +404,15 @@ class TestBinomialInversion:
         The full CDF's steps from 20 points left of the row's last point to
         the window's end and the row's own steps over its last 21 points,
         one ulp either side of each, and 1 - B and 1 - 2**-53, all below 1.0.
+        The row holds 1.0 from its last point on, through any padding of
+        its block.
         """
         lo, f = binomial_cdf(n, p)
         row_lo, g, bound = row
         mean, margin = randomness._reach(n, p, (randomness._MARGIN_LOG,))
         hi = math.ceil(mean + margin)
         assert bound > 0.0 and hi < lo + f.size - 1  # the row is cut on its right
+        assert np.all(g[hi - row_lo :] == 1.0)
         steps = np.concatenate([f[hi - 20 - lo :], g[hi - 20 - row_lo : hi - row_lo + 1]])
         u = np.concatenate(
             [steps, np.nextafter(steps, 0.0), np.nextafter(steps, 1.0), [1.0 - bound, 1.0 - 2.0**-53]]
@@ -501,12 +510,17 @@ class TestBinomialInversion:
         assert draw_binomial(n, p, 1.0 - 2.0**-53) <= n
 
     @pytest.mark.parametrize(
-        "n, p", [(-5, 0.3), (-1, 0.0), (5, np.nan), (10**9 + 1, 0.5), (10**9 + 1, 1.0)]
+        "n, p",
+        [
+            (-5, 0.3), (-1, 0.0), (5, np.nan), (10**9 + 1, 0.5), (10**9 + 1, 1.0),
+            (5.7, 0.3), (2**64, 0.5),
+        ],
     )
     def test_counts_and_probabilities_outside_the_proven_range_are_rejected(self, n, p):
         # A negative count drew -2**63 and a NaN probability drew 0; above
-        # MAX_N the rows' margin and bound B are not proven. A bad entry
-        # among good ones fails the whole call.
+        # MAX_N the rows' margin and bound B are not proven. A fractional
+        # count was truncated (5.7 drew from Bin(5, p)) and 2**64 overflowed
+        # the int64 cast. A bad entry among good ones fails the whole call.
         with pytest.raises(ValueError, match="0 <= n <= 1000000000, p not NaN"):
             draw_binomial(n, p, 0.5)
         with pytest.raises(ValueError, match="0 <= n <= 1000000000, p not NaN"):
@@ -517,7 +531,10 @@ class TestBinomialInversion:
     @given(
         pairs=st.lists(
             st.tuples(
-                st.integers(0, 60) | st.integers(0, 5000) | st.integers(0, 10**9),
+                st.integers(0, 60)
+                | st.integers(0, 5000)
+                | st.integers(randomness._RECUR_N - 100, randomness._RECUR_N + 100)
+                | st.integers(0, 10**9),
                 st.one_of(
                     st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
                     st.floats(0.0, 1e-6, exclude_min=True),
@@ -530,25 +547,136 @@ class TestBinomialInversion:
         )
     )
     @example(pairs=[(0, 0.3), (1, 0.5), (40, 0.1), (5000, 1e-9), (10**9, 1e-12)])
+    @example(pairs=[(randomness._RECUR_N + 1, 1e-6), (200_000, 0.5), (10**6, 1.0 - 1e-9)])
     def test_rows_of_bound_zero_are_binomial_cdf_bit_for_bit(self, pairs):
-        # binomial_cdf's window is wider than a row by at least 242 points on
-        # the left and 5.7 on the right, so a row that cuts neither end of it
-        # spans [0, n] and needs no edge check: it is binomial_cdf's window
-        # as built, from the same lo.
+        # Every row with n up to _RECUR_N is narrow and built by the
+        # recurrence, with a bound above 0.0, cut or not. A row of bound 0.0
+        # needs no check: it is binomial_cdf's window as built, from the same
+        # lo. That is every narrow row with a larger n, and a wide row that
+        # cuts neither end of the window, which is wider than a row by at
+        # least 242 points on the left and 5.7 on the right, so spans [0, n].
         n = np.array([pair[0] for pair in pairs])
         p = np.array([pair[1] for pair in pairs])
         for i, (lo, f, bound) in self._rows_by_pair(n, p).items():
+            if n[i] <= randomness._RECUR_N:
+                assert bound > 0.0
             if bound == 0.0:
                 low, g = binomial_cdf(int(n[i]), float(p[i]))
-                assert lo == low == 0 and g.size == n[i] + 1
+                assert lo == low
                 assert np.array_equal(f[: g.size], g) and np.all(f[g.size :] == 1.0)
+
+    @pytest.mark.parametrize("p", [1e-6, 0.3, 1.0 - 1e-6])
+    def test_narrow_rows_above_the_cut_off_are_binomial_cdf(self, p):
+        # Two narrow rows of one call, at n = _RECUR_N and one more: the first
+        # is a recurrence row within its bound, above 0.0, of binomial_cdf;
+        # the second is binomial_cdf's window bit for bit, with bound 0.0.
+        n = np.array([randomness._RECUR_N, randomness._RECUR_N + 1])
+        below, above = (self._rows_by_pair(n, np.full(2, p))[i] for i in (0, 1))
+        assert below[1].size < randomness._ALONE and below[2] > 0.0
+        self._assert_row_within_bound(*binomial_cdf(int(n[0]), p), *below)
+        lo, f = binomial_cdf(int(n[1]), p)
+        assert above[0] == lo and above[2] == 0.0
+        assert np.array_equal(above[1], f)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(0, 3) | st.integers(0, 3000) | st.integers(0, randomness._RECUR_N),
+        p=st.one_of(
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+            st.floats(0.0, 1e-6, exclude_min=True),
+            st.floats(1.0 - 1e-6, 1.0, exclude_max=True),
+        ),
+    )
+    @example(n=randomness._RECUR_N, p=0.5)
+    @example(n=randomness._RECUR_N, p=1e-6)
+    @example(n=4914, p=1.0 - 2.0**-53)
+    @example(n=16, p=1.0 - 2.0**-53)
+    @example(n=randomness._RECUR_N, p=5e-324)
+    @example(n=3, p=0.5)
+    @example(n=0, p=0.5)
+    def test_recurrence_rows_are_within_their_bound_of_binomial_cdf(self, n, p):
+        # |F' - F| <= B for the recurrence's B (see _MARGIN_LOG), which is
+        # above 0.0 on every such row, even one that cuts neither end of the
+        # window (every row at n <= 3); the row's doubles are finite.
+        (row_lo, f, bound), = self._rows_by_pair(np.array([n]), np.array([p])).values()
+        assert f.size < randomness._ALONE and bound > 0.0
+        assert np.all(np.isfinite(f))
+        self._assert_row_within_bound(*binomial_cdf(n, p), row_lo, f, bound)
+
+    def test_log_pmf_functions_are_within_four_ulps(self):
+        # The recurrence rows' bound (see _MARGIN_LOG) takes gammaln at every
+        # integer from 1 to _RECUR_N + 1, and np.log, np.log1p and np.exp, to
+        # be within 4 ulps, a relative error of at most 2**-50. gammaln is
+        # checked at each of those integers (its largest error measured is
+        # 3.4 * 2**-53, at 28427), np.log of p and np.log1p of -p over p
+        # from the smallest subnormal to 1 - 2**-53, and np.exp over the
+        # exponents of binomial_cdf's terms that do not underflow.
+        def within(got, exact):
+            with mpmath.workprec(80):
+                hi = np.array([float(e) for e in exact])
+                lo = np.array([float(e - h) for e, h in zip(exact, hi.tolist())])
+            assert np.all(np.abs((got - hi) - lo) <= 2.0**-50 * np.abs(hi))
+
+        x = np.arange(1, randomness._RECUR_N + 2)
+        with mpmath.workprec(80):
+            within(gammaln(x.astype(float)), [mpmath.loggamma(v) for v in x.tolist()])
+        rng = np.random.default_rng(3)
+        p = np.concatenate(
+            [
+                rng.random(1000),
+                10.0 ** -rng.uniform(0.0, 323.0, 1000),
+                1.0 - 10.0 ** -rng.uniform(0.0, 15.9, 1000),
+                [5e-324, 2.0**-1022, 0.5, 1.0 - 2.0**-53],
+            ]
+        )
+        t = -rng.uniform(0.0, 708.0, 3000)
+        with mpmath.workprec(80):
+            within(np.log(p), [mpmath.log(v) for v in p.tolist()])
+            within(np.log1p(-p), [mpmath.log1p(-v) for v in p.tolist()])
+            within(np.exp(t), [mpmath.exp(v) for v in t.tolist()])
+
+    def test_recurrence_terms_stay_finite_at_the_most_skewed_p(self, monkeypatch):
+        # At p = 1 - 2**-53, where 1/(1 - p) is largest, every n up to
+        # _RECUR_N: the largest term pi(mode) / pi(lo) of any recurrence row
+        # is at most e**607.2 (see _MARGIN_LOG), well below the largest
+        # double, about e**709.78, and every row ends in 1.0.
+        largest, build = [], randomness._ratio_block
+
+        def recorded(*args):
+            terms = build(*args)
+            largest.append(terms.max())
+            return terms
+
+        monkeypatch.setattr(randomness, "_ratio_block", recorded)
+        n = np.arange(randomness._RECUR_N + 1)
+        for rows, lo, f, bound in randomness._cdf_blocks(n, np.full(n.size, 1.0 - 2.0**-53)):
+            assert np.all(np.isfinite(f)) and np.all(f[:, -1] == 1.0) and np.all(bound > 0.0)
+        assert math.log(max(largest)) < 607.2
+
+    def test_cut_off_is_the_largest_power_of_two_whose_gap_term_is_below_a_cut_edge(self):
+        # _RECUR_N's derivation (see randomness): at p = 1/2 the gap term
+        # 14 eps Sigma, over binomial_cdf's window [lo, hi], is below the
+        # 3 e**-20 that one cut edge adds to B at _RECUR_N, and above it at
+        # twice that n. The row at _RECUR_N, cut on both ends, carries it.
+        def gap(n):
+            lo, f = binomial_cdf(n, 0.5)
+            sigma = 2.0 * n * math.log(n + 1.0) + (lo + f.size - 1 + n - lo) * math.log(2.0)
+            return 14.0 * 2.0**-53 * sigma
+
+        edge = 3.0 * math.exp(-randomness._MARGIN_LOG)
+        assert gap(randomness._RECUR_N) < edge < gap(2 * randomness._RECUR_N)
+        rows = self._rows_by_pair(np.array([randomness._RECUR_N]), np.array([0.5]))
+        (_, _, bound), = rows.values()
+        assert bound > gap(randomness._RECUR_N) + 2 * edge
 
     @pytest.mark.parametrize("p", [1e-6, 0.02, 0.3, 0.5, 0.98])
     def test_every_row_is_within_its_bound_of_binomial_cdf(self, p):
-        # Each count alone (its row is the whole shared run) and all of
-        # them in one call (rows far apart, each with runs of its own);
-        # rows of 2**12 points or more are blocks of one row. At p = 1e-6
-        # every row starts at 0 and is binomial_cdf's window bit for bit.
+        # Each count alone and all of them in one call (rows far apart, so
+        # wide rows have runs of their own); rows of 2**12 points or more
+        # are blocks of one row. The rows at n = 20 000 are built by the
+        # recurrence. The narrow rows above _RECUR_N (n = 2e5 at every p,
+        # more at p = 1e-6, 0.02 and 0.98) are binomial_cdf's window bit for
+        # bit.
         counts = (20_000, 200_000, 10**6, 10**7)
         for n in [np.array([c]) for c in counts] + [np.array(counts)]:
             built = self._rows_by_pair(n, np.full(n.size, p))
@@ -603,6 +731,26 @@ class TestBinomialInversion:
         assert sum(w >= randomness._ALONE for w in widths) == len(widths) == 99
         assert sum(2 * w <= randomness._BLOCK for w in widths) == 98
         assert sum(points) < 8 * max(widths)
+
+    def test_paper_populations_evaluate_no_log_factorials(self, monkeypatch):
+        # One draw_tables call of a Table 2 population at R = 200, as a
+        # study draws it: every row is narrow with n <= 500, so each is
+        # built by the ratio recurrence. gammaln is evaluated at no point, no
+        # _Table is built, and at this seed no draw fails its check. The
+        # first stage's draws equal per-value inversion on binomial_cdf.
+        points, tables, builds = [], [], []
+        log_gamma, table, build = randomness.gammaln, randomness._Table, randomness.binomial_cdf
+        mp = monkeypatch
+        mp.setattr(randomness, "gammaln", lambda x: points.append(np.size(x)) or log_gamma(x))
+        mp.setattr(randomness, "_Table", lambda *a: tables.append(a) or table(*a))
+        mp.setattr(randomness, "binomial_cdf", lambda n, p: builds.append(n) or build(n, p))
+        spec = TABLE2_POPULATIONS[1]
+        u = uniforms(7, PURPOSE_STUDY, 0, 200)
+        x11, _, _ = draw_tables(spec.n, spec.cells(), u)
+        assert points == [] and tables == [] and builds == []
+        monkeypatch.undo()
+        want = self._per_value_inversion(np.full(200, spec.n), spec.cells()[0], u[:, 0])
+        assert x11.tolist() == want
 
     def test_far_apart_populations_keep_their_own_runs(self, monkeypatch):
         # A stack group of N = 1e6 and N = 1e9 (p1. = 0.6, p.1 = 0.7,
@@ -661,6 +809,13 @@ class TestBinomialInversion:
             want = [reference_draw_binomial(n[i : i + 1], p[i], v[i : i + 1])[0] for i in range(count)]
             assert sizes == [count]
             assert got.tolist() == want
+        # A uniform on one of a row's steps fails the row's draw check, so
+        # the bisection is checked alone on the block's own steps: it is
+        # np.searchsorted on every row.
+        (rows, lo, f, bound), = blocks(n, p)
+        j = np.arange(count)
+        v = f[j, j % n[rows]]
+        assert randomness._search_rows(f, j, v).tolist() == [np.searchsorted(f[i], v[i]) for i in j]
         off_grid = np.nextafter(u, 1.0) * 2.0**53
         assert np.count_nonzero(off_grid != np.floor(off_grid)) > count // 4
 
